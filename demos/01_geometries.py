@@ -9,12 +9,13 @@ protocol leaks.
 from gqupir import GF, build_pg2, build_q4, build_w3, field, save_geometry
 
 print("== projective plane PG(2,3) ==")
-plane = build_pg2(field(3))
-print(f"points: {plane.n_points}, lines: {plane.n_blocks}")
-print(f"first three lines: {plane.blocks[:3]}")
+plane = build_pg2(field(3))   # a Geometry, like the quadrangles below
+print(f"points: {plane.n_points}, lines: {plane.base.n_blocks}, "
+      f"order {plane.s}")
+print(f"first three lines: {plane.base.blocks[:3]}")
 # every pair of points shares exactly one line; that is re-verified at
 # construction time, so just demonstrate one pair
-for blk in plane.blocks:
+for blk in plane.base.blocks:
     if 0 in blk and 5 in blk:
         print(f"points 0 and 5 share line {blk}")
         break

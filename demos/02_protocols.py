@@ -10,27 +10,26 @@ from collections import Counter
 
 from gqupir import (
     QueryWorkload,
+    UPIRSystem,
     build_w3,
     external_view,
     field,
     observer_view,
     path_choice_counts,
     proxy_counts,
-    run_protocol1,
-    run_protocol2,
-    upir_from_structure,
+    run_protocol,
     write_ground_truth,
     write_transcript,
 )
 
 gq = build_w3(field(3))
-system = upir_from_structure(gq.base)
+system = UPIRSystem(gq.base)
 print(f"W(3,3) system: {system.n_users} users, diameter {system.diameter()}")
 
 print()
 print("== anatomy of one query ==")
 work = QueryWorkload(source=0, topic="tea", count=1, protocol=1)
-tr = run_protocol1(system, work, 7)
+tr = run_protocol(system, work, 7)
 for ev in tr.events:
     print(f"  seq={ev.seq} {ev.kind:14s} space={ev.space} proxy={ev.proxy} "
           f"path={ev.path}")
@@ -41,7 +40,7 @@ print(f"source 0 to proxy {proxy}: distance {d}, so {2 * d + 2} events")
 print()
 print("== who sees what (protocol 1) ==")
 work = QueryWorkload(source=0, topic="tea", count=50, protocol=1)
-tr = run_protocol1(system, work, 7)
+tr = run_protocol(system, work, 7)
 for obs in (1, 13, 39):
     view = observer_view(tr, obs)
     readable = sum(1 for ev in view.events if ev.topic is not None)
@@ -53,7 +52,7 @@ print(f"  database wire: {len(wire)} events, all payloads in the clear")
 print()
 print("== who sees what (protocol 2) ==")
 work2 = QueryWorkload(source=0, topic="tea", count=50, protocol=2)
-tr2 = run_protocol2(system, work2, 7)
+tr2 = run_protocol(system, work2, 7)
 for obs in (1, 13, 39):
     view = observer_view(tr2, obs)
     readable = sum(1 for ev in view.events if ev.topic is not None)
@@ -63,7 +62,7 @@ for obs in (1, 13, 39):
 print()
 print("== routing statistics ==")
 work = QueryWorkload(source=0, topic="tea", count=20000, protocol=1)
-tr = run_protocol1(system, work, 11)
+tr = run_protocol(system, work, 11)
 counts = proxy_counts(tr)
 print(f"proxy spread over {len(counts)} users, "
       f"min {counts.min()}, max {counts.max()} "

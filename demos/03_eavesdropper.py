@@ -8,6 +8,7 @@ encrypted protocol widens that to a giant indistinguishability class.
 """
 
 from gqupir import (
+    UPIRSystem,
     analytic_single,
     build_pg2,
     build_w3,
@@ -15,7 +16,6 @@ from gqupir import (
     field,
     secure_at,
     security_margin,
-    upir_from_structure,
 )
 
 observer = 0
@@ -35,12 +35,12 @@ print(f"  secure at epsilon 0.35: {secure_at(p2, 0.35)}")
 
 print()
 print("== plaintext protocol on a plane: total loss ==")
-plane = upir_from_structure(build_pg2(field(3)))
-part = analytic_single(plane.structure, observer, 1)
+plane = build_pg2(field(3))
+part = analytic_single(plane, observer, 1)
 print(f"PG(2,3) protocol 1 classes: {part.sizes()} (all singletons)")
 sources = {f"t{u}": u for u in (1, 5, 12)}
-states = converge_topics(plane, [observer], 1, sources, 2000, seed=42,
-                         analytic=part)
+states = converge_topics(UPIRSystem(plane.base), [observer], 1, sources, 2000,
+                         seed=42, analytic=part)
 for topic in sorted(states):
     st = states[topic]
     print(f"  topic {topic}: source {st.source} pinned to {sorted(st.candidates)} "
@@ -48,7 +48,7 @@ for topic in sorted(states):
 
 print()
 print("== plaintext protocol on W(3,3): spans are a floor ==")
-system = upir_from_structure(gq.base)
+system = UPIRSystem(gq.base)
 part1 = analytic_single(gq, observer, 1)
 far = next(u for u in range(gq.n_points)
            if u != observer and u not in gq.coll[observer])

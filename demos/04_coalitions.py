@@ -7,6 +7,7 @@ a line is the known worst case and actually de-anonymises users.
 """
 
 from gqupir import (
+    UPIRSystem,
     analytic_coalition,
     analytic_single,
     build_w3,
@@ -16,7 +17,6 @@ from gqupir import (
     partition_meet,
     place_coalition,
     security_margin,
-    upir_from_structure,
 )
 from gqupir.harness import write_sweep_csv
 
@@ -71,7 +71,7 @@ singles = [next(iter(c)) for c in meet.classes if len(c) == 1
 print(f"non-member users fully identified in the limit: {sorted(singles)}")
 
 victim = singles[0]
-system = upir_from_structure(gq3.base)
+system = UPIRSystem(gq3.base)
 states = converge_topics(system, list(line_coal), 2, {"v": victim}, 20000,
                          seed=23, analytic=meet)
 st = states["v"]

@@ -21,7 +21,7 @@ from .fields import (
 from .geometry import (
     AxiomViolation,
     CollinearGeneratorsError,
-    GeneralisedQuadrangle,
+    Geometry,
     HigmanViolation,
     IncidenceStructure,
     SpanSet,
@@ -47,9 +47,7 @@ from .upir import (
     proxy_counts,
     proxy_uniformity,
     read_transcript,
-    run_protocol1,
-    run_protocol2,
-    upir_from_structure,
+    run_protocol,
     write_ground_truth,
     write_transcript,
 )
@@ -76,14 +74,13 @@ __version__ = "0.1.0"
 __all__ = [
     "GF", "field", "normalize_point", "projective_points",
     "NotAPrimePowerError", "UnsupportedOrderError", "ZeroVectorError",
-    "IncidenceStructure", "GeneralisedQuadrangle", "SpanSet",
+    "IncidenceStructure", "Geometry", "SpanSet",
     "build_pg2", "build_w3", "build_q4", "verify_gq", "verify_plane",
     "save_geometry", "load_geometry",
     "AxiomViolation", "HigmanViolation", "VerificationFailed",
     "CollinearGeneratorsError",
-    "UPIRSystem", "upir_from_structure", "QueryWorkload", "Transcript",
-    "TranscriptEvent",
-    "run_protocol1", "run_protocol2", "observer_view", "external_view",
+    "UPIRSystem", "QueryWorkload", "Transcript", "TranscriptEvent",
+    "run_protocol", "observer_view", "external_view",
     "write_transcript", "write_ground_truth", "read_transcript",
     "path_choice_counts", "proxy_counts", "proxy_uniformity",
     "DisconnectedError", "NotDiameterBoundedError",

@@ -14,8 +14,9 @@ the margin is 1 - log_n(n - g); margin eps means all but n^(1-eps) users sit
 together in the biggest class.
 
 Empirical side: CoalitionTracker consumes transcript events and maintains,
-per topic, a candidate set of possible sources, shrinking it only by
-deductions that are sound after every prefix of the stream:
+per topic, a candidate set of possible sources.  Every deduction below is
+sound after every prefix of the stream except the encrypted protocol's
+single-space rule, whose error bound is stated further down:
 
 * a user id inside a route is a relay or proxy for that query, never its
   source, so it can be struck off;
@@ -28,11 +29,15 @@ deductions that are sound after every prefix of the stream:
 
 Under the encrypted protocol relayed payloads are unreadable, so a member
 learns topics only from queries it proxies itself.  The arrival spaces then
-classify the source's distance: a single fixed space means the source
-shares that space, two distinct arrival spaces prove distance two.  The
-relay_metadata switch additionally attributes unreadable route metadata to
-the topic under observation; that is only valid when a single linked
-sequence is being tracked, so it stays off by default.
+classify the source's distance: two distinct arrival spaces prove distance
+two, and D1_MIN_ARRIVALS arrivals all through one space are taken to mean
+the source shares that space.  That last rule is statistical: a distance-2
+source reaches a member through t+1 equally likely spaces, so it is pinned
+wrongly with probability (t+1)^-(D1_MIN_ARRIVALS-1) per member and topic
+(4^-49 on W(3,3)).  The relay_metadata switch additionally attributes
+unreadable route metadata to the topic under observation; that is only
+valid when a single linked sequence is being tracked, so it stays off by
+default.
 """
 
 import math
@@ -40,14 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeneralisedQuadrangle
 from .upir import (
     ALL_READERS,
     DB_REQUEST,
     DB_RESPONSE,
     WRITE_REQUEST,
     QueryWorkload,
-    UPIRSystem,
     iter_protocol_events,
 )
 
@@ -78,6 +81,21 @@ class PseudonymityPartition:
     def is_discrete(self):
         return all(len(c) == 1 for c in self.classes)
 
+    def margin(self):
+        """The SecurityMargin: largest class g, residue n - g, and
+        epsilon* = 1 - log_n(residue); epsilon* is 1.0 for an empty residue
+        and 0.0 when every class is a singleton."""
+        n = self.n_users
+        giant = max(len(c) for c in self.classes)
+        residue = n - giant
+        if giant <= 1:
+            eps = 0.0
+        elif residue == 0:
+            eps = 1.0
+        else:
+            eps = 1.0 - math.log(residue) / math.log(n)
+        return SecurityMargin(n, giant, residue, eps)
+
 
 def _make_partition(n, groups, observers, protocol):
     classes = tuple(sorted((frozenset(g) for g in groups), key=min))
@@ -87,59 +105,39 @@ def _make_partition(n, groups, observers, protocol):
     return PseudonymityPartition(n, classes, tuple(sorted(observers)), protocol)
 
 
-def _structure_of(geom):
-    return geom.base if isinstance(geom, GeneralisedQuadrangle) else geom
-
-
 def analytic_single(geom, observer, protocol):
-    """Best-possible inference for one honest-but-curious user.
+    """Best-possible inference for one honest-but-curious user on a
+    Geometry.
 
     Plaintext protocol: users sharing a space with the observer are fully
     identifiable, and users at distance two are identifiable up to the span
-    they generate with the observer (supported for generalised quadrangles,
-    and for diameter-one structures such as projective planes, where every
-    user is resolved).
+    they generate with the observer (on a projective plane every user is at
+    distance one, so every user is resolved).
 
     Encrypted protocol: users group by which spaces they share with the
     observer; those sharing none are one big class.
     """
-    structure = _structure_of(geom)
-    n = structure.n_points
+    base = geom.base
+    n = geom.n_points
     c = observer
     if not 0 <= c < n:
         raise ValueError(f"observer {c} out of range")
     if protocol == 2:
         by_key = {}
-        obs_spaces = structure.point_to_blocks[c]
+        obs_spaces = base.point_to_blocks[c]
         for u in range(n):
             if u == c:
                 continue
-            shared = frozenset(
-                m for m in obs_spaces if u in structure.block_sets[m]
-            )
+            shared = frozenset(m for m in obs_spaces if u in base.block_sets[m])
             by_key.setdefault(shared, set()).add(u)
-        if frozenset() in by_key and not isinstance(geom, GeneralisedQuadrangle):
-            # distance beyond two would be lumped in wrongly; the encrypted
-            # protocol does not run there anyway
-            sysm = UPIRSystem(structure)
-            if sysm.diameter() > 2:
-                raise ValueError("analysis needs every user pair within distance 2")
         return _make_partition(n, [{c}] + list(by_key.values()), (c,), 2)
     if protocol != 1:
         raise ValueError("protocol must be 1 or 2")
-    coll = structure.collinearity()
-    near = coll[c]
-    far = [u for u in range(n) if u != c and u not in near]
+    near = geom.coll[c]
     groups = [{c}] + [{u} for u in near]
-    if far:
-        if not isinstance(geom, GeneralisedQuadrangle):
-            raise ValueError(
-                "plaintext analysis beyond diameter one needs a generalised quadrangle"
-            )
-        assigned = set()
-        for u in far:
-            if u in assigned:
-                continue
+    assigned = set()
+    for u in range(n):
+        if u != c and u not in near and u not in assigned:
             cls = set(geom.span((c, u)).members) - {c}
             groups.append(cls)
             assigned |= cls
@@ -184,25 +182,20 @@ class SecurityMargin:
 
 
 def security_margin(partition):
-    """Largest class g, residue n - g, and the exponent margin
-    1 - log_n(residue).  Raises DegeneratePartition when every class is a
-    singleton (the observers resolve everyone)."""
-    n = partition.n_users
-    giant = max(len(c) for c in partition.classes)
-    if giant <= 1:
+    """partition.margin(), refusing a partition whose classes are all
+    singletons (the observers resolve everyone) with DegeneratePartition."""
+    m = partition.margin()
+    if m.giant <= 1:
         raise DegeneratePartition(
-            f"all {n} classes are singletons; every user is resolved"
+            f"all {m.n_users} classes are singletons; every user is resolved"
         )
-    residue = n - giant
-    eps = 1.0 if residue == 0 else 1.0 - math.log(residue) / math.log(n)
-    return SecurityMargin(n, giant, residue, eps)
+    return m
 
 
 def secure_at(partition, epsilon):
     """Is the residue (users outside the biggest class) at most n^(1-eps)?"""
-    n = partition.n_users
-    giant = max(len(c) for c in partition.classes)
-    return n - giant <= n ** (1.0 - epsilon) + 1e-9
+    m = partition.margin()
+    return m.residue <= m.n_users ** (1.0 - epsilon) + 1e-9
 
 
 # -- empirical inference --
@@ -241,15 +234,20 @@ class CoalitionTracker:
     member's visibility filter itself.  Tracked topics are assumed to
     originate outside the coalition (members already know their own).
 
-    The candidate set only ever shrinks, and the true source is never
-    removed.  converged(topic) reports whether the set has reached an
+    The candidate set only ever shrinks.  The true source is never removed,
+    with one bounded exception under the encrypted protocol: the
+    single-space arrival rule (D1) pins a distance-2 source wrongly when its
+    first D1_MIN_ARRIVALS arrivals at a member all come through one of its
+    t+1 equally likely spaces, which happens with probability
+    (t+1)^-(D1_MIN_ARRIVALS-1) per member and topic.
+
+    converged(topic) reports whether the set has reached an
     indistinguishability class of the supplied analytic partition (or a
     singleton, when none is given); past that point no further shrinking is
     possible.
     """
 
     D1_MIN_ARRIVALS = 50
-    D1_MIN_FRACTION = 0.95
 
     def __init__(self, system, coalition, protocol, analytic=None,
                  relay_metadata=False):
@@ -379,13 +377,10 @@ class CoalitionTracker:
             if m not in st.d2_fired:
                 st.d2_fired.add(m)
                 st.cand &= self._far_set(m)
-        elif m not in st.d1_fired:
-            total = sum(arr.values())
-            if total >= self.D1_MIN_ARRIVALS:
-                top_space, top = max(arr.items(), key=lambda kv: kv[1])
-                if top >= self.D1_MIN_FRACTION * total:
-                    st.d1_fired.add(m)
-                    st.cand &= self._members[top_space] - {m}
+        elif m not in st.d1_fired and arr[space] >= self.D1_MIN_ARRIVALS:
+            # every arrival so far came through this one space
+            st.d1_fired.add(m)
+            st.cand &= self._members[space] - {m}
 
 
 def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
@@ -463,14 +458,13 @@ def place_coalition(geom, size, placement, seed=0):
     dominates the space, and under the encrypted protocol resolves every
     covered point, so size is capped at the space size.
     """
-    structure = _structure_of(geom)
-    n = structure.n_points
+    n = geom.n_points
     if not 1 <= size <= n:
         raise ValueError(f"size {size} out of range")
     if placement == "random":
         rng = np.random.default_rng(seed)
         return tuple(sorted(int(x) for x in rng.choice(n, size, replace=False)))
-    coll = structure.collinearity()
+    coll = geom.coll
     if placement == "spread":
         rng = np.random.default_rng(seed)
         chosen = [int(rng.integers(n))]
@@ -487,7 +481,8 @@ def place_coalition(geom, size, placement, seed=0):
             chosen.append(best[1])
         return tuple(sorted(chosen))
     if placement == "line":
-        block = structure.blocks[int(np.random.default_rng(seed).integers(structure.n_blocks))]
+        blocks = geom.base.blocks
+        block = blocks[int(np.random.default_rng(seed).integers(len(blocks)))]
         if size > len(block):
             raise ValueError(
                 f"line placement holds at most {len(block)} members"
@@ -531,31 +526,23 @@ def residue_bound(s, t, size):
 def coalition_sweep(geoms, protocol, sizes, placements, seed=0):
     """Analytic margins across geometries, coalition sizes and placements.
 
-    geoms is an iterable of (family, q, quadrangle).  Rows come out in the
-    iteration order of the inputs; a fixed seed makes placements (and so
-    the whole table) reproducible.
+    geoms is an iterable of (family, q, quadrangle Geometry).  Rows come out
+    in the iteration order of the inputs; a fixed seed makes placements (and
+    so the whole table) reproducible.
     """
     rows = []
     counter = 0
     for family, q, geom in geoms:
-        n = geom.base.n_points
         for size in sizes:
             for placement in placements:
                 coalition = place_coalition(geom, size, placement,
                                             seed=seed + counter)
                 counter += 1
-                meet = analytic_coalition(geom, coalition, protocol)
-                giant = max(len(c) for c in meet.classes)
-                residue = n - giant
-                if giant <= 1:
-                    eps = 0.0
-                elif residue == 0:
-                    eps = 1.0
-                else:
-                    eps = 1.0 - math.log(residue) / math.log(n)
+                m = analytic_coalition(geom, coalition, protocol).margin()
                 bound = residue_bound(geom.s, geom.t, size)
                 rows.append(SweepRow(
-                    family, q, geom.s, geom.t, n, protocol, size, placement,
-                    coalition, giant, residue, eps, bound, residue <= bound,
+                    family, q, geom.s, geom.t, m.n_users, protocol, size,
+                    placement, coalition, m.giant, m.residue, m.epsilon_star,
+                    bound, m.residue <= bound,
                 ))
     return rows

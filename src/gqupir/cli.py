@@ -13,12 +13,10 @@ from .adversary import DegeneratePartition
 from .fields import NotAPrimePowerError, UnsupportedOrderError
 from .geometry import (
     AxiomViolation,
-    GeneralisedQuadrangle,
+    Geometry,
     VerificationFailed,
     load_geometry,
     save_geometry,
-    verify_gq,
-    verify_plane,
 )
 from .harness import (
     FAMILIES,
@@ -113,9 +111,7 @@ def _load_geom(args):
         if args.family is not None or args.q is not None:
             raise ValueError("give --in or --family/--q, not both")
         gf = load_geometry(args.infile)
-        if gf.family == "pg2":
-            return gf.structure, gf.family, gf.q
-        return GeneralisedQuadrangle.from_structure(gf.structure), gf.family, gf.q
+        return Geometry.from_structure(gf.structure, gf.family), gf.family, gf.q
     if args.family is None or args.q is None:
         raise ValueError("need --family and --q (or --in)")
     return build_family(args.family, args.q), args.family, args.q
@@ -123,10 +119,8 @@ def _load_geom(args):
 
 def _cmd_construct(args):
     geom = build_family(args.family, args.q)
-    base = geom.base if isinstance(geom, GeneralisedQuadrangle) else geom
     summary = geometry_summary(geom, args.family, args.q)
-    save_geometry(args.out, base, args.family, q=args.q,
-                  s=summary["s"], t=summary["t"])
+    save_geometry(args.out, geom.base, args.family, q=args.q, s=geom.s, t=geom.t)
     summary["command"] = "construct"
     summary["out"] = args.out
     write_json(summary, sys.stdout)
@@ -135,18 +129,17 @@ def _cmd_construct(args):
 
 def _cmd_verify(args):
     gf = load_geometry(args.infile)
-    if gf.family == "pg2":
-        order = verify_plane(gf.structure)
-        report = {"command": "verify", "family": gf.family, "valid": True,
-                  "q": order}
-        if gf.q is not None and gf.q != order:
-            print(f"invalid: file claims q={gf.q}, structure has q={order}",
+    geom = Geometry.from_structure(gf.structure, gf.family)
+    s, t = geom.s, geom.t
+    report = {"command": "verify", "family": gf.family, "valid": True}
+    if t is None:  # a projective plane of order s
+        report["q"] = s
+        if gf.q is not None and gf.q != s:
+            print(f"invalid: file claims q={gf.q}, structure has q={s}",
                   file=sys.stderr)
             return 1
     else:
-        s, t = verify_gq(gf.structure)
-        report = {"command": "verify", "family": gf.family, "valid": True,
-                  "s": s, "t": t}
+        report.update(s=s, t=t)
         if (gf.s is not None and gf.s != s) or (gf.t is not None and gf.t != t):
             print(f"invalid: file claims order ({gf.s},{gf.t}), "
                   f"structure has ({s},{t})", file=sys.stderr)

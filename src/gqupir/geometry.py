@@ -12,11 +12,17 @@ Constructions
                    x0^2 = x1*x2 + x3*x4 in PG(4,q), blocks = lines of
                    PG(4,q) lying entirely on the quadric.  Order (q,q).
 
-Point ids are assigned by lexicographic order of canonical coordinates and
-blocks are sorted lexicographically, so identical parameters always produce
-the identical structure.  Every constructor routes its output through the
-verifier before returning; a failure there is an implementation bug and
-aborts with VerificationFailed.
+Both quadrangles come from one line enumerator: the line through two
+points u, v of the point set belongs to the geometry iff B(u,v) = 0 for
+the family's bilinear form B (the alternating form for W(3,q), the polar
+form of the quadric for Q(4,q)).
+
+Every constructor returns a Geometry.  Point ids are assigned by
+lexicographic order of canonical coordinates and blocks are sorted
+lexicographically, so identical parameters always produce the identical
+structure.  Every constructor routes its output through the verifier
+before returning; a failure there is an implementation bug and aborts with
+VerificationFailed.
 
 A generalised quadrangle of order (s,t) is a point/block geometry in which
 blocks have s+1 points, points lie on t+1 blocks, two points share at most
@@ -86,18 +92,27 @@ class IncidenceStructure:
             raise ValueError(f"points {uncovered[:5]} lie on no block")
         self.point_to_blocks = tuple(tuple(bs) for bs in per_point)
         self.block_sets = tuple(frozenset(b) for b in self.blocks)
+        self._coll = None
 
     @property
     def n_blocks(self):
         return len(self.blocks)
 
     def collinearity(self):
-        """Per point, the set of other points sharing a block with it."""
-        coll = [set() for _ in range(self.n_points)]
-        for blk in self.blocks:
-            for x in blk:
-                coll[x].update(blk)
-        return [frozenset(c - {x}) for x, c in enumerate(coll)]
+        """Per point, the frozenset of other points sharing a block with it.
+
+        Computed on the first call; later calls return the same tuple.
+        """
+        if self._coll is None:
+            coll = []
+            for x, through in enumerate(self.point_to_blocks):
+                near = set()  # one point at a time keeps the peak small
+                for bi in through:
+                    near.update(self.blocks[bi])
+                near.discard(x)
+                coll.append(frozenset(near))
+            self._coll = tuple(coll)
+        return self._coll
 
     def __eq__(self, other):
         return (
@@ -231,31 +246,13 @@ def verify_plane(inc):
     return q
 
 
-def build_pg2(f):
-    """The projective plane PG(2,q) as an IncidenceStructure."""
-    pts = projective_points(f, 2)
-    index = {p: i for i, p in enumerate(pts)}
-    blocks = []
-    for form in pts:  # the plane is self-dual: forms enumerate like points
-        blocks.append(tuple(sorted(index[p] for p in pts if dot(f, form, p) == 0)))
-    inc = IncidenceStructure(len(pts), blocks, label=f"pg2(q={f.q})")
-    try:
-        verify_plane(inc)
-    except AxiomViolation as exc:
-        raise VerificationFailed(f"pg2(q={f.q}) failed verification: {exc}") from exc
-    return inc
+class Geometry:
+    """A verified projective plane or generalised quadrangle.
 
-
-def _line_points(f, u, v):
-    """All q+1 canonical points of the projective line through u and v."""
-    pts = [normalize_point(f, v)]
-    for lam in f.elements:
-        pts.append(normalize_point(f, vec_add(f, u, vec_scale(f, lam, v))))
-    return pts
-
-
-class GeneralisedQuadrangle:
-    """A verified GQ of order (s,t) with precomputed collinearity."""
+    ``base`` is the IncidenceStructure, ``(s, t)`` its order (a plane of
+    order q has s = q and t = None) and ``coll`` the collinearity of every
+    point.
+    """
 
     def __init__(self, base, s, t):
         self.base = base
@@ -264,9 +261,13 @@ class GeneralisedQuadrangle:
         self.coll = base.collinearity()
 
     @classmethod
-    def from_structure(cls, inc):
-        s, t = verify_gq(inc)
-        return cls(inc, s, t)
+    def from_structure(cls, inc, family):
+        """Verify ``inc`` as a projective plane when ``family`` is "pg2" and
+        as a generalised quadrangle otherwise.  Raises AxiomViolation, with a
+        witness, on the first failed axiom."""
+        if family == "pg2":
+            return cls(inc, verify_plane(inc), None)
+        return cls(inc, *verify_gq(inc))
 
     @property
     def n_points(self):
@@ -284,8 +285,8 @@ class GeneralisedQuadrangle:
         """Points collinear with every generator.
 
         Generators must be pairwise non-collinear (CollinearGeneratorsError
-        otherwise).  For a non-collinear pair this is the t+1 common
-        neighbours.
+        otherwise).  For a non-collinear pair in a GQ of order (s,t) this is
+        the t+1 common neighbours.
         """
         gens = tuple(gens)
         if not gens:
@@ -324,71 +325,83 @@ class SpanSet:
     members: frozenset
 
 
+def _checked(inc, family):
+    """Geometry.from_structure for a fresh construction, where a failure is
+    an implementation bug."""
+    try:
+        return Geometry.from_structure(inc, family)
+    except AxiomViolation as exc:
+        raise VerificationFailed(f"{inc.label} failed verification: {exc}") from exc
+
+
+def build_pg2(f):
+    """The projective plane PG(2,q)."""
+    pts = projective_points(f, 2)
+    index = {p: i for i, p in enumerate(pts)}
+    blocks = []
+    for form in pts:  # the plane is self-dual: forms enumerate like points
+        blocks.append(tuple(sorted(index[p] for p in pts if dot(f, form, p) == 0)))
+    return _checked(IncidenceStructure(len(pts), blocks, label=f"pg2(q={f.q})"), "pg2")
+
+
+def _line_points(f, u, v):
+    """All q+1 canonical points of the projective line through u and v."""
+    pts = [normalize_point(f, v)]
+    for lam in f.elements:
+        pts.append(normalize_point(f, vec_add(f, u, vec_scale(f, lam, v))))
+    return pts
+
+
+def _polar_gq(f, family, pts, polar):
+    """The quadrangle on ``pts`` whose blocks are the lines uv, for u, v in
+    ``pts`` with polar(u, v) = 0.  The caller guarantees that every such
+    line lies inside ``pts``."""
+    index = {p: i for i, p in enumerate(pts)}
+    blocks = set()
+    covered = set()
+    for i, u in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            if (i, j) in covered or polar(u, pts[j]) != 0:
+                continue
+            line = tuple(sorted(index[p] for p in _line_points(f, u, pts[j])))
+            blocks.add(line)
+            covered.update(combinations(line, 2))
+    return _checked(IncidenceStructure(len(pts), blocks, label=f"{family}(q={f.q})"),
+                    family)
+
+
 def build_w3(f):
     """The symplectic quadrangle W(3,q) over GF(q)."""
-    q = f.q
-    pts = projective_points(f, 3)
-    index = {p: i for i, p in enumerate(pts)}
 
     def symp(u, v):
         a = f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0]))
         b = f.sub(f.mul(u[2], v[3]), f.mul(u[3], v[2]))
         return f.add(a, b)
 
-    blocks = set()
-    covered = set()
-    n = len(pts)
-    for i in range(n):
-        u = pts[i]
-        for j in range(i + 1, n):
-            if (i, j) in covered:
-                continue
-            v = pts[j]
-            if symp(u, v) != 0:
-                continue
-            line = sorted(index[p] for p in _line_points(f, u, v))
-            blocks.add(tuple(line))
-            for a, b in combinations(line, 2):
-                covered.add((a, b))
-    inc = IncidenceStructure(n, blocks, label=f"w3(q={q})")
-    try:
-        gq = GeneralisedQuadrangle.from_structure(inc)
-    except AxiomViolation as exc:
-        raise VerificationFailed(f"w3(q={q}) failed verification: {exc}") from exc
-    return gq
+    return _polar_gq(f, "w3", projective_points(f, 3), symp)
 
 
 def build_q4(f):
-    """The parabolic quadrangle Q(4,q) over GF(q)."""
-    q = f.q
+    """The parabolic quadrangle Q(4,q) over GF(q).
+
+    With Q(x) = x0^2 - x1*x2 - x3*x4 and its polar form
+    B(u,v) = Q(u+v) - Q(u) - Q(v) = 2*u0*v0 - u1*v2 - u2*v1 - u3*v4 - u4*v3,
+    Q(lam*u + mu*v) = lam*mu*B(u,v) whenever Q(u) = Q(v) = 0, so in every
+    characteristic the line through two points of the quadric lies on it
+    exactly when B(u,v) = 0.
+    """
 
     def qform(x):
         return f.sub(f.mul(x[0], x[0]), f.add(f.mul(x[1], x[2]), f.mul(x[3], x[4])))
 
-    pts = [p for p in projective_points(f, 4) if qform(p) == 0]
-    index = {p: i for i, p in enumerate(pts)}
-    on_quadric = set(pts)
-    blocks = set()
-    covered = set()
-    n = len(pts)
-    for i in range(n):
-        u = pts[i]
-        for j in range(i + 1, n):
-            if (i, j) in covered:
-                continue
-            line = _line_points(f, u, pts[j])
-            if any(p not in on_quadric for p in line):
-                continue
-            ids = sorted(index[p] for p in line)
-            blocks.add(tuple(ids))
-            for a, b in combinations(ids, 2):
-                covered.add((a, b))
-    inc = IncidenceStructure(n, blocks, label=f"q4(q={q})")
-    try:
-        gq = GeneralisedQuadrangle.from_structure(inc)
-    except AxiomViolation as exc:
-        raise VerificationFailed(f"q4(q={q}) failed verification: {exc}") from exc
-    return gq
+    def polar(u, v):
+        d = f.mul(u[0], v[0])
+        a = f.add(f.mul(u[1], v[2]), f.mul(u[2], v[1]))
+        b = f.add(f.mul(u[3], v[4]), f.mul(u[4], v[3]))
+        return f.sub(f.add(d, d), f.add(a, b))
+
+    return _polar_gq(f, "q4", [p for p in projective_points(f, 4) if qform(p) == 0],
+                     polar)
 
 
 # -- geometry interchange files --
@@ -423,17 +436,29 @@ def save_geometry(path, inc, family, q=None, s=None, t=None):
         fh.write("\n")
 
 
+def _is_int_list(value):
+    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+
+
 def load_geometry(path):
     """Read an interchange JSON.  Accepts arbitrary incidence structures
     (hand-built designs included); structural validation happens in the
-    IncidenceStructure constructor."""
+    IncidenceStructure constructor.  A missing or ill-typed ``points`` or
+    ``blocks`` field raises ValueError naming it."""
     with open(path) as fh:
         data = json.load(fh)
-    points = data["points"]
+    if not isinstance(data, dict):
+        raise ValueError("geometry file must hold a JSON object")
+    points = data.get("points")
+    if not _is_int_list(points):
+        raise ValueError("geometry file needs 'points', a list of integers")
+    blocks = data.get("blocks")
+    if not (isinstance(blocks, list) and all(_is_int_list(b) for b in blocks)):
+        raise ValueError("geometry file needs 'blocks', a list of integer lists")
     if sorted(points) != list(range(len(points))):
         raise ValueError("points must be exactly 0..n-1")
     family = data.get("family", "custom")
-    inc = IncidenceStructure(len(points), data["blocks"], label=family)
+    inc = IncidenceStructure(len(points), blocks, label=family)
     return GeometryFile(
         structure=inc,
         family=family,

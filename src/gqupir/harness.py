@@ -8,7 +8,6 @@ files byte for byte.
 
 import csv
 import json
-import math
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .adversary import (
     secure_at,
 )
 from .fields import field
-from .geometry import GeneralisedQuadrangle, build_pg2, build_q4, build_w3
+from .geometry import build_pg2, build_q4, build_w3
 from .upir import (
     QueryWorkload,
     Transcript,
@@ -34,8 +33,8 @@ FAMILIES = ("pg2", "w3", "q4")
 
 
 def build_family(family, q):
-    """pg2 -> projective plane (an incidence structure); w3, q4 -> verified
-    generalised quadrangles."""
+    """The verified Geometry of a family: pg2 (projective plane), w3 or q4
+    (generalised quadrangles)."""
     f = field(q)
     if family == "pg2":
         return build_pg2(f)
@@ -46,31 +45,20 @@ def build_family(family, q):
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _base(geom):
-    return geom.base if isinstance(geom, GeneralisedQuadrangle) else geom
-
-
 def geometry_summary(geom, family, q):
-    base = _base(geom)
-    out = {
+    return {
         "family": family,
         "q": q,
-        "n_users": base.n_points,
-        "n_spaces": base.n_blocks,
+        "n_users": geom.n_points,
+        "n_spaces": geom.base.n_blocks,
+        "s": geom.s,
+        "t": geom.t,
     }
-    if isinstance(geom, GeneralisedQuadrangle):
-        out["s"] = geom.s
-        out["t"] = geom.t
-    else:
-        out["s"] = q
-        out["t"] = None
-    return out
 
 
 def resolve_coalition(geom, explicit, size, placement, seed):
     """Either an explicit member list or a placed one; exactly one of the
     two forms must be given."""
-    base = _base(geom)
     if explicit is not None:
         if size is not None:
             raise ValueError("give --coalition or --coalition-size, not both")
@@ -78,7 +66,7 @@ def resolve_coalition(geom, explicit, size, placement, seed):
         if len(members) != len(explicit):
             raise ValueError("coalition members must be distinct")
         for m in members:
-            if not 0 <= m < base.n_points:
+            if not 0 <= m < geom.n_points:
                 raise ValueError(f"coalition member {m} out of range")
         return members, None
     if size is None:
@@ -94,15 +82,7 @@ def run_analyze(geom, family, q, protocol, coalition, epsilon=None,
     """Analytic partition and margin for a coalition.  Returns (report, ok);
     ok is False when an epsilon requirement was given and missed."""
     part = analytic_coalition(geom, coalition, protocol)
-    n = part.n_users
-    giant = max(len(c) for c in part.classes)
-    residue = n - giant
-    if giant <= 1:
-        eps_star = 0.0
-    elif residue == 0:
-        eps_star = 1.0
-    else:
-        eps_star = 1.0 - math.log(residue) / math.log(n)
+    margin = part.margin()
     report = geometry_summary(geom, family, q)
     report.update({
         "command": "analyze",
@@ -112,10 +92,10 @@ def run_analyze(geom, family, q, protocol, coalition, epsilon=None,
         "n_classes": len(part.classes),
         "class_sizes": list(part.sizes()),
         "classes": [sorted(c) for c in part.classes],
-        "giant": giant,
-        "residue": residue,
-        "epsilon_star": eps_star,
-        "degenerate": giant <= 1,
+        "giant": margin.giant,
+        "residue": margin.residue,
+        "epsilon_star": margin.epsilon_star,
+        "degenerate": margin.giant <= 1,
         "epsilon": epsilon,
         "secure": None,
     })
@@ -136,11 +116,10 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
         raise ValueError("need at least one topic")
     if relay_metadata and n_topics != 1:
         raise ValueError("metadata linking assumes a single topic")
-    base = _base(geom)
-    system = UPIRSystem(base)
+    system = UPIRSystem(geom.base)
     analytic = None if relay_metadata else analytic_coalition(
         geom, coalition, protocol)
-    eligible = sorted(set(range(base.n_points)) - set(coalition))
+    eligible = sorted(set(range(geom.n_points)) - set(coalition))
     if not eligible:
         raise ValueError("coalition covers every user; nothing to infer")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 917]))

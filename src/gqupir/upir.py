@@ -152,12 +152,6 @@ class UPIRSystem:
         return cached
 
 
-def upir_from_structure(structure):
-    """Wrap a verified incidence structure as a UPIR system (connectivity is
-    checked here; DisconnectedError carries a witness pair)."""
-    return UPIRSystem(structure)
-
-
 @dataclass(frozen=True)
 class QueryWorkload:
     """A linked sequence of queries on one topic from one source."""
@@ -208,7 +202,8 @@ class Transcript:
 def _as_rng(seed_or_rng):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng, None
-    return np.random.default_rng(seed_or_rng), int(seed_or_rng)
+    seed = None if seed_or_rng is None else int(seed_or_rng)
+    return np.random.default_rng(seed_or_rng), seed
 
 
 def iter_protocol_events(system, workload, rng):
@@ -242,31 +237,22 @@ def iter_protocol_events(system, workload, rng):
                 seq += 1
 
 
-def run_protocol1(system, workload, seed_or_rng):
-    """Simulate the plaintext relay protocol.
+def run_protocol(system, workload, seed_or_rng):
+    """Simulate one workload under its protocol.
 
     The proxy is uniform over all users (the source included; a self-proxy
     query touches no message space).  Among shortest paths the choice is
     uniform.  Every query produces exactly one database request/response
     pair, and response writes retrace the request path in reverse.
+
+    Protocol 1 writes in the clear.  Protocol 2 makes request and response
+    payloads readable only by the addressed proxy, so relays see route
+    metadata alone; it requires every user pair within distance 2
+    (NotDiameterBoundedError otherwise).  ``seed_or_rng`` is an int seed, a
+    numpy Generator or None (unseeded); the transcript records the int seed
+    or None.
     """
-    if workload.protocol != 1:
-        raise ValueError("workload.protocol must be 1")
-    rng, seed = _as_rng(seed_or_rng)
-    events = list(iter_protocol_events(system, workload, rng))
-    return Transcript(system, 1, seed, events, {workload.topic: workload.source})
-
-
-def run_protocol2(system, workload, seed_or_rng):
-    """Simulate the proxy-encrypted protocol.
-
-    Request and response payloads are readable only by the addressed proxy;
-    relays see route metadata alone.  Requires every user pair within
-    distance 2 (NotDiameterBoundedError otherwise).
-    """
-    if workload.protocol != 2:
-        raise ValueError("workload.protocol must be 2")
-    if system.diameter() > 2:
+    if workload.protocol == 2 and system.diameter() > 2:
         far = next(
             (u, v)
             for u in range(system.n_users)
@@ -278,7 +264,8 @@ def run_protocol2(system, workload, seed_or_rng):
         )
     rng, seed = _as_rng(seed_or_rng)
     events = list(iter_protocol_events(system, workload, rng))
-    return Transcript(system, 2, seed, events, {workload.topic: workload.source})
+    return Transcript(system, workload.protocol, seed, events,
+                      {workload.topic: workload.source})
 
 
 # -- observer views --
@@ -429,15 +416,17 @@ def proxy_uniformity(transcript):
 def path_choice_counts(transcript):
     """Per proxy, how often each concrete space-route was taken.
 
-    Returns {proxy: {spaces_tuple: count}} over relayed queries, grouped by
-    query ordinal (raw transcripts only)."""
-    per_query = {}
+    Returns {proxy: {spaces_tuple: count}} over relayed queries.  A query's
+    route is the run of write requests that its database request closes, so
+    read-back logs, which carry no query ordinals, count the same."""
+    out = {}
+    route = []
     for ev in transcript.events:
         if ev.kind == WRITE_REQUEST:
-            per_query.setdefault((ev.query, ev.proxy), []).append(ev.space)
-    out = {}
-    for (qi, proxy), spaces in per_query.items():
-        route = tuple(spaces)
-        out.setdefault(proxy, {}).setdefault(route, 0)
-        out[proxy][route] += 1
+            route.append(ev.space)
+        elif ev.kind == DB_REQUEST and route:
+            key = tuple(route)
+            counts = out.setdefault(ev.proxy, {})
+            counts[key] = counts.get(key, 0) + 1
+            route = []
     return out

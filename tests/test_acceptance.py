@@ -29,7 +29,7 @@ from gqupir.upir import (
     UPIRSystem,
     path_choice_counts,
     proxy_uniformity,
-    run_protocol1,
+    run_protocol,
 )
 
 from conftest import get_gq, get_plane
@@ -113,7 +113,7 @@ def test_uniform_routing():
     gq = get_gq("w3", 3)
     sys_ = UPIRSystem(gq.base)
     src = 0
-    tr = run_protocol1(sys_, QueryWorkload(src, "t", 100_000, protocol=1), 0)
+    tr = run_protocol(sys_, QueryWorkload(src, "t", 100_000, protocol=1), 0)
     chi2, p = proxy_uniformity(tr)
     assert p >= 0.01, f"proxy chi-square p={p}"
     by_proxy = path_choice_counts(tr)
@@ -131,7 +131,7 @@ def test_uniform_routing():
 @criterion(5, "plane plaintext sources fully resolved")
 def test_plane_resolution():
     plane = get_plane(3)
-    sys_ = UPIRSystem(plane)
+    sys_ = UPIRSystem(plane.base)
     observer = 0
     rng = np.random.default_rng(np.random.SeedSequence([50, 1]))
     sources = {

@@ -19,7 +19,7 @@ from gqupir.adversary import (
     secure_at,
     security_margin,
 )
-from gqupir.upir import QueryWorkload, UPIRSystem, observer_view, run_protocol1
+from gqupir.upir import QueryWorkload, UPIRSystem, observer_view, run_protocol
 
 from conftest import get_gq, get_plane
 
@@ -106,7 +106,7 @@ def test_plane_encrypted_line_classes():
     for cls in part.classes:
         if len(cls) == 3:
             # each class is a line through the observer, minus the observer
-            blocks = [set(b) for b in plane.blocks]
+            blocks = [set(b) for b in plane.base.blocks]
             assert any(cls | {5} == b for b in blocks)
 
 
@@ -203,7 +203,7 @@ def test_tracker_plaintext_near_source_resolved():
 
 
 def test_tracker_plane_resolves_quickly():
-    sys_ = UPIRSystem(get_plane(3))
+    sys_ = UPIRSystem(get_plane(3).base)
     states = converge_topics(sys_, (0,), 1, {"t": 9}, 500, seed=17)
     st = states["t"]
     assert st.converged and st.candidates == frozenset({9})
@@ -282,10 +282,8 @@ def test_relay_metadata_rejects_second_topic():
 def test_empirical_infer_transcript():
     gq = w33()
     sys_ = w33_system()
-    from gqupir.upir import run_protocol2
-
     u = sorted(gq.coll[5])[2]
-    tr = run_protocol2(sys_, QueryWorkload(u, "topic", 4000, protocol=2), 77)
+    tr = run_protocol(sys_, QueryWorkload(u, "topic", 4000, protocol=2), 77)
     part = analytic_single(gq, 5, 2)
     states = empirical_infer(tr, (5,), analytic=part)
     assert states["topic"].rounds_observed == 4000
@@ -304,7 +302,7 @@ def test_same_class_sources_indistinguishable():
     keys = set()
     counters = []
     for u, seed in ((u1, 201), (u2, 202)):
-        tr = run_protocol1(sys_, QueryWorkload(u, "t", 3000, protocol=1), seed)
+        tr = run_protocol(sys_, QueryWorkload(u, "t", 3000, protocol=1), seed)
         view = observer_view(tr, c)
         cnt = Counter((ve.kind, ve.space, ve.path) for ve in view.events)
         counters.append(cnt)

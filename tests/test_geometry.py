@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqupir.fields import GF, field
+from gqupir.fields import GF, field, normalize_point, projective_points
 from gqupir.geometry import (
     AxiomViolation,
     CollinearGeneratorsError,
-    GeneralisedQuadrangle,
+    Geometry,
     HigmanViolation,
     IncidenceStructure,
     build_pg2,
@@ -39,10 +39,11 @@ def test_structure_blocks_sorted_and_indexed():
     assert inc.point_to_blocks[1] == (0, 1)
     coll = inc.collinearity()
     assert coll[1] == frozenset({0, 2})
+    assert inc.collinearity() is coll
 
 
 def test_fano_plane():
-    inc = build_pg2(GF(2))
+    inc = build_pg2(GF(2)).base
     assert inc.n_points == 7 and inc.n_blocks == 7
     assert all(len(b) == 3 for b in inc.blocks)
     assert verify_plane(inc) == 2
@@ -50,7 +51,7 @@ def test_fano_plane():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_pg2_pair_coverage(q):
-    inc = build_pg2(GF(q))
+    inc = build_pg2(GF(q)).base
     assert inc.n_points == q * q + q + 1 == inc.n_blocks
     count = {}
     for blk in inc.blocks:
@@ -63,7 +64,7 @@ def test_pg2_pair_coverage(q):
 def test_pg2_is_not_a_gq():
     # a plane is full of triangles; the GQ verifier must object
     with pytest.raises(AxiomViolation):
-        verify_gq(build_pg2(GF(2)))
+        verify_gq(build_pg2(GF(2)).base)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +91,45 @@ def test_ball_partition(family, q):
         assert len(b1) + len(b2) + 1 == gq.n_points
     with pytest.raises(ValueError):
         gq.ball(0, 3)
+
+
+def _brute_force_blocks(f, family):
+    """Every line of PG(n,q) through two points of the family's point set
+    whose points all lie in the set, and for W(3,q) are also pairwise
+    orthogonal under the symplectic form; as sorted point-id tuples."""
+
+    def symp(u, v):
+        return f.add(f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
+                     f.sub(f.mul(u[2], v[3]), f.mul(u[3], v[2])))
+
+    def quadric(x):
+        return f.sub(f.mul(x[0], x[0]),
+                     f.add(f.mul(x[1], x[2]), f.mul(x[3], x[4])))
+
+    if family == "w3":
+        pts = projective_points(f, 3)
+    else:
+        pts = [p for p in projective_points(f, 4) if quadric(p) == 0]
+    index = {p: i for i, p in enumerate(pts)}
+    blocks = set()
+    for u, v in combinations(pts, 2):
+        line = {v} | {
+            normalize_point(f, tuple(f.add(a, f.mul(lam, b)) for a, b in zip(u, v)))
+            for lam in f.elements
+        }
+        if not all(p in index for p in line):
+            continue
+        if family == "w3" and any(symp(a, b) for a, b in combinations(line, 2)):
+            continue
+        blocks.add(tuple(sorted(index[p] for p in line)))
+    return blocks
+
+
+@pytest.mark.parametrize("family", ["w3", "q4"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_builders_match_brute_force(family, q):
+    # q = 2, 4 (characteristic 2), 3 and 5 cover the polar form's cases
+    assert set(get_gq(family, q).base.blocks) == _brute_force_blocks(GF(q), family)
 
 
 def test_construction_deterministic():
@@ -184,8 +224,12 @@ def test_span_exchange_small():
 
 def test_from_structure_roundtrip():
     gq = get_gq("w3", 2)
-    again = GeneralisedQuadrangle.from_structure(gq.base)
+    again = Geometry.from_structure(gq.base, "w3")
     assert (again.s, again.t) == (2, 2)
+    plane = Geometry.from_structure(get_plane(3).base, "pg2")
+    assert (plane.s, plane.t) == (3, None)
+    with pytest.raises(AxiomViolation):
+        Geometry.from_structure(get_plane(3).base, "w3")
 
 
 def test_geometry_file_roundtrip(tmp_path):
@@ -201,7 +245,7 @@ def test_geometry_file_roundtrip(tmp_path):
 def test_geometry_file_is_sorted(tmp_path):
     import json
 
-    inc = build_pg2(GF(2))
+    inc = build_pg2(GF(2)).base
     path = tmp_path / "fano.json"
     save_geometry(path, inc, family="pg2", q=2, s=2, t=2)
     data = json.loads(path.read_text())
@@ -254,4 +298,4 @@ def test_file_roundtrip_random_structures(tmp_path_factory, data):
 
 
 def test_field_cache_shared_with_constructions():
-    assert build_pg2(field(2)) == build_pg2(field(2))
+    assert build_pg2(field(2)).base == build_pg2(field(2)).base

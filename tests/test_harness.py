@@ -41,6 +41,22 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     assert run_cli("verify", "--in", str(out)) == 1
 
 
+@pytest.mark.parametrize("data,field", [
+    ({"family": "w3", "blocks": [[0, 1]]}, "points"),
+    ({"family": "w3", "points": [0, 1]}, "blocks"),
+    ({"family": "w3", "points": [0, 1], "blocks": [0, 1]}, "blocks"),
+    ({"family": "w3", "points": "01", "blocks": [[0, 1]]}, "points"),
+])
+def test_malformed_geometry_file_is_config_error(tmp_path, capsys, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert run_cli("analyze", "--in", str(path), "--protocol", "2",
+                   "--coalition", "0") == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_analyze_stdout_and_epsilon_gate(tmp_path, capsys):
     code = run_cli("analyze", "--family", "w3", "--q", "3", "--protocol", "2",
                    "--coalition", "0")

@@ -9,6 +9,7 @@ from gqupir.geometry import IncidenceStructure, build_pg2, build_w3
 from gqupir.fields import field
 from gqupir.upir import (
     ALL_READERS,
+    Transcript,
     DB_REQUEST,
     DB_RESPONSE,
     PROXY_ONLY,
@@ -24,9 +25,7 @@ from gqupir.upir import (
     proxy_counts,
     proxy_uniformity,
     read_transcript,
-    run_protocol1,
-    run_protocol2,
-    upir_from_structure,
+    run_protocol,
     write_ground_truth,
     write_transcript,
 )
@@ -41,13 +40,13 @@ def w33_system():
 def test_disconnected_rejected():
     inc = IncidenceStructure(6, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(DisconnectedError) as ei:
-        upir_from_structure(inc)
+        UPIRSystem(inc)
     a, b = ei.value.witness
     assert a in (0, 1, 2) and b in (3, 4, 5)
 
 
 def test_plane_distances_all_one():
-    sys_ = UPIRSystem(get_plane(3))
+    sys_ = UPIRSystem(get_plane(3).base)
     assert sys_.diameter() == 1
     for u in range(sys_.n_users):
         row = sys_.distance_row(u)
@@ -108,13 +107,11 @@ def test_workload_validation():
         QueryWorkload(0, "t", 0)
     with pytest.raises(ValueError):
         QueryWorkload(0, "t", 1, protocol=3)
-    with pytest.raises(ValueError):
-        run_protocol1(w33_system(), QueryWorkload(0, "t", 1, protocol=2), 0)
 
 
 def test_event_shapes_per_query():
     sys_ = w33_system()
-    tr = run_protocol1(sys_, QueryWorkload(0, "topic-a", 400, protocol=1), seed_or_rng=7)
+    tr = run_protocol(sys_, QueryWorkload(0, "topic-a", 400, protocol=1), seed_or_rng=7)
     per_query = {}
     for ev in tr.events:
         per_query.setdefault(ev.query, []).append(ev)
@@ -141,7 +138,7 @@ def test_event_shapes_per_query():
 def test_routes_and_writers():
     sys_ = w33_system()
     gq = get_gq("w3", 3)
-    tr = run_protocol1(sys_, QueryWorkload(4, "t", 300, protocol=1), seed_or_rng=11)
+    tr = run_protocol(sys_, QueryWorkload(4, "t", 300, protocol=1), seed_or_rng=11)
     for ev in tr.events:
         if ev.kind == WRITE_REQUEST:
             # route ends at the proxy and alternates user, space, user, ...
@@ -158,18 +155,24 @@ def test_routes_and_writers():
             assert ev.space is None and ev.writer == ev.proxy
 
 
+def test_unseeded_run_records_no_seed():
+    tr = run_protocol(w33_system(), QueryWorkload(0, "t", 20, protocol=2), None)
+    assert tr.seed is None
+    assert sum(ev.kind == DB_REQUEST for ev in tr.events) == 20
+
+
 def test_sequence_numbers_dense():
-    tr = run_protocol1(w33_system(), QueryWorkload(0, "t", 50, protocol=1), 3)
+    tr = run_protocol(w33_system(), QueryWorkload(0, "t", 50, protocol=1), 3)
     assert [e.seq for e in tr.events] == list(range(len(tr.events)))
 
 
 def test_determinism_same_seed():
     sys_ = w33_system()
     w = QueryWorkload(7, "t", 200, protocol=1)
-    a = run_protocol1(sys_, w, 42)
-    b = run_protocol1(sys_, w, 42)
+    a = run_protocol(sys_, w, 42)
+    b = run_protocol(sys_, w, 42)
     assert a.events == b.events
-    c = run_protocol1(sys_, w, 43)
+    c = run_protocol(sys_, w, 43)
     assert a.events != c.events
 
 
@@ -179,12 +182,12 @@ def test_protocol2_diameter_guard():
     sys_ = UPIRSystem(IncidenceStructure(9, blocks))
     assert sys_.diameter() > 2
     with pytest.raises(NotDiameterBoundedError):
-        run_protocol2(sys_, QueryWorkload(0, "t", 1, protocol=2), 0)
+        run_protocol(sys_, QueryWorkload(0, "t", 1, protocol=2), 0)
 
 
 def test_protocol2_visibility_flags():
     sys_ = w33_system()
-    tr = run_protocol2(sys_, QueryWorkload(0, "t", 100, protocol=2), 5)
+    tr = run_protocol(sys_, QueryWorkload(0, "t", 100, protocol=2), 5)
     for ev in tr.events:
         if ev.kind in (WRITE_REQUEST, WRITE_RESPONSE):
             assert ev.visibility == PROXY_ONLY
@@ -196,8 +199,8 @@ def test_observer_view_membership_and_payload():
     sys_ = w33_system()
     gq = get_gq("w3", 3)
     src = 0
-    for proto, runner in ((1, run_protocol1), (2, run_protocol2)):
-        tr = runner(sys_, QueryWorkload(src, "secret", 150, protocol=proto), 9)
+    for proto in (1, 2):
+        tr = run_protocol(sys_, QueryWorkload(src, "secret", 150, protocol=proto), 9)
         for obs in (1, 13, 25):
             view = observer_view(tr, obs)
             seen = {ve.seq for ve in view.events}
@@ -219,7 +222,7 @@ def test_observer_view_membership_and_payload():
 
 def test_external_view_is_db_traffic():
     sys_ = w33_system()
-    tr = run_protocol2(sys_, QueryWorkload(3, "t", 80, protocol=2), 1)
+    tr = run_protocol(sys_, QueryWorkload(3, "t", 80, protocol=2), 1)
     ext = external_view(tr)
     assert len(ext) == 160
     assert all(ve.kind in (DB_REQUEST, DB_RESPONSE) for ve in ext)
@@ -228,7 +231,7 @@ def test_external_view_is_db_traffic():
 
 def test_proxy_counts_and_uniformity():
     sys_ = w33_system()
-    tr = run_protocol1(sys_, QueryWorkload(0, "t", 8000, protocol=1), 2024)
+    tr = run_protocol(sys_, QueryWorkload(0, "t", 8000, protocol=1), 2024)
     counts = proxy_counts(tr)
     assert counts.sum() == 8000
     assert len(counts) == 40
@@ -239,7 +242,7 @@ def test_proxy_counts_and_uniformity():
 def test_path_choice_counts_reach_all_middles():
     sys_ = w33_system()
     gq = get_gq("w3", 3)
-    tr = run_protocol1(sys_, QueryWorkload(0, "t", 6000, protocol=1), 77)
+    tr = run_protocol(sys_, QueryWorkload(0, "t", 6000, protocol=1), 77)
     by_proxy = path_choice_counts(tr)
     far = [v for v in range(40) if v != 0 and v not in gq.coll[0]]
     for v in far[:5]:
@@ -250,9 +253,39 @@ def test_path_choice_counts_reach_all_middles():
             assert abs(cnt - total / (gq.t + 1)) < 5 * np.sqrt(total)
 
 
+@pytest.mark.parametrize(
+    "family,protocol", [("w3", 1), ("w3", 2), ("q4", 1), ("pg2", 1), ("pg2", 2)]
+)
+def test_path_choice_counts_read_back_match_raw(tmp_path, family, protocol):
+    geom = get_plane(3) if family == "pg2" else get_gq(family, 3)
+    sys_ = UPIRSystem(geom.base)
+    # two topics logged one after the other, as simulate --transcript does
+    parts = [
+        run_protocol(sys_, QueryWorkload(src, f"t{src}", 400, protocol=protocol), src)
+        for src in (0, 11)
+    ]
+    events = [ev for tr in parts for ev in tr.events]
+    for seq, ev in enumerate(events):
+        ev.seq = seq
+    log = tmp_path / "run.jsonl"
+    write_transcript(Transcript(sys_, protocol, None, events, {}), log)
+    back = path_choice_counts(read_transcript(log, sys_))
+
+    expected = {}
+    for tr in parts:
+        for proxy, routes in path_choice_counts(tr).items():
+            for route, cnt in routes.items():
+                per = expected.setdefault(proxy, {})
+                per[route] = per.get(route, 0) + cnt
+    assert back == expected
+    relayed = sum(ev.kind == DB_REQUEST and ev.proxy not in tr.ground_truth.values()
+                  for tr in parts for ev in tr.events)
+    assert sum(sum(r.values()) for r in back.values()) == relayed
+
+
 def test_transcript_file_round_trip(tmp_path):
     sys_ = w33_system()
-    tr = run_protocol2(sys_, QueryWorkload(6, "news", 40, protocol=2), 123)
+    tr = run_protocol(sys_, QueryWorkload(6, "news", 40, protocol=2), 123)
     log = tmp_path / "run.jsonl"
     side = tmp_path / "run.truth.json"
     write_transcript(tr, log)
@@ -274,18 +307,18 @@ def test_transcript_file_round_trip(tmp_path):
 
 
 def test_plane_protocol_runs():
-    sys_ = UPIRSystem(get_plane(3))
-    tr = run_protocol1(sys_, QueryWorkload(0, "t", 200, protocol=1), 8)
+    sys_ = UPIRSystem(get_plane(3).base)
+    tr = run_protocol(sys_, QueryWorkload(0, "t", 200, protocol=1), 8)
     for ev in tr.events:
         if ev.kind == WRITE_REQUEST:
             assert len(ev.path) == 1  # diameter 1: every request is an arrival
-    tr2 = run_protocol2(sys_, QueryWorkload(0, "t", 50, protocol=2), 8)
+    tr2 = run_protocol(sys_, QueryWorkload(0, "t", 50, protocol=2), 8)
     assert any(ev.kind == WRITE_REQUEST for ev in tr2.events)
 
 
 def test_self_proxy_queries_touch_no_space():
     sys_ = w33_system()
-    tr = run_protocol1(sys_, QueryWorkload(0, "t", 2000, protocol=1), 6)
+    tr = run_protocol(sys_, QueryWorkload(0, "t", 2000, protocol=1), 6)
     per_query = {}
     for ev in tr.events:
         per_query.setdefault(ev.query, []).append(ev)
