@@ -3,7 +3,7 @@
 Shows the three families (projective planes, symplectic quadrangles,
 parabolic-quadric quadrangles), the counting identities their orders force,
 and the span machinery that later decides how much privacy the plaintext
-protocol leaks.
+protocol leaks.  Writes demo_w33.json to the working directory.
 """
 
 from gqupir import GF, build_pg2, build_q4, build_w3, field, save_geometry
@@ -56,6 +56,6 @@ print(f"GF(9): inv(5) = {f9.inv(5)}, check 5*inv(5) = {f9.mul(5, f9.inv(5))}")
 
 print()
 print("== interchange file ==")
-save_geometry("/tmp/demo_w33.json", build_w3(field(3)).base, "w3", q=3, s=3, t=3)
-print("wrote /tmp/demo_w33.json; `gqupir verify --in /tmp/demo_w33.json` "
+save_geometry("demo_w33.json", build_w3(field(3)).base, "w3", q=3, s=3, t=3)
+print("wrote demo_w33.json; `gqupir verify --in demo_w33.json` "
       "re-checks it from scratch")

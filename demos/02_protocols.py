@@ -3,7 +3,8 @@
 A query travels source -> relays -> proxy -> database and back.  Protocol 1
 writes payloads every member of a space can read; protocol 2 encrypts them
 to the addressed proxy.  The observer-view machinery below is exactly what
-the adversary module consumes.
+the adversary module consumes.  Writes demo_p2.jsonl and its sidecar
+demo_p2.truth.json to the working directory.
 """
 
 from collections import Counter
@@ -75,10 +76,10 @@ print(f"distance-2 proxies route through {sorted(far_splits)} distinct "
 
 print()
 print("== transcript files ==")
-write_transcript(tr2, "/tmp/demo_p2.jsonl")
-write_ground_truth(tr2, "/tmp/demo_p2.truth.json")
-with open("/tmp/demo_p2.jsonl") as fh:
+write_transcript(tr2, "demo_p2.jsonl")
+write_ground_truth(tr2, "demo_p2.truth.json")
+with open("demo_p2.jsonl") as fh:
     first = fh.readline().strip()
-print(f"first line of /tmp/demo_p2.jsonl:\n  {first}")
+print(f"first line of demo_p2.jsonl:\n  {first}")
 print("ground truth lives in a separate sidecar so the log itself stays "
       "observer-grade")

@@ -3,7 +3,8 @@
 Each extra member refines the partition by a meet.  Random and spread
 placements stay within the analytic residue bound and keep a positive
 security margin up to the advertised coalition cap; a coalition built along
-a line is the known worst case and actually de-anonymises users.
+a line is the known worst case and actually de-anonymises users.  Writes
+demo_sweep.csv to the working directory.
 """
 
 from gqupir import (
@@ -53,9 +54,9 @@ print(f"{'q':>2} {'size':>4} {'giant':>5} {'residue':>7} "
 for r in rows:
     print(f"{r.q:>2} {r.coalition_size:>4} {r.giant:>5} {r.residue:>7} "
           f"{r.residue_bound:>5} {r.epsilon_star:>6.3f}")
-with open("/tmp/demo_sweep.csv", "w") as fh:
+with open("demo_sweep.csv", "w") as fh:
     write_sweep_csv(rows, fh)
-print("full table written to /tmp/demo_sweep.csv "
+print("full table written to demo_sweep.csv "
       "(same format as `gqupir sweep`)")
 
 print()

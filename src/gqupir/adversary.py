@@ -42,6 +42,8 @@ default.
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -384,18 +386,19 @@ class CoalitionTracker:
 
 
 def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
-                    seed, analytic=None, relay_metadata=False, on_step=None):
+                    seed, analytic=None, relay_metadata=False, on_step=None,
+                    log=None):
     """Run one workload per topic and track it to convergence or the cap.
 
     topic_sources maps topic -> source user.  Each topic gets its own
     deterministic substream of the seed, so results do not depend on which
     other topics are present.  on_step, when given, is called after every
     query as on_step(topic, queries_so_far, candidates); the set it receives
-    is live tracker state, to be read and not kept.  Returns
-    {topic: CandidateState}.
+    is live tracker state, to be read and not kept.  log, when given, is a
+    list that receives every event of every topic, topic after topic: each
+    stream then runs to the cap, while the tracker still stops reading it at
+    convergence.  Returns {topic: CandidateState}.
     """
-    from itertools import groupby
-
     out = {}
     topics = sorted(topic_sources)
     children = np.random.SeedSequence(seed).spawn(len(topics))
@@ -406,10 +409,14 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                                    analytic=analytic,
                                    relay_metadata=relay_metadata)
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
-        stream = iter_protocol_events(system, workload, rng)
+        groups = groupby(iter_protocol_events(system, workload, rng),
+                         key=attrgetter("query"))
         rounds = 0
         converged = False
-        for qi, group in groupby(stream, key=lambda e: e.query):
+        for qi, group in groups:
+            if log is not None:
+                group = list(group)
+                log.extend(group)
             for ev in group:
                 tracker.observe(ev)
             rounds = qi + 1
@@ -420,6 +427,9 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
             if tracker.converged(topic):
                 converged = True
                 break
+        if log is not None:
+            for _, group in groups:
+                log.extend(group)
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
     return out

@@ -21,10 +21,9 @@ from .adversary import (
 from .fields import field
 from .geometry import build_pg2, build_q4, build_w3
 from .upir import (
-    QueryWorkload,
     Transcript,
     UPIRSystem,
-    iter_protocol_events,
+    iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
     write_ground_truth,
     write_transcript,
 )
@@ -127,9 +126,10 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
     sources = {
         f"t{i:0{pad}d}": int(rng.choice(eligible)) for i in range(n_topics)
     }
+    events = None if transcript_prefix is None else []
     states = converge_topics(system, coalition, protocol, sources, queries,
                              seed, analytic=analytic,
-                             relay_metadata=relay_metadata)
+                             relay_metadata=relay_metadata, log=events)
     ordered = [states[t] for t in sorted(states)]
     sound = all(st.source in st.candidates for st in ordered)
     conv = [st for st in ordered if st.converged]
@@ -160,28 +160,18 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
         ],
     })
     if transcript_prefix is not None:
-        log, truth = _write_full_transcript(
-            system, protocol, sources, queries, seed, transcript_prefix)
+        log, truth = _write_logs(system, protocol, seed, sources, events,
+                                 transcript_prefix)
         report["transcript"] = log
         report["ground_truth"] = truth
     return report, sound
 
 
-def _write_full_transcript(system, protocol, sources, queries, seed, prefix):
-    """Regenerate every topic's full event stream (same substreams the
-    tracker saw) and log them topic after topic with a global sequence."""
-    topics = sorted(sources)
-    children = np.random.SeedSequence(seed).spawn(len(topics))
-    events = []
-    seq = 0
-    for topic, child in zip(topics, children):
-        workload = QueryWorkload(sources[topic], topic, queries,
-                                 protocol=protocol)
-        rng = np.random.default_rng(child)
-        for ev in iter_protocol_events(system, workload, rng):
-            ev.seq = seq
-            seq += 1
-            events.append(ev)
+def _write_logs(system, protocol, seed, sources, events, prefix):
+    """Log every topic's full event stream, topic after topic, with one
+    sequence across the file, and the ground truth beside it."""
+    for seq, ev in enumerate(events):
+        ev.seq = seq
     combined = Transcript(system, protocol, seed, events, dict(sources))
     log_path = prefix + ".jsonl"
     truth_path = prefix + ".truth.json"

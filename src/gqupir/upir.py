@@ -22,6 +22,7 @@ format keeps ground truth in a separate sidecar file.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,22 +335,52 @@ def external_view(transcript):
 # -- transcript files --
 
 
+_WRITE_CHUNK = 4096  # lines per write call
+# a line as write_transcript writes it: the seq in ASCII digits without a
+# leading zero, then the rest of the object
+_CANONICAL_LINE = re.compile(rb'\{"seq": (0|[1-9][0-9]*), (.*)', re.DOTALL)
+_JSON = json.JSONDecoder()
+_EVENT_KEYS = frozenset(("kind", "space", "path", "proxy", "topic",
+                         "visibility"))
+_EVENT_KINDS = (WRITE_REQUEST, WRITE_RESPONSE, DB_REQUEST, DB_RESPONSE)
+_VISIBILITIES = (ALL_READERS, PROXY_ONLY)
+
+
+class _Quoted(dict):
+    """JSON string literals, each computed once."""
+
+    def __missing__(self, text):
+        quoted = self[text] = json.dumps(text)
+        return quoted
+
+
 def write_transcript(transcript, path):
     """One JSON object per line: seq, kind, space, path, proxy, topic,
-    visibility.  Ground truth is deliberately absent; see
-    write_ground_truth."""
+    visibility, in that order and spaced as json.dumps writes a dict:
+
+        {"seq": 0, "kind": "db_request", "space": null, "path": [], ...}
+
+    Ground truth is deliberately absent; see write_ground_truth.  Strings go
+    through json.dumps once per distinct value, and lines are written in
+    chunks of _WRITE_CHUNK."""
+    quoted = _Quoted()
+    routes = {}
+    chunk = []
     with open(path, "w") as fh:
         for ev in transcript.events:
-            fh.write(json.dumps({
-                "seq": ev.seq,
-                "kind": ev.kind,
-                "space": ev.space,
-                "path": list(ev.path),
-                "proxy": ev.proxy,
-                "topic": ev.topic,
-                "visibility": ev.visibility,
-            }))
-            fh.write("\n")
+            route = routes.get(ev.path)
+            if route is None:
+                route = routes[ev.path] = ", ".join(map(str, ev.path))
+            space = "null" if ev.space is None else ev.space
+            chunk.append(
+                f'{{"seq": {ev.seq}, "kind": {quoted[ev.kind]}, '
+                f'"space": {space}, "path": [{route}], "proxy": {ev.proxy}, '
+                f'"topic": {quoted[ev.topic]}, '
+                f'"visibility": {quoted[ev.visibility]}}}\n')
+            if len(chunk) == _WRITE_CHUNK:
+                fh.writelines(chunk)
+                chunk.clear()
+        fh.writelines(chunk)
 
 
 def write_ground_truth(transcript, path):
@@ -365,27 +396,116 @@ def write_ground_truth(transcript, path):
 
 def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log (and optionally its sidecar).  Writer and query
-    ordinals are not in the file; events come back with writer=None."""
+    ordinals are not in the file; events come back with writer=None.
+
+    A line as write_transcript writes it is split into its '{"seq": N, '
+    prefix and the rest, and each distinct rest is parsed and checked once.
+    Any other line (keys reordered, other spacing) is parsed whole.  Blank
+    lines are skipped.  A malformed line raises ValueError naming the file
+    and line: invalid JSON, a missing, extra or ill-typed field, an unknown
+    kind or visibility, a space that is not null exactly for database
+    events, or a user or space id out of range for the system.
+    """
     events = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            events.append(TranscriptEvent(
-                d["seq"], d["kind"], d["space"], tuple(d["path"]), d["proxy"],
-                d["topic"], d["visibility"], None, -1,
-            ))
+    parsed = {}
+    make = TranscriptEvent
+    canonical = _CANONICAL_LINE.match
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                m = canonical(line)
+                if m is not None:
+                    digits, rest = m.groups()
+                    fields = parsed.get(rest)
+                    if fields is None:
+                        fields = parsed[rest] = _event_fields(
+                            _load_object(b"{" + rest), system)
+                    events.append(make(int(digits), *fields))
+                    continue
+                if not line.strip():
+                    continue
+                d = _load_object(line)
+                if "seq" not in d:
+                    raise ValueError("missing 'seq'")
+                seq = d.pop("seq")
+                if type(seq) is not int or seq < 0:
+                    raise ValueError("'seq' must be a non-negative integer")
+                events.append(make(seq, *_event_fields(d, system)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     truth = {}
     protocol = 0
     seed = None
     if ground_truth_path is not None:
-        with open(ground_truth_path) as fh:
-            side = json.load(fh)
-        truth = side.get("topics", {})
-        protocol = side.get("protocol", 0)
-        seed = side.get("seed")
+        truth, protocol, seed = _read_sidecar(ground_truth_path, system)
     return Transcript(system, protocol, seed, events, truth)
+
+
+def _read_sidecar(path, system):
+    """topics, protocol and seed from a ground-truth sidecar, checked."""
+    with open(path, "rb") as fh:
+        try:
+            side = _load_object(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    truth = side.get("topics", {})
+    protocol = side.get("protocol", 0)
+    seed = side.get("seed")
+    if not (isinstance(truth, dict)
+            and all(_is_id(u, system.n_users) for u in truth.values())):
+        raise ValueError(f"{path}: 'topics' must map topics to user ids "
+                         f"in 0..{system.n_users - 1}")
+    if type(protocol) is not int or not (seed is None or type(seed) is int):
+        raise ValueError(f"{path}: 'protocol' and 'seed' must be integers")
+    return truth, protocol, seed
+
+
+def _load_object(text):
+    try:
+        d = _JSON.decode(text.decode())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if type(d) is not dict:
+        raise ValueError("not a JSON object")
+    return d
+
+
+def _event_fields(d, system):
+    """The checked fields of one event after seq, as TranscriptEvent takes
+    them: kind, space, path, proxy, topic, visibility, writer, query."""
+    if d.keys() != _EVENT_KEYS:
+        raise ValueError("; ".join(
+            [f"missing {k!r}" for k in sorted(_EVENT_KEYS - d.keys())] +
+            [f"unexpected {k!r}" for k in sorted(d.keys() - _EVENT_KEYS)]))
+    kind, space, route = d["kind"], d["space"], d["path"]
+    proxy, topic, vis = d["proxy"], d["topic"], d["visibility"]
+    if kind not in _EVENT_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if vis not in _VISIBILITIES:
+        raise ValueError(f"unknown visibility {vis!r}")
+    if type(topic) is not str:
+        raise ValueError("'topic' must be a string")
+    if kind == DB_REQUEST or kind == DB_RESPONSE:
+        if space is not None:
+            raise ValueError(f"{kind} must have a null 'space'")
+    elif not _is_id(space, system.n_spaces):
+        raise ValueError(f"'space' must be a space id in 0..{system.n_spaces - 1}")
+    if not _is_id(proxy, system.n_users):
+        raise ValueError(f"'proxy' must be a user id in 0..{system.n_users - 1}")
+    if type(route) is not list:
+        raise ValueError("'path' must be a list")
+    bounds = (system.n_users, system.n_spaces)
+    for i, x in enumerate(route):
+        # routes alternate user and space ids, a user first
+        if not _is_id(x, bounds[i % 2]):
+            raise ValueError(f"'path' entry {i} must be a "
+                             f"{('user', 'space')[i % 2]} id "
+                             f"in 0..{bounds[i % 2] - 1}")
+    return kind, space, tuple(route), proxy, topic, vis, None, -1
+
+
+def _is_id(x, bound):
+    return type(x) is int and 0 <= x < bound
 
 
 # -- statistical checks on transcripts --

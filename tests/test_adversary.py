@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gqupir.adversary import (
@@ -208,6 +209,33 @@ def test_tracker_plane_resolves_quickly():
     st = states["t"]
     assert st.converged and st.candidates == frozenset({9})
     assert st.rounds_observed < 200
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+def test_converge_topics_log_holds_every_stream_to_the_cap(protocol):
+    gq = w33()
+    sys_ = w33_system()
+    coalition = (0, 13)
+    part = analytic_coalition(gq, coalition, protocol)
+    sources = {"a": 5, "b": 22, "c": 31}
+    plain = converge_topics(sys_, coalition, protocol, sources, 300, seed=4,
+                            analytic=part)
+    log = []
+    logged = converge_topics(sys_, coalition, protocol, sources, 300, seed=4,
+                             analytic=part, log=log)
+    assert logged == plain
+    if protocol == 1:  # some topic stops early, yet its stream is logged whole
+        assert any(st.converged and st.rounds_observed < 300
+                   for st in plain.values())
+    children = np.random.SeedSequence(4).spawn(len(sources))
+    expected = [
+        ev
+        for topic, child in zip(sorted(sources), children)
+        for ev in run_protocol(
+            sys_, QueryWorkload(sources[topic], topic, 300, protocol=protocol),
+            np.random.default_rng(child)).events
+    ]
+    assert log == expected
 
 
 def test_tracker_encrypted_near_and_far():

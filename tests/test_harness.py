@@ -1,10 +1,12 @@
 """Command line behaviour: exit codes, report determinism, file formats."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
+from gqupir import adversary, harness
 from gqupir.cli import main
 from gqupir.harness import build_family, run_analyze, run_simulate
 
@@ -146,6 +148,63 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     second = (out.read_bytes(), (tmp_path / "run.jsonl").read_bytes(),
               (tmp_path / "run.truth.json").read_bytes())
     assert first == second
+
+
+# SHA-256 of the three outputs of two fixed simulate --transcript runs.  A
+# change to per-seed output (random stream, report or log format) must show
+# up here and be recorded as such.
+GOLDEN = {
+    ("w3", "3", "1", ("--coalition-size", "2", "--placement", "spread"), "23"): {
+        "report.json":
+            "0c1a87b60d0ad9230e101357dfd0687767bdfc843fcdffc393f46465f1c1d4a6",
+        "run.jsonl":
+            "44250095df9de7c1e407e66d34764c126813921c0cc30cc02e6a4192c6c8bbd7",
+        "run.truth.json":
+            "ab0f23bd210ab6cf5f15a14ae8246e1db25b3ecce88a59ee19e031a127875b13",
+    },
+    ("q4", "3", "2", ("--coalition", "0,5"), "31"): {
+        "report.json":
+            "e001079536f1ec753c5a5dc9ef0cf469f6ec5317148511b9ce3fe821df8b0254",
+        "run.jsonl":
+            "fc18715a1d4eb17522ee4e46bbfc16d8cde72a5d12f49d5d6d8b72b333d487f5",
+        "run.truth.json":
+            "5b7554527f3b40153a430607dc62fb03e9e4c0816ed7364b8b286752f2e1db37",
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(GOLDEN), ids=["w3-p1", "q4-p2"])
+def test_simulate_outputs_match_golden_digests(tmp_path, monkeypatch, run):
+    family, q, protocol, coalition, seed = run
+    monkeypatch.chdir(tmp_path)  # the report names its logs by relative path
+    assert main(["simulate", "--family", family, "--q", q, "--protocol",
+                 protocol, *coalition, "--topics", "3", "--queries", "250",
+                 "--seed", seed, "--transcript", "run",
+                 "--out", "report.json"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN[run]}
+    assert digests == GOLDEN[run]
+
+
+def test_simulate_generates_each_topic_once(tmp_path, monkeypatch):
+    calls = []
+    generate = adversary.iter_protocol_events
+
+    def counted(system, workload, rng):
+        calls.append(workload.topic)
+        return generate(system, workload, rng)
+
+    # both modules that import the generator by name
+    monkeypatch.setattr(adversary, "iter_protocol_events", counted)
+    monkeypatch.setattr(harness, "iter_protocol_events", counted)
+    geom = build_family("w3", 3)
+    report, ok = run_simulate(geom, "w3", 3, 1, (0, 13), 4, 300, seed=8,
+                              transcript_prefix=str(tmp_path / "run"))
+    assert ok and report["converged"] >= 1
+    assert sorted(calls) == sorted(row["topic"] for row in report["per_topic"])
+    with open(report["transcript"]) as fh:
+        requests = sum('"kind": "db_request"' in line for line in fh)
+    assert requests == 4 * 300  # converged topics still log to the cap
 
 
 def test_simulate_relay_metadata_needs_one_topic(capsys):
