@@ -53,6 +53,8 @@ from .upir import (
     DB_RESPONSE,
     WRITE_REQUEST,
     QueryWorkload,
+    _draw_queries,
+    _query_events,
     iter_protocol_events,
 )
 
@@ -233,8 +235,11 @@ class CoalitionTracker:
     """Per-topic candidate sets over a stream of transcript events.
 
     Feed raw events in order with observe(); the tracker applies each
-    member's visibility filter itself.  Tracked topics are assumed to
-    originate outside the coalition (members already know their own).
+    member's visibility filter itself, and sees() tells from a query's
+    proxy and route alone whether observe() would act on any of its events,
+    so a query it does not see need not be built or fed.  Tracked topics
+    are assumed to originate outside the coalition (members already know
+    their own).
 
     The candidate set only ever shrinks.  The true source is never removed,
     with one bounded exception under the encrypted protocol: the
@@ -263,6 +268,9 @@ class CoalitionTracker:
         self._route_len = 2 * system.diameter() - 1
         self._members = system.structure.block_sets
         self._initial = frozenset(range(system.n_users)) - set(self.coalition)
+        self._proxy_only = protocol == 2 and not relay_metadata
+        self._watched = frozenset(
+            m for c in self.coalition for m in system.spaces_of(c))
         self._topics = {}
         self._far = {}
         self._single_topic = None
@@ -272,8 +280,7 @@ class CoalitionTracker:
         return tuple(sorted(self._topics))
 
     def candidates(self, topic):
-        st = self._topics.get(topic)
-        return frozenset(st.cand) if st is not None else self._initial
+        return frozenset(self._live(topic))
 
     def converged(self, topic):
         st = self._topics.get(topic)
@@ -302,11 +309,29 @@ class CoalitionTracker:
                 readable = event.visibility == ALL_READERS or m == event.proxy
                 self._ingest(m, event, readable)
 
+    def sees(self, proxy, route):
+        """Whether observe() can act on any event of one query, given its
+        proxy and its route as _draw_queries yields it (None when the
+        source proxied for itself).  Database events never count, and a
+        write counts for a member of its space when the member may read it
+        or relay metadata is attributed.  So under protocol 1, or with
+        relay_metadata, a query counts when some member lies in a space of
+        its route; under protocol 2 without it, when a member is its
+        proxy."""
+        if self._proxy_only:
+            return proxy in self.coalition
+        return route is not None and not self._watched.isdisjoint(route[1::2])
+
     def feed(self, events):
         for ev in events:
             self.observe(ev)
 
     # internals
+
+    def _live(self, topic):
+        """The topic's candidate set itself, not a copy."""
+        st = self._topics.get(topic)
+        return self._initial if st is None else st.cand
 
     def _topic_state(self, topic):
         st = self._topics.get(topic)
@@ -385,6 +410,20 @@ class CoalitionTracker:
             st.cand &= self._members[space] - {m}
 
 
+def _logged_queries(system, workload, rng, log):
+    """(seq, proxy, route, events) per query of iter_protocol_events, each
+    query's events appended to log as they come."""
+    for _, group in groupby(iter_protocol_events(system, workload, rng),
+                            key=attrgetter("query")):
+        events = list(group)
+        log.extend(events)
+        first = events[0]
+        # a relayed query opens with the source's write to the first space
+        route = (None if first.space is None
+                 else (workload.source, first.space) + first.path)
+        yield first.seq, first.proxy, route, events
+
+
 def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                     seed, analytic=None, relay_metadata=False, on_step=None,
                     log=None):
@@ -392,8 +431,10 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
 
     topic_sources maps topic -> source user.  Each topic gets its own
     deterministic substream of the seed, so results do not depend on which
-    other topics are present.  on_step, when given, is called after every
-    query as on_step(topic, queries_so_far, candidates); the set it receives
+    other topics are present.  Events are built and fed to the tracker only
+    for the queries it can act on (CoalitionTracker.sees).  on_step, when
+    given, is called after each query that changed the topic's candidate
+    set, as on_step(topic, queries_so_far, candidates); the set it receives
     is live tracker state, to be read and not kept.  log, when given, is a
     list that receives every event of every topic, topic after topic: each
     stream then runs to the cap, while the tracker still stops reading it at
@@ -409,27 +450,30 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                                    analytic=analytic,
                                    relay_metadata=relay_metadata)
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
-        groups = groupby(iter_protocol_events(system, workload, rng),
-                         key=attrgetter("query"))
-        rounds = 0
+        if log is None:
+            queries = ((seq, proxy, route, None) for seq, proxy, route
+                       in _draw_queries(system, source, queries_cap, rng))
+        else:
+            queries = _logged_queries(system, workload, rng, log)
+        rounds = queries_cap
         converged = False
-        for qi, group in groups:
-            if log is not None:
-                group = list(group)
-                log.extend(group)
-            for ev in group:
-                tracker.observe(ev)
-            rounds = qi + 1
-            if on_step is not None:
-                st = tracker._topics.get(topic)
-                on_step(topic, rounds,
-                        st.cand if st is not None else tracker._initial)
+        for qi, (seq, proxy, route, events) in enumerate(queries):
+            if not tracker.sees(proxy, route):
+                continue
+            if events is None:
+                events = _query_events(workload, seq, qi, proxy, route)
+            before = len(tracker._live(topic))
+            tracker.feed(events)
+            cand = tracker._live(topic)
+            if on_step is not None and len(cand) != before:
+                on_step(topic, qi + 1, cand)
             if tracker.converged(topic):
+                rounds = qi + 1
                 converged = True
                 break
         if log is not None:
-            for _, group in groups:
-                log.extend(group)
+            for _ in queries:  # log the rest of the stream
+                pass
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
     return out

@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, analyze, simulate, sweep.  Exit status 0 on
 success, 1 when a verification or security claim fails, 2 for bad
-configuration.  Reports go to --out when given, else stdout; rerunning a
-command with the same arguments reproduces its output byte for byte.
+configuration, a file that cannot be read or written included.  Reports go
+to --out when given, else stdout; rerunning a command with the same
+arguments reproduces its output byte for byte.
 """
 
 import argparse
@@ -204,7 +205,7 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (NotAPrimePowerError, UnsupportedOrderError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailed, AxiomViolation, DisconnectedError,

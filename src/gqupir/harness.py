@@ -8,6 +8,7 @@ files byte for byte.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -79,7 +80,10 @@ def resolve_coalition(geom, explicit, size, placement, seed):
 def run_analyze(geom, family, q, protocol, coalition, epsilon=None,
                 placement=None):
     """Analytic partition and margin for a coalition.  Returns (report, ok);
-    ok is False when an epsilon requirement was given and missed."""
+    ok is False when an epsilon requirement was given and missed.  A
+    non-finite epsilon is a ValueError."""
+    if epsilon is not None and not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     part = analytic_coalition(geom, coalition, protocol)
     margin = part.margin()
     report = geometry_summary(geom, family, q)

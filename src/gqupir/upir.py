@@ -207,35 +207,114 @@ def _as_rng(seed_or_rng):
     return np.random.default_rng(seed_or_rng), seed
 
 
+_U32 = 1 << 32
+# raw values per numpy call at most: held as Python ints, a block costs
+# about 40 bytes a value
+_BLOCK = 1024
+
+
+def _bounded_draws(rng):
+    """A function below(bound, left) that returns what the scalar call
+    rng.integers(bound) would, consuming the same raw values, so the
+    Generator ends in the same state as after the scalar calls.
+
+    Raw values come in blocks from rng.integers(0, 2**32, size=k,
+    dtype=np.uint32), and each draw applies numpy's 32-bit Lemire rule to
+    them: m = x * bound, rejected while m mod 2**32 < (2**32 - bound) %
+    bound, giving m >> 32.  A draw with bound 1 consumes no value; bound
+    must be below 2**32.  left bounds the raw values the caller will still
+    consume, this draw's included: a new block is never longer (nor longer
+    than _BLOCK), so the Generator is never drawn past what the scalar
+    calls would take.
+    """
+    block = []
+    pos = 0
+    floors = {}
+
+    def below(bound, left):
+        nonlocal block, pos
+        if bound == 1:
+            return 0
+        floor = floors.get(bound)
+        if floor is None:
+            floor = floors[bound] = (_U32 - bound) % bound
+        while True:
+            if pos == len(block):
+                block = rng.integers(0, _U32, size=min(left, _BLOCK),
+                                     dtype=np.uint32).tolist()
+                pos = 0
+            m = block[pos] * bound
+            pos += 1
+            if m & 0xFFFFFFFF >= floor:
+                return m >> 32
+
+    return below
+
+
+def _draw_queries(system, source, count, rng):
+    """Yield (seq, proxy, route) for each of count queries from source.
+    route is the chosen shortest path (source, M1, u1, ..., Mk, proxy), or
+    None when the source proxies for itself; seq counts the events of the
+    queries before, one per write and database call.
+
+    The proxy is rng.integers(n_users) and the route index
+    rng.integers(len(routes)), drawn through _bounded_draws.  Every query
+    of a system with two or more users consumes at least one raw value, so
+    the queries left bound the values left.
+    """
+    n = system.n_users
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range")
+    below = _bounded_draws(rng)
+    routes_to = {}
+    seq = 0
+    for left in range(count, 0, -1):
+        v = below(n, left)
+        if v == source:
+            yield seq, v, None
+            seq += 2
+            continue
+        routes = routes_to.get(v)
+        if routes is None:
+            routes = routes_to[v] = system.shortest_user_paths(source, v)
+        route = routes[below(len(routes), left)]
+        yield seq, v, route
+        seq += len(route) + 1
+
+
+def _query_events(workload, seq, qi, proxy, route):
+    """The events of query qi, numbered from seq: a write request per hop,
+    the database request and response, then a write response per hop back.
+    route is as _draw_queries yields it."""
+    topic = workload.topic
+    vis = ALL_READERS if workload.protocol == 1 else PROXY_ONLY
+    hops = 0 if route is None else len(route) // 2
+    events = [
+        TranscriptEvent(seq + j, WRITE_REQUEST, route[2 * j + 1],
+                        route[2 * j + 2:], proxy, topic, vis, route[2 * j], qi)
+        for j in range(hops)
+    ]
+    seq += hops
+    events.append(TranscriptEvent(seq, DB_REQUEST, None, (), proxy, topic,
+                                  ALL_READERS, proxy, qi))
+    events.append(TranscriptEvent(seq + 1, DB_RESPONSE, None, (), proxy, topic,
+                                  ALL_READERS, proxy, qi))
+    seq += 2
+    events.extend(
+        TranscriptEvent(seq + i, WRITE_RESPONSE, route[2 * j + 1],
+                        route[2 * j + 2:], proxy, topic, vis, route[2 * j + 2],
+                        qi)
+        for i, j in enumerate(reversed(range(hops)))
+    )
+    return events
+
+
 def iter_protocol_events(system, workload, rng):
     """Yield the events of one workload in order.  Deterministic in
     (system, workload, rng state)."""
-    u = workload.source
-    if not 0 <= u < system.n_users:
-        raise ValueError(f"source {u} out of range")
-    vis = ALL_READERS if workload.protocol == 1 else PROXY_ONLY
-    topic = workload.topic
-    seq = 0
-    for qi in range(workload.count):
-        v = int(rng.integers(system.n_users))
-        if v != u:
-            paths = system.shortest_user_paths(u, v)
-            path = paths[int(rng.integers(len(paths)))]
-            nodes = path[0::2]
-            spaces = path[1::2]
-            for j, m in enumerate(spaces):
-                yield TranscriptEvent(seq, WRITE_REQUEST, m, path[2 * j + 2 :], v,
-                                      topic, vis, nodes[j], qi)
-                seq += 1
-        yield TranscriptEvent(seq, DB_REQUEST, None, (), v, topic, ALL_READERS, v, qi)
-        seq += 1
-        yield TranscriptEvent(seq, DB_RESPONSE, None, (), v, topic, ALL_READERS, v, qi)
-        seq += 1
-        if v != u:
-            for j in reversed(range(len(spaces))):
-                yield TranscriptEvent(seq, WRITE_RESPONSE, spaces[j], path[2 * j + 2 :],
-                                      v, topic, vis, nodes[j + 1], qi)
-                seq += 1
+    queries = _draw_queries(system, workload.source, workload.count, rng)
+    for qi, (seq, proxy, route) in enumerate(queries):
+        yield from _query_events(workload, seq, qi, proxy, route)
 
 
 def run_protocol(system, workload, seed_or_rng):

@@ -2,11 +2,16 @@
 
 import math
 from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqupir.adversary import (
+    CandidateState,
     CoalitionTracker,
     DegeneratePartition,
     analytic_coalition,
@@ -20,7 +25,15 @@ from gqupir.adversary import (
     secure_at,
     security_margin,
 )
-from gqupir.upir import QueryWorkload, UPIRSystem, observer_view, run_protocol
+from gqupir.upir import (
+    QueryWorkload,
+    UPIRSystem,
+    _draw_queries,
+    _query_events,
+    iter_protocol_events,
+    observer_view,
+    run_protocol,
+)
 
 from conftest import get_gq, get_plane
 
@@ -236,6 +249,141 @@ def test_converge_topics_log_holds_every_stream_to_the_cap(protocol):
             np.random.default_rng(child)).events
     ]
     assert log == expected
+
+
+def reference_converge(system, coalition, protocol, topic_sources, cap, seed,
+                       analytic=None, relay_metadata=False):
+    """converge_topics feeding every event of every query to the tracker and
+    checking convergence after each query.  Also returns, per topic, the
+    (rounds, candidate count) after each query that changed the set, and
+    every event of every stream, topic after topic."""
+    out = {}
+    changes = {}
+    log = []
+    topics = sorted(topic_sources)
+    children = np.random.SeedSequence(seed).spawn(len(topics))
+    for topic, child in zip(topics, children):
+        source = topic_sources[topic]
+        tracker = CoalitionTracker(system, coalition, protocol,
+                                   analytic=analytic,
+                                   relay_metadata=relay_metadata)
+        workload = QueryWorkload(source, topic, cap, protocol=protocol)
+        events = list(iter_protocol_events(system, workload,
+                                           np.random.default_rng(child)))
+        log.extend(events)
+        rounds, converged = 0, False
+        size = len(tracker.candidates(topic))
+        changes[topic] = []
+        for qi, group in groupby(events, key=attrgetter("query")):
+            tracker.feed(group)
+            rounds = qi + 1
+            if len(tracker.candidates(topic)) != size:
+                size = len(tracker.candidates(topic))
+                changes[topic].append((rounds, size))
+            if tracker.converged(topic):
+                converged = True
+                break
+        out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
+                                    converged, source)
+    return out, changes, log
+
+
+GEOMETRIES = {
+    "w3-3": lambda: get_gq("w3", 3),
+    "q4-3": lambda: get_gq("q4", 3),
+    "pg2-3": lambda: get_plane(3),
+}
+
+
+@st.composite
+def tracking_runs(draw):
+    name = draw(st.sampled_from(sorted(GEOMETRIES)))
+    n = GEOMETRIES[name]().n_points
+    protocol = draw(st.sampled_from([1, 2]))
+    relay_metadata = draw(st.booleans())
+    coalition = tuple(sorted(draw(st.sets(st.integers(0, n - 1),
+                                          min_size=1, max_size=3))))
+    others = [u for u in range(n) if u not in coalition]
+    n_topics = 1 if relay_metadata else draw(st.integers(1, 3))
+    sources = {f"t{i}": draw(st.sampled_from(others)) for i in range(n_topics)}
+    return {
+        "name": name, "protocol": protocol, "relay_metadata": relay_metadata,
+        "coalition": coalition, "sources": sources,
+        "cap": draw(st.sampled_from([1, 2, 9, 80, 600])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "floor": not relay_metadata and draw(st.booleans()),
+        "log": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=tracking_runs())
+def test_converge_topics_matches_feeding_every_event(run):
+    geom = GEOMETRIES[run["name"]]()
+    system = UPIRSystem(geom.base)
+    protocol = run["protocol"]
+    analytic = (analytic_coalition(geom, run["coalition"], protocol)
+                if run["floor"] else None)
+    expected, changes, everything = reference_converge(
+        system, run["coalition"], protocol, run["sources"], run["cap"],
+        run["seed"], analytic=analytic, relay_metadata=run["relay_metadata"])
+    steps = {topic: [] for topic in run["sources"]}
+    log = [] if run["log"] else None
+    got = converge_topics(
+        system, run["coalition"], protocol, run["sources"], run["cap"],
+        run["seed"], analytic=analytic, relay_metadata=run["relay_metadata"],
+        on_step=lambda topic, rounds, cand: steps[topic].append(
+            (rounds, len(cand))),
+        log=log)
+    assert got == expected
+    # on_step fires after exactly the queries that changed the set
+    assert steps == changes
+    if log is not None:
+        assert log == everything
+
+
+@pytest.mark.parametrize("log", [None, []])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_converge_topics_rejects_empty_workload(log, cap):
+    with pytest.raises(ValueError, match="count"):
+        converge_topics(w33_system(), (0,), 2, {"t": 5}, cap, seed=1, log=log)
+
+
+@pytest.mark.parametrize("log", [None, []])
+@pytest.mark.parametrize("source", [-1, 40])
+def test_converge_topics_rejects_source_out_of_range(log, source):
+    with pytest.raises(ValueError, match="out of range"):
+        converge_topics(w33_system(), (0,), 2, {"t": source}, 10, seed=1,
+                        log=log)
+
+
+class _ActionProbe(CoalitionTracker):
+    """Records whether observe() handed it an event it acts on: a readable
+    one, or any one when relay metadata is attributed."""
+
+    acted = False
+
+    def _ingest(self, m, event, readable):
+        self.acted = self.acted or readable or self.relay_metadata
+
+
+@pytest.mark.parametrize("protocol,relay_metadata",
+                         [(1, False), (2, False), (2, True)])
+def test_tracker_sees_exactly_the_queries_it_acts_on(protocol, relay_metadata):
+    sys_ = w33_system()
+    coalition = (0, 13)
+    tracker = CoalitionTracker(sys_, coalition, protocol,
+                               relay_metadata=relay_metadata)
+    workload = QueryWorkload(31, "t", 400, protocol=protocol)
+    acted = []
+    queries = _draw_queries(sys_, 31, 400, np.random.default_rng(12))
+    for qi, (seq, proxy, route) in enumerate(queries):
+        probe = _ActionProbe(sys_, coalition, protocol,
+                             relay_metadata=relay_metadata)
+        probe.feed(_query_events(workload, seq, qi, proxy, route))
+        assert tracker.sees(proxy, route) == probe.acted
+        acted.append(probe.acted)
+    assert any(acted) and not all(acted)
 
 
 def test_tracker_encrypted_near_and_far():

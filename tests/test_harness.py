@@ -101,6 +101,28 @@ def test_analyze_config_errors(capsys):
                    "--coalition", "0", "--coalition-size", "2") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--in", "{dir}"),
+    ("analyze", "--in", "{dir}", "--protocol", "2", "--coalition", "0"),
+    ("simulate", "--family", "w3", "--q", "3", "--protocol", "2",
+     "--coalition", "0", "--queries", "10", "--seed", "1", "--out", "{dir}"),
+], ids=["verify-in", "analyze-in", "simulate-out"])
+def test_directory_as_file_is_config_error(tmp_path, capsys, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_analyze_non_finite_epsilon_is_config_error(capsys, epsilon):
+    assert run_cli("analyze", "--family", "w3", "--q", "3", "--protocol", "2",
+                   "--coalition", "0", f"--epsilon={epsilon}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon must be finite" in captured.err
+
+
 def test_analyze_report_bytes_stable(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
