@@ -42,8 +42,6 @@ default.
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -55,7 +53,7 @@ from .upir import (
     QueryWorkload,
     _draw_queries,
     _query_events,
-    iter_protocol_events,
+    iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
 
 
@@ -410,20 +408,6 @@ class CoalitionTracker:
             st.cand &= self._members[space] - {m}
 
 
-def _logged_queries(system, workload, rng, log):
-    """(seq, proxy, route, events) per query of iter_protocol_events, each
-    query's events appended to log as they come."""
-    for _, group in groupby(iter_protocol_events(system, workload, rng),
-                            key=attrgetter("query")):
-        events = list(group)
-        log.extend(events)
-        first = events[0]
-        # a relayed query opens with the source's write to the first space
-        route = (None if first.space is None
-                 else (workload.source, first.space) + first.path)
-        yield first.seq, first.proxy, route, events
-
-
 def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                     seed, analytic=None, relay_metadata=False, on_step=None,
                     log=None):
@@ -450,18 +434,18 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                                    analytic=analytic,
                                    relay_metadata=relay_metadata)
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
-        if log is None:
-            queries = ((seq, proxy, route, None) for seq, proxy, route
-                       in _draw_queries(system, source, queries_cap, rng))
-        else:
-            queries = _logged_queries(system, workload, rng, log)
         rounds = queries_cap
         converged = False
-        for qi, (seq, proxy, route, events) in enumerate(queries):
-            if not tracker.sees(proxy, route):
+        queries = _draw_queries(system, source, queries_cap, rng)
+        for qi, (seq, proxy, route) in enumerate(queries):
+            seen = not converged and tracker.sees(proxy, route)
+            if not seen and log is None:
                 continue
-            if events is None:
-                events = _query_events(workload, seq, qi, proxy, route)
+            events = _query_events(workload, seq, qi, proxy, route)
+            if log is not None:
+                log.extend(events)
+            if not seen:
+                continue
             before = len(tracker._live(topic))
             tracker.feed(events)
             cand = tracker._live(topic)
@@ -470,10 +454,8 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
             if tracker.converged(topic):
                 rounds = qi + 1
                 converged = True
-                break
-        if log is not None:
-            for _ in queries:  # log the rest of the stream
-                pass
+                if log is None:
+                    break
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
     return out

@@ -30,6 +30,23 @@ one block, and for every non-incident point/block pair (x, L) exactly one
 point of L is collinear with x.  Consequences used throughout: there are
 (s+1)(st+1) points and (t+1)(st+1) blocks, no triangles, |B1(x)| = s(t+1)
 and |B2(x)| = s^2*t, and s <= t^2, t <= s^2 whenever s,t > 1 (Higman).
+
+Verification checks only the axioms the others do not imply, and counts
+instead of looping over pairs of blocks or point/block pairs:
+
+``verify_gq``     constant block size and point degree, s, t >= 1, the
+                  point count, Higman, two points on at most one block, and
+                  no triangle.  The block count follows from
+                  b(s+1) = v(t+1); the projection axiom follows because the
+                  s*t points seen off L from each of the s+1 points of a
+                  block L are distinct without triangles and number all
+                  v - (s+1) points off L.
+``verify_plane``  constant block size q+1 with q >= 2, q^2+q+1 points and
+                  blocks, two points on at most one block, and a
+                  quadrilateral.  b*C(q+1,2) = C(n,2), so every pair of
+                  points is on exactly one block; then each point is on
+                  q+1 blocks, and the q further blocks through each point
+                  of L are all b-1 other blocks, so two blocks meet once.
 """
 
 import json
@@ -126,15 +143,42 @@ class IncidenceStructure:
         return f"<IncidenceStructure{lbl}: {self.n_points} points, {self.n_blocks} blocks>"
 
 
-def verify_gq(inc):
-    """Check every defining axiom of a generalised quadrangle on ``inc``.
+def _check_partial_linear(inc):
+    """Raise AxiomViolation unless two points share at most one block.
 
-    Returns the order (s, t).  Raises AxiomViolation (HigmanViolation for the
-    parameter bound) with a concrete witness on the first failure.  Checks,
-    in order: constant block size, constant point degree, total point count,
-    Higman's inequality, pairwise block intersections, the one-point
-    projection axiom for non-incident point/block pairs, and independently
-    that no triangle of blocks exists.
+    coll[x], from the cached collinearity, is the union of the sets L - {x}
+    over the blocks L through x, so len(coll[x]) equals the sum of their
+    sizes exactly when they are disjoint, that is when no other point shares
+    two blocks with x.  Only on a mismatch are the blocks through x searched
+    for the witness (i, j, common points).
+    """
+    coll = inc.collinearity()
+    for x, through in enumerate(inc.point_to_blocks):
+        if len(coll[x]) == sum(len(inc.blocks[bi]) - 1 for bi in through):
+            continue
+        for i, j in combinations(through, 2):
+            common = inc.block_sets[i] & inc.block_sets[j]
+            if len(common) > 1:
+                raise AxiomViolation(
+                    f"blocks {i} and {j} share {sorted(common)}", (i, j, sorted(common))
+                )
+
+
+def verify_gq(inc):
+    """Check that ``inc`` is a generalised quadrangle; returns its order (s, t).
+
+    Raises AxiomViolation (HigmanViolation for the parameter bound) with a
+    concrete witness on the first failure.  Checks, in order: constant block
+    size s+1, constant point degree t+1, s, t >= 1, the point count
+    v = (s+1)(st+1), Higman's inequality, that two points share at most one
+    block, and that no triangle exists.
+
+    The remaining axioms follow by counting.  The block count (t+1)(st+1)
+    is forced by b(s+1) = v(t+1).  For the projection axiom take a block L:
+    each of its s+1 points sees s*t points off L (s on each of its t other
+    blocks), and without triangles no point off L sees two points of L, so
+    these (s+1)*t*s points are distinct.  That is all v - (s+1) points off
+    L, so every point off L sees exactly one point of L.
     """
     sizes = {len(b) for b in inc.blocks}
     if len(sizes) != 1:
@@ -151,58 +195,34 @@ def verify_gq(inc):
             f"point count {inc.n_points} != (s+1)(st+1) = {(s + 1) * (s * t + 1)}",
             inc.n_points,
         )
-    if inc.n_blocks != (t + 1) * (s * t + 1):
-        raise AxiomViolation(
-            f"block count {inc.n_blocks} != (t+1)(st+1) = {(t + 1) * (s * t + 1)}",
-            inc.n_blocks,
-        )
     if s > 1 and t > 1 and (s > t * t or t > s * s):
         raise HigmanViolation(f"order ({s},{t}) violates s <= t^2 and t <= s^2", (s, t))
-
-    for (i, a), (j, b) in combinations(enumerate(inc.block_sets), 2):
-        common = a & b
-        if len(common) > 1:
-            raise AxiomViolation(
-                f"blocks {i} and {j} share {sorted(common)}", (i, j, sorted(common))
-            )
-
+    _check_partial_linear(inc)
     coll = inc.collinearity()
-    for li, blk in enumerate(inc.blocks):
-        bset = inc.block_sets[li]
-        for x in range(inc.n_points):
-            if x in bset:
-                continue
-            hits = sum(1 for y in blk if y in coll[x])
-            if hits != 1:
-                raise AxiomViolation(
-                    f"point {x} sees {hits} points of block {li}, expected 1",
-                    (x, li, hits),
-                )
-
-    # triangle-freeness, checked independently of the projection axiom:
-    # two blocks through x plus any collinear pair straddling them close a
-    # triangle of three blocks meeting pairwise in three distinct points
-    for x in range(inc.n_points):
-        through = inc.point_to_blocks[x]
-        for bi, bj in combinations(through, 2):
-            for y in inc.blocks[bi]:
-                if y == x:
-                    continue
-                for z in inc.blocks[bj]:
-                    if z != x and z in coll[y]:
-                        raise AxiomViolation(
-                            f"triangle on points {x},{y},{z}", (x, y, z)
-                        )
+    # a triangle has two vertices x, y on a block L and its third vertex off
+    # L, collinear with both
+    for blk, bset in zip(inc.blocks, inc.block_sets):
+        for x, y in combinations(blk, 2):
+            off = (coll[x] & coll[y]) - bset
+            if off:
+                z = min(off)
+                raise AxiomViolation(f"triangle on points {x},{y},{z}", (x, y, z))
     return s, t
 
 
 def verify_plane(inc):
-    """Check projective-plane axioms on ``inc``; returns the order q.
+    """Check that ``inc`` is a projective plane; returns its order q.
 
-    Every pair of points lies on exactly one block, every pair of blocks
-    meets in exactly one point, block size is constant q+1, there are
-    q^2+q+1 points and blocks, and a quadrilateral (4 points, no 3 on a
-    block) exists.
+    Checks constant block size q+1 with q >= 2, q^2+q+1 points and blocks,
+    that two points share at most one block, and that a quadrilateral (4
+    points, no 3 on a block) exists.
+
+    The remaining axioms follow by counting.  The blocks cover
+    b*C(q+1,2) = C(n,2) point pairs, none twice, so every pair of points
+    lies on exactly one block.  Each point then lies on (n-1)/q = q+1
+    blocks; the q further blocks through each of the q+1 points of a block
+    L are distinct, and (q+1)q = b-1 accounts for every other block, so two
+    blocks meet in exactly one point.
     """
     sizes = {len(b) for b in inc.blocks}
     if len(sizes) != 1:
@@ -216,22 +236,7 @@ def verify_plane(inc):
             f"expected {expect} points and blocks, got {inc.n_points}/{inc.n_blocks}",
             (inc.n_points, inc.n_blocks),
         )
-    pair_count = {}
-    for blk in inc.blocks:
-        for a, b in combinations(blk, 2):
-            pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
-            if pair_count[(a, b)] > 1:
-                raise AxiomViolation(f"points {a},{b} on two blocks", (a, b))
-    if len(pair_count) != inc.n_points * (inc.n_points - 1) // 2:
-        missing = next(
-            (a, b)
-            for a, b in combinations(range(inc.n_points), 2)
-            if (a, b) not in pair_count
-        )
-        raise AxiomViolation(f"points {missing} on no common block", missing)
-    for (i, a), (j, b) in combinations(enumerate(inc.block_sets), 2):
-        if len(a & b) != 1:
-            raise AxiomViolation(f"blocks {i},{j} meet in {len(a & b)} points", (i, j))
+    _check_partial_linear(inc)
     # quadrilateral: a,b on L; c off L; d off L and off the blocks a-c, b-c
     L = inc.block_sets[0]
     a, b = inc.blocks[0][0], inc.blocks[0][1]
@@ -437,14 +442,16 @@ def save_geometry(path, inc, family, q=None, s=None, t=None):
 
 
 def _is_int_list(value):
-    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def load_geometry(path):
     """Read an interchange JSON.  Accepts arbitrary incidence structures
     (hand-built designs included); structural validation happens in the
     IncidenceStructure constructor.  A missing or ill-typed ``points`` or
-    ``blocks`` field raises ValueError naming it."""
+    ``blocks`` field, a ``family`` that is not a string, or a ``q``, ``s``
+    or ``t`` that is neither an integer nor null raises ValueError naming
+    it.  JSON booleans are not integers here."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -458,11 +465,11 @@ def load_geometry(path):
     if sorted(points) != list(range(len(points))):
         raise ValueError("points must be exactly 0..n-1")
     family = data.get("family", "custom")
+    if not isinstance(family, str):
+        raise ValueError("geometry file's 'family' must be a string")
+    order = {key: data.get(key) for key in ("q", "s", "t")}
+    for key, value in order.items():
+        if value is not None and type(value) is not int:
+            raise ValueError(f"geometry file's '{key}' must be an integer or null")
     inc = IncidenceStructure(len(points), blocks, label=family)
-    return GeometryFile(
-        structure=inc,
-        family=family,
-        q=data.get("q"),
-        s=data.get("s"),
-        t=data.get("t"),
-    )
+    return GeometryFile(structure=inc, family=family, **order)

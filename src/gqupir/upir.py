@@ -55,7 +55,6 @@ class UPIRSystem:
         self.structure = structure
         self.n_users = structure.n_points
         self.n_spaces = structure.n_blocks
-        self._members = structure.blocks
         self._spaces_of = structure.point_to_blocks
         self._neighbors = structure.collinearity()
         self._dist_rows = {}
@@ -64,24 +63,12 @@ class UPIRSystem:
         self._check_connected()
 
     def _check_connected(self):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self._neighbors[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen) != self.n_users:
-            missing = next(u for u in range(self.n_users) if u not in seen)
+        row = self.distance_row(0)
+        if -1 in row:
+            missing = row.index(-1)
             raise DisconnectedError(
                 f"users 0 and {missing} cannot reach each other", (0, missing)
             )
-
-    def members(self, space):
-        return self._members[space]
 
     def spaces_of(self, user):
         return self._spaces_of[user]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gqupir import adversary, harness
+from gqupir import adversary
 from gqupir.cli import main
 from gqupir.harness import build_family, run_analyze, run_simulate
 
@@ -48,6 +48,13 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     ({"family": "w3", "points": [0, 1]}, "blocks"),
     ({"family": "w3", "points": [0, 1], "blocks": [0, 1]}, "blocks"),
     ({"family": "w3", "points": "01", "blocks": [[0, 1]]}, "points"),
+    ({"family": "pg2", "q": "2", "points": [0, 1], "blocks": [[0, 1]]}, "q"),
+    ({"family": "w3", "s": 1.0, "points": [0, 1], "blocks": [[0, 1]]}, "s"),
+    ({"family": "w3", "t": "2", "points": [0, 1], "blocks": [[0, 1]]}, "t"),
+    ({"family": ["pg2"], "points": [0, 1], "blocks": [[0, 1]]}, "family"),
+    # JSON booleans are not point ids, though true == 1
+    ({"family": "w3", "points": [False, True], "blocks": [[0, 1]]}, "points"),
+    ({"family": "w3", "points": [0, 1], "blocks": [[0, True]]}, "blocks"),
 ])
 def test_malformed_geometry_file_is_config_error(tmp_path, capsys, data, field):
     path = tmp_path / "bad.json"
@@ -210,20 +217,18 @@ def test_simulate_outputs_match_golden_digests(tmp_path, monkeypatch, run):
 
 def test_simulate_generates_each_topic_once(tmp_path, monkeypatch):
     calls = []
-    generate = adversary.iter_protocol_events
+    draw = adversary._draw_queries
 
-    def counted(system, workload, rng):
-        calls.append(workload.topic)
-        return generate(system, workload, rng)
+    def counted(system, source, count, rng):
+        calls.append(source)
+        return draw(system, source, count, rng)
 
-    # both modules that import the generator by name
-    monkeypatch.setattr(adversary, "iter_protocol_events", counted)
-    monkeypatch.setattr(harness, "iter_protocol_events", counted)
+    monkeypatch.setattr(adversary, "_draw_queries", counted)
     geom = build_family("w3", 3)
     report, ok = run_simulate(geom, "w3", 3, 1, (0, 13), 4, 300, seed=8,
                               transcript_prefix=str(tmp_path / "run"))
     assert ok and report["converged"] >= 1
-    assert sorted(calls) == sorted(row["topic"] for row in report["per_topic"])
+    assert sorted(calls) == sorted(row["source"] for row in report["per_topic"])
     with open(report["transcript"]) as fh:
         requests = sum('"kind": "db_request"' in line for line in fh)
     assert requests == 4 * 300  # converged topics still log to the cap
