@@ -2,9 +2,9 @@
 
 A query travels source -> relays -> proxy -> database and back.  Protocol 1
 writes payloads every member of a space can read; protocol 2 encrypts them
-to the addressed proxy.  The observer-view machinery below is exactly what
-the adversary module consumes.  Writes demo_p2.jsonl and its sidecar
-demo_p2.truth.json to the working directory.
+to the addressed proxy.  The observer views below apply upir.access, the
+visibility rule the adversary's coalition tracker applies too.  Writes
+demo_p2.jsonl and its sidecar demo_p2.truth.json to the working directory.
 """
 
 from collections import Counter
@@ -44,9 +44,9 @@ work = QueryWorkload(source=0, topic="tea", count=50, protocol=1)
 tr = run_protocol(system, work, 7)
 for obs in (1, 13, 39):
     view = observer_view(tr, obs)
-    readable = sum(1 for ev in view.events if ev.topic is not None)
+    readable = sum(1 for ev in view if ev.topic is not None)
     print(f"  user {obs} (distance {system.user_distance(0, obs)} from source): "
-          f"{len(view.events)} events, {readable} with readable payload")
+          f"{len(view)} events, {readable} with readable payload")
 wire = external_view(tr)
 print(f"  database wire: {len(wire)} events, all payloads in the clear")
 
@@ -56,8 +56,8 @@ work2 = QueryWorkload(source=0, topic="tea", count=50, protocol=2)
 tr2 = run_protocol(system, work2, 7)
 for obs in (1, 13, 39):
     view = observer_view(tr2, obs)
-    readable = sum(1 for ev in view.events if ev.topic is not None)
-    print(f"  user {obs}: {len(view.events)} events, {readable} readable "
+    readable = sum(1 for ev in view if ev.topic is not None)
+    print(f"  user {obs}: {len(view)} events, {readable} readable "
           "(only queries that picked this user as proxy)")
 
 print()

@@ -41,6 +41,7 @@ from .upir import (
     Transcript,
     TranscriptEvent,
     UPIRSystem,
+    access,
     external_view,
     observer_view,
     path_choice_counts,
@@ -80,7 +81,7 @@ __all__ = [
     "AxiomViolation", "HigmanViolation", "VerificationFailed",
     "CollinearGeneratorsError",
     "UPIRSystem", "QueryWorkload", "Transcript", "TranscriptEvent",
-    "run_protocol", "observer_view", "external_view",
+    "run_protocol", "access", "observer_view", "external_view",
     "write_transcript", "write_ground_truth", "read_transcript",
     "path_choice_counts", "proxy_counts", "proxy_uniformity",
     "DisconnectedError", "NotDiameterBoundedError",

@@ -13,10 +13,11 @@ a partition down to one number: with n users and a largest class of size g,
 the margin is 1 - log_n(n - g); margin eps means all but n^(1-eps) users sit
 together in the biggest class.
 
-Empirical side: CoalitionTracker consumes transcript events and maintains,
-per topic, a candidate set of possible sources.  Every deduction below is
-sound after every prefix of the stream except the encrypted protocol's
-single-space rule, whose error bound is stated further down:
+Empirical side: CoalitionTracker consumes transcript events, passes each
+through upir.access (the one rule for what a member sees and reads), and
+maintains, per topic, a candidate set of possible sources.  Every deduction
+below is sound after every prefix of the stream except the encrypted
+protocol's single-space rule, whose error bound is stated further down:
 
 * a user id inside a route is a relay or proxy for that query, never its
   source, so it can be struck off;
@@ -46,13 +47,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .upir import (
-    ALL_READERS,
     DB_REQUEST,
-    DB_RESPONSE,
     WRITE_REQUEST,
     QueryWorkload,
     _draw_queries,
     _query_events,
+    access,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
 
@@ -232,12 +232,12 @@ class _TopicState:
 class CoalitionTracker:
     """Per-topic candidate sets over a stream of transcript events.
 
-    Feed raw events in order with observe(); the tracker applies each
-    member's visibility filter itself, and sees() tells from a query's
-    proxy and route alone whether observe() would act on any of its events,
-    so a query it does not see need not be built or fed.  Tracked topics
-    are assumed to originate outside the coalition (members already know
-    their own).
+    Feed raw events in order with observe(), which applies the one
+    visibility rule, upir.access, for each member; sees() tells from a
+    query's proxy and route alone whether observe() would act on any of its
+    events, so a query it does not see need not be built or fed.  Tracked
+    topics are assumed to originate outside the coalition (members already
+    know their own).
 
     The candidate set only ever shrinks.  The true source is never removed,
     with one bounded exception under the encrypted protocol: the
@@ -299,23 +299,27 @@ class CoalitionTracker:
                               self.converged(topic))
 
     def observe(self, event):
-        if event.kind in (DB_REQUEST, DB_RESPONSE):
-            return  # a proxied query names its proxy, never its source
-        mset = self._members[event.space]
+        """Pass the event to _ingest for each member that sees it, with
+        whether it reads the payload, as upir.access decides.  Database
+        calls (space None) name their proxy, never their source: they go,
+        with writes in spaces no member holds, before the rule is asked."""
+        if event.space not in self._watched:
+            return
         for m in self.coalition:
-            if m in mset:
-                readable = event.visibility == ALL_READERS or m == event.proxy
+            readable = access(self.system, m, event)
+            if readable is not None:
                 self._ingest(m, event, readable)
 
     def sees(self, proxy, route):
         """Whether observe() can act on any event of one query, given its
         proxy and its route as _draw_queries yields it (None when the
-        source proxied for itself).  Database events never count, and a
-        write counts for a member of its space when the member may read it
-        or relay metadata is attributed.  So under protocol 1, or with
-        relay_metadata, a query counts when some member lies in a space of
-        its route; under protocol 2 without it, when a member is its
-        proxy."""
+        source proxied for itself).  A set-based shortcut derived from
+        upir.access, cheap enough to run for every query: database events
+        never count, and a write counts for a member of its space when the
+        member may read it or relay metadata is attributed.  So under
+        protocol 1, or with relay_metadata, a query counts when some member
+        lies in a space of its route; under protocol 2 without it, when a
+        member is its proxy."""
         if self._proxy_only:
             return proxy in self.coalition
         return route is not None and not self._watched.isdisjoint(route[1::2])

@@ -132,19 +132,19 @@ def _cmd_verify(args):
     gf = load_geometry(args.infile)
     geom = Geometry.from_structure(gf.structure, gf.family)
     s, t = geom.s, geom.t
+    # every order field the file carries must match, None meaning null: a
+    # plane of order q has s = q and no t, and q names a quadrangle's order
+    # only when s == t
+    want = {"q": s if t in (None, s) else None, "s": s, "t": t}
+    wrong = [f"{k}={v}" for k, v in (("q", gf.q), ("s", gf.s), ("t", gf.t))
+             if v is not None and v != want[k]]
+    if wrong:
+        have = f"q={s}" if t is None else f"order ({s},{t})"
+        print(f"invalid: file claims {', '.join(wrong)}, structure has {have}",
+              file=sys.stderr)
+        return 1
     report = {"command": "verify", "family": gf.family, "valid": True}
-    if t is None:  # a projective plane of order s
-        report["q"] = s
-        if gf.q is not None and gf.q != s:
-            print(f"invalid: file claims q={gf.q}, structure has q={s}",
-                  file=sys.stderr)
-            return 1
-    else:
-        report.update(s=s, t=t)
-        if (gf.s is not None and gf.s != s) or (gf.t is not None and gf.t != t):
-            print(f"invalid: file claims order ({gf.s},{gf.t}), "
-                  f"structure has ({s},{t})", file=sys.stderr)
-            return 1
+    report.update({"q": s} if t is None else {"s": s, "t": t})
     write_json(report, sys.stdout)
     return 0
 

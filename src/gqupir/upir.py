@@ -15,10 +15,13 @@ Two request disciplines are simulated:
   payload (and so link the request to its topic).  It needs every user pair
   within distance 2.
 
-Transcripts record one event per write or database call, in order.  The
-ground-truth map (topic -> source) and the writer of each event live outside
-the event log proper: observer views never include them, and the on-disk
-format keeps ground truth in a separate sidecar file.
+Transcripts record one event per write or database call, in order.  One
+rule, access(), decides what a user sees of an event and whether it reads
+the payload.  The ground-truth map (topic -> source) and the writer and
+query ordinal of each event live outside the event log proper: observer
+views carry events with writer None, query -1 and, where the payload is
+unreadable, topic None, and the on-disk format keeps ground truth in a
+separate sidecar file.
 """
 
 import json
@@ -164,7 +167,8 @@ class TranscriptEvent:
     route to the proxy (next hop first, alternating user/space ids, ending
     with the proxy); for responses, the provenance chain back to the proxy.
     ``writer`` and ``query`` are ground truth for analysis only; observer
-    views and the on-disk log never carry them.
+    views and events read back from the log carry writer None and query -1,
+    and an observer view has topic None where the payload is unreadable.
     """
 
     seq: int
@@ -172,7 +176,7 @@ class TranscriptEvent:
     space: int | None
     path: tuple
     proxy: int
-    topic: str
+    topic: str | None
     visibility: str
     writer: int | None
     query: int
@@ -335,67 +339,52 @@ def run_protocol(system, workload, seed_or_rng):
                       {workload.topic: workload.source})
 
 
-# -- observer views --
+# -- what a user sees --
 
 
-@dataclass(slots=True)
-class ViewEvent:
-    """An event as one observer sees it; topic is None when unreadable."""
+def access(system, member, event):
+    """What member gets of one event: None when it does not see the event,
+    False when it sees the metadata only, True when it also reads the
+    payload (the topic).
 
-    seq: int
-    kind: str
-    space: int | None
-    path: tuple
-    proxy: int
-    topic: str | None
-    visibility: str
-
-
-def view_event(system, event, observer):
-    """The observer's view of one event, or None if invisible.
-
-    Database events are seen only by their proxy.  Write events are seen by
-    the members of their space; the payload (topic) is readable iff the
-    visibility is all_readers or the observer is the addressed proxy.  The
-    writer is never exposed.
+    A database call is seen by its proxy alone, a write by the members of
+    its space.  A member who sees an event reads its payload when the
+    visibility is all_readers or the member is the addressed proxy.  This is
+    the one visibility rule: observer views and the coalition tracker both
+    apply it.
     """
     if event.kind in (DB_REQUEST, DB_RESPONSE):
-        if observer != event.proxy:
+        if member != event.proxy:
             return None
-        return ViewEvent(event.seq, event.kind, None, event.path, event.proxy,
-                         event.topic, event.visibility)
-    if observer not in system.structure.block_sets[event.space]:
+    elif member not in system.structure.block_sets[event.space]:
         return None
-    readable = event.visibility == ALL_READERS or observer == event.proxy
-    return ViewEvent(event.seq, event.kind, event.space, event.path, event.proxy,
-                     event.topic if readable else None, event.visibility)
+    return event.visibility == ALL_READERS or member == event.proxy
 
 
-@dataclass
-class ObservedView:
-    observer: int
-    events: list
+def _as_seen(event, readable):
+    """The event without ground truth, and without its topic unless
+    readable."""
+    return TranscriptEvent(event.seq, event.kind, event.space, event.path,
+                           event.proxy, event.topic if readable else None,
+                           event.visibility, None, -1)
 
 
 def observer_view(transcript, observer):
-    """Everything one honest-but-curious user sees of a transcript."""
-    sys_ = transcript.system
+    """Everything one honest-but-curious user sees of a transcript, in
+    order, as access() decides it."""
     out = []
     for ev in transcript.events:
-        ve = view_event(sys_, ev, observer)
-        if ve is not None:
-            out.append(ve)
-    return ObservedView(observer, out)
+        readable = access(transcript.system, observer, ev)
+        if readable is not None:
+            out.append(_as_seen(ev, readable))
+    return out
 
 
 def external_view(transcript):
     """What a wire eavesdropper on the database link sees: the database
     events with proxy and payload in the clear."""
-    return [
-        ViewEvent(ev.seq, ev.kind, None, ev.path, ev.proxy, ev.topic, ev.visibility)
-        for ev in transcript.events
-        if ev.kind in (DB_REQUEST, DB_RESPONSE)
-    ]
+    return [_as_seen(ev, True) for ev in transcript.events
+            if ev.kind in (DB_REQUEST, DB_RESPONSE)]
 
 
 # -- transcript files --

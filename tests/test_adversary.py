@@ -480,7 +480,7 @@ def test_same_class_sources_indistinguishable():
     for u, seed in ((u1, 201), (u2, 202)):
         tr = run_protocol(sys_, QueryWorkload(u, "t", 3000, protocol=1), seed)
         view = observer_view(tr, c)
-        cnt = Counter((ve.kind, ve.space, ve.path) for ve in view.events)
+        cnt = Counter((ve.kind, ve.space, ve.path) for ve in view)
         counters.append(cnt)
         keys |= set(cnt)
     table = [[cnt.get(k, 0) for k in sorted(keys, key=repr)] for cnt in counters]

@@ -43,6 +43,26 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     assert run_cli("verify", "--in", str(out)) == 1
 
 
+@pytest.mark.parametrize("family,claims", [
+    ("w3", {"q": 7}),
+    ("w3", {"s": 3, "t": 3}),
+    ("pg2", {"s": 9, "t": 5}),
+    ("pg2", {"q": 3}),
+    ("pg2", {"t": 2}),
+])
+def test_verify_checks_every_order_field(tmp_path, capsys, family, claims):
+    out = tmp_path / f"{family}.json"
+    assert run_cli("construct", "--family", family, "--q", "2",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    data.update(claims)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid: file claims" in captured.err
+
+
 @pytest.mark.parametrize("data,field", [
     ({"family": "w3", "blocks": [[0, 1]]}, "points"),
     ({"family": "w3", "points": [0, 1]}, "blocks"),

@@ -203,14 +203,14 @@ def test_observer_view_membership_and_payload():
         tr = run_protocol(sys_, QueryWorkload(src, "secret", 150, protocol=proto), 9)
         for obs in (1, 13, 25):
             view = observer_view(tr, obs)
-            seen = {ve.seq for ve in view.events}
+            seen = {ve.seq for ve in view}
             for ev in tr.events:
                 if ev.kind in (DB_REQUEST, DB_RESPONSE):
                     assert (ev.seq in seen) == (obs == ev.proxy)
                 else:
                     assert (ev.seq in seen) == (obs in gq.base.blocks[ev.space])
-            for ve in view.events:
-                assert not hasattr(ve, "writer")
+            for ve in view:
+                assert ve.writer is None and ve.query == -1
                 if proto == 1:
                     assert ve.topic == "secret"
                 else:
