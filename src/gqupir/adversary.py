@@ -557,9 +557,19 @@ class SweepRow:
 
 
 def residue_bound(s, t, size):
-    """Worst-case users outside the biggest class for a coalition of the
-    given size: each member strips out at most its closed neighbourhood,
-    plus slack for overlaps."""
+    """Bound on the users outside the biggest class for a coalition of k =
+    ``size`` members on a quadrangle of order (s, t), under protocol 2.
+
+    Under protocol 2 the users collinear with no member form one class, so
+    the residue is at most the union of the members' closed neighbourhoods,
+    each of st + s + 1 users:
+
+        residue <= k(st + s + 1) <= k(st + s) + k^2(t + 1),
+
+    the right-hand side being the value returned.  Under protocol 1 spans
+    split the far users and no such bound holds: on W(3,3) with observer 0
+    the residue is 37, against a bound of 16.
+    """
     return size * (s * t + s) + size * size * (t + 1)
 
 

@@ -1,8 +1,11 @@
-"""Arithmetic in small Galois fields GF(q), plus projective-point helpers.
+"""Arithmetic in Galois fields GF(q), q <= 256, plus projective-point helpers.
 
-Prime orders use plain modular arithmetic.  The prime-power orders needed at
-desk scale (4, 8, 9) are built over fixed irreducible polynomials so element
-encodings never change between runs:
+Every order q = p^k is built the same way, as GF(p)[x] / (m) with m the
+smallest monic irreducible polynomial of degree k over GF(p).  Candidates
+x^k + c_{k-1} x^{k-1} + ... + c_0 are ordered by their lower coefficients
+read as the base-p number c_{k-1} ... c_1 c_0, so the choice never changes
+between runs.  For k = 1 the first candidate, m = x, is irreducible and the
+quotient is GF(p) itself; the first few prime powers get
 
     GF(4) = GF(2)[x] / (x^2 + x + 1)
     GF(8) = GF(2)[x] / (x^3 + x + 1)
@@ -10,12 +13,21 @@ encodings never change between runs:
 
 An element is an integer in range(q) whose base-p digits are the polynomial
 coefficients, least-significant digit = constant term.  So in GF(9) the
-element 3*h + l stands for h*x + l.  Vectors over a field are plain tuples of
-such integers; a projective point is a vector scaled so its first nonzero
-coordinate is 1.
+element 3*h + l stands for h*x + l.  Addition and multiplication are q x q
+uint8 tables (``add_table``, ``mul_table``) built once, and every scalar
+operation indexes them.  A candidate m is irreducible exactly when its
+quotient ring has no zero divisors; a factor of a reducible m has degree at
+most k/2, so only the products of such elements are searched.
+
+Vectors over a field are plain tuples of elements; a projective point is a
+vector scaled so its first nonzero coordinate is 1.
 """
 
 from itertools import product
+
+import numpy as np
+
+MAX_ORDER = 256  # elements fit in uint8
 
 
 class NotAPrimePowerError(ValueError):
@@ -23,19 +35,11 @@ class NotAPrimePowerError(ValueError):
 
 
 class UnsupportedOrderError(ValueError):
-    """Prime-power order without a built-in irreducible polynomial."""
+    """Prime-power order above MAX_ORDER."""
 
 
 class ZeroVectorError(ValueError):
     """The zero vector has no projective normalization."""
-
-
-# Irreducible polynomials, constant term first.
-_IRREDUCIBLE = {
-    4: (1, 1, 1),      # x^2 + x + 1 over GF(2)
-    8: (1, 1, 0, 1),   # x^3 + x + 1 over GF(2)
-    9: (1, 0, 1),      # x^2 + 1 over GF(3)
-}
 
 
 def _factor_prime_power(q):
@@ -58,130 +62,105 @@ def _factor_prime_power(q):
     return p, k
 
 
+def _digits(p, k, elements):
+    """Base-p digits of each element, constant term first: shape (len, k)."""
+    return np.asarray(elements)[:, None] // p ** np.arange(k) % p
+
+
+def _products(p, k, lower, rows):
+    """The products a*b in GF(p)[x] / (x^k + lower(x)) for a in ``rows`` and
+    every b, as an array of shape (len(rows), p^k).
+
+    ``lower`` holds the coefficients below x^k, constant term first.
+    """
+    # reduce[d] = the digits of x^d mod m for d < 2k - 1: x^k == -lower
+    reduce = np.zeros((2 * k - 1, k), dtype=np.int64)
+    cur = np.eye(1, k, dtype=np.int64)[0]
+    for d in range(2 * k - 1):
+        reduce[d] = cur
+        cur = (np.concatenate(([0], cur[:-1])) - cur[-1] * np.asarray(lower)) % p
+    # a*b = sum over i, j of a_i b_j x^(i+j); reduce[i + j] folds in m
+    fold = np.array([[reduce[i + j] for j in range(k)] for i in range(k)])
+    by_power = np.einsum("ai,ijc->ajc", _digits(p, k, rows), fold) % p
+    prods = np.einsum("bj,ajc->abc", _digits(p, k, range(p ** k)), by_power) % p
+    return prods @ p ** np.arange(k)
+
+
 class GF:
     """GF(q) with element encoding stable across runs.
 
-    Supported orders: all primes, and the prime powers 4, 8, 9.  Other prime
-    powers raise UnsupportedOrderError; composite non-prime-powers raise
-    NotAPrimePowerError.
+    Supported orders: every prime power q <= MAX_ORDER.  Larger integers
+    raise UnsupportedOrderError before any factoring; other orders raise
+    NotAPrimePowerError.  The tables pass check_axioms on construction.
     """
 
     def __init__(self, q):
-        p, k = _factor_prime_power(q)
-        if k > 1 and q not in _IRREDUCIBLE:
+        if isinstance(q, int) and q > MAX_ORDER:
             raise UnsupportedOrderError(
-                f"GF({q}) not supported: only primes and orders 4, 8, 9 have "
-                "built-in tables"
-            )
+                f"GF({q}) not supported: orders go up to {MAX_ORDER}")
+        p, k = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.k = k
-        if k > 1:
-            self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
-            self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-            self._neg = [self._poly_neg(a) for a in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if self._mul[a][b] == 1:
-                        inv[a] = b
-                        break
-            self._inv = inv
-            self.check_axioms()
-
-    # -- polynomial arithmetic on base-p digit encodings (k >= 2 only) --
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, coeffs):
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + c
-        return val
-
-    def _poly_add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _poly_neg(self, a):
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
-
-    def _poly_mul(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the irreducible: x^k == -(lower coefficients)
-        red = _IRREDUCIBLE[self.q]
-        for deg in range(2 * self.k - 2, self.k - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for i in range(self.k):
-                    prod[deg - self.k + i] = (prod[deg - self.k + i] - c * red[i]) % self.p
-        return self._undigits(prod[: self.k])
-
-    # -- public operations --
+        # candidates in order; a reducible m has a factor of degree <= k/2,
+        # a zero divisor
+        digits = _digits(p, k, range(q))
+        low = range(1, p ** (k // 2 + 1))
+        for lower in digits:
+            if _products(p, k, lower, low)[:, 1:].all():
+                break
+        self.modulus = tuple(lower.tolist()) + (1,)
+        add = (digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(k)
+        self.add_table = add.astype(np.uint8)
+        self.mul_table = _products(p, k, lower, range(q)).astype(np.uint8)
+        self._neg = np.argmax(self.add_table == 0, axis=1)
+        self._inv = np.argmax(self.mul_table == 1, axis=1)
+        self.check_axioms()
 
     @property
     def elements(self):
         return range(self.q)
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.q
-        return self._add[a][b]
+        return self.add_table.item(a, b)
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.q
-        return self._neg[a]
+        return self._neg.item(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.q
-        return self._mul[a][b]
+        return self.mul_table.item(a, b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        if self.k == 1:
-            return pow(a, self.q - 2, self.q)
-        return self._inv[a]
+        return self._inv.item(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def check_axioms(self):
-        """Exhaustive field-axiom sweep; raises AssertionError on any failure.
+        """Exhaustive field-axiom sweep over the tables; raises
+        AssertionError on any failure.
 
-        Cheap for the supported orders (q <= 9 needs q^3 = 729 triples; larger
-        primes are swept pairwise with sampled triples by the test suite).
+        The q^3 triples of associativity and distributivity are checked one
+        first operand at a time, so memory stays O(q^2).
         """
         q = self.q
-        els = range(q)
+        add, mul = self.add_table, self.mul_table
+        els = np.arange(q)
+        assert (add < q).all() and (mul < q).all()
+        assert (add == add.T).all() and (mul == mul.T).all()
+        assert (add[:, 0] == els).all() and (mul[:, 1] == els).all()
+        assert (add[els, self._neg] == 0).all()
+        assert (mul[els[1:], self._inv[1:]] == 1).all()
         for a in els:
-            assert self.add(a, 0) == a and self.mul(a, 1) == a
-            assert self.add(a, self.neg(a)) == 0
-            if a:
-                assert self.mul(a, self.inv(a)) == 1
-            for b in els:
-                s, m = self.add(a, b), self.mul(a, b)
-                assert 0 <= s < q and 0 <= m < q
-                assert s == self.add(b, a) and m == self.mul(b, a)
-        for a, b, c in product(els, repeat=3):
-            assert self.add(self.add(a, b), c) == self.add(a, self.add(b, c))
-            assert self.mul(self.mul(a, b), c) == self.mul(a, self.mul(b, c))
-            assert self.mul(a, self.add(b, c)) == self.add(self.mul(a, b), self.mul(a, c))
+            # (a+b)+c == a+(b+c), (ab)c == a(bc), a(b+c) == ab+ac over (b, c)
+            assert (add[add[a]] == add[a][add]).all()
+            assert (mul[mul[a]] == mul[a][mul]).all()
+            assert (mul[a][add] == add[mul[a][:, None], mul[a][None, :]]).all()
         return True
 
     def __repr__(self):
@@ -204,22 +183,7 @@ def field(q):
     return _FIELD_CACHE[q]
 
 
-# -- vectors and projective points --
-
-
-def vec_add(f, u, v):
-    return tuple(f.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(f, c, u):
-    return tuple(f.mul(c, a) for a in u)
-
-
-def dot(f, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
+# -- projective points --
 
 
 def normalize_point(f, v):
@@ -234,7 +198,7 @@ def normalize_point(f, v):
             if a == 1:
                 return tuple(v)
             s = f.inv(a)
-            return vec_scale(f, s, v)
+            return tuple(f.mul(s, b) for b in v)
     raise ZeroVectorError(f"zero vector {v!r} has no projective point")
 
 

@@ -12,10 +12,17 @@ Constructions
                    x0^2 = x1*x2 + x3*x4 in PG(4,q), blocks = lines of
                    PG(4,q) lying entirely on the quadric.  Order (q,q).
 
-Both quadrangles come from one line enumerator: the line through two
-points u, v of the point set belongs to the geometry iff B(u,v) = 0 for
-the family's bilinear form B (the alternating form for W(3,q), the polar
-form of the quadric for Q(4,q)).
+All three come from one form evaluator.  A bilinear form B is given as
+data, a list of terms (i, j, c) standing for the sum of c*u_i*v_j, and for
+every point u the evaluator returns u^perp = {v : B(u,v) = 0}, working on
+the field's add/mul tables a fixed number of rows at a time.  The plane is
+self-dual, so its blocks are the perps of the dot form.  For a quadrangle
+B is the alternating form for W(3,q) and the polar form of the quadric for
+Q(4,q): the line through two points u != v of the point set belongs to the
+geometry iff B(u,v) = 0, and B(x,x) = 0 on the point set.  That line is
+u^perp & v^perp: every point of it lies in both, and a common point w off
+it would be collinear with u and with v, a triangle, which a quadrangle
+has none of.  Each line is kept once, from its smallest point.
 
 Every constructor returns a Geometry.  Point ids are assigned by
 lexicographic order of canonical coordinates and blocks are sorted
@@ -53,7 +60,9 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import dot, normalize_point, projective_points, vec_add, vec_scale
+import numpy as np
+
+from .fields import projective_points
 
 
 class AxiomViolation(Exception):
@@ -339,51 +348,68 @@ def _checked(inc, family):
         raise VerificationFailed(f"{inc.label} failed verification: {exc}") from exc
 
 
+# A bilinear form as data: B(u, v) = the sum of c*u[i]*v[j] over its terms
+# (i, j, c), c a field element.
+_ROWS = 256  # point rows evaluated at a time
+
+
+def _form(f, terms, u, v):
+    """B(u, v) over the last axis of the index arrays u and v, broadcast."""
+    add, mul = f.add_table, f.mul_table
+    acc = 0
+    for i, j, c in terms:
+        acc = add[acc, mul[mul[c][u[..., i]], v[..., j]]]
+    return acc
+
+
+def _perps(f, pts, terms):
+    """Per point u of ``pts``, the frozenset of point ids v with B(u, v) = 0.
+
+    The form is evaluated on _ROWS rows of u against every v at a time, so
+    the working memory stays O(_ROWS * n)."""
+    pts = np.array(pts, dtype=np.intp)
+    perps = []
+    for lo in range(0, len(pts), _ROWS):
+        zero = _form(f, terms, pts[lo:lo + _ROWS, None, :], pts) == 0
+        perps.extend(frozenset(np.flatnonzero(row).tolist()) for row in zero)
+    return perps
+
+
 def build_pg2(f):
-    """The projective plane PG(2,q)."""
+    """The projective plane PG(2,q).
+
+    The plane is self-dual: the kernel of the linear form with the
+    coordinates of u is the block u^perp of the dot form."""
     pts = projective_points(f, 2)
-    index = {p: i for i, p in enumerate(pts)}
-    blocks = []
-    for form in pts:  # the plane is self-dual: forms enumerate like points
-        blocks.append(tuple(sorted(index[p] for p in pts if dot(f, form, p) == 0)))
+    blocks = _perps(f, pts, [(i, i, 1) for i in range(3)])
     return _checked(IncidenceStructure(len(pts), blocks, label=f"pg2(q={f.q})"), "pg2")
 
 
-def _line_points(f, u, v):
-    """All q+1 canonical points of the projective line through u and v."""
-    pts = [normalize_point(f, v)]
-    for lam in f.elements:
-        pts.append(normalize_point(f, vec_add(f, u, vec_scale(f, lam, v))))
-    return pts
-
-
-def _polar_gq(f, family, pts, polar):
-    """The quadrangle on ``pts`` whose blocks are the lines uv, for u, v in
-    ``pts`` with polar(u, v) = 0.  The caller guarantees that every such
-    line lies inside ``pts``."""
-    index = {p: i for i, p in enumerate(pts)}
-    blocks = set()
-    covered = set()
-    for i, u in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            if (i, j) in covered or polar(u, pts[j]) != 0:
-                continue
-            line = tuple(sorted(index[p] for p in _line_points(f, u, pts[j])))
-            blocks.add(line)
-            covered.update(combinations(line, 2))
+def _quadrangle(f, family, pts, terms):
+    """The quadrangle on ``pts`` whose blocks are the lines uv, for u != v in
+    ``pts`` with B(u, v) = 0; the caller guarantees that every such line
+    lies inside ``pts`` and that B(x, x) = 0 on it.  The line through u and
+    v is u^perp & v^perp (see the module docstring); each is kept once, from
+    its smallest point."""
+    perps = _perps(f, pts, terms)
+    blocks = []
+    for u, perp in enumerate(perps):
+        rest = {v for v in perp if v > u}
+        while rest:
+            line = perp & perps[rest.pop()]
+            rest -= line
+            if min(line) == u:
+                blocks.append(line)
+    del perps  # freed before verification builds the collinearity
     return _checked(IncidenceStructure(len(pts), blocks, label=f"{family}(q={f.q})"),
                     family)
 
 
 def build_w3(f):
     """The symplectic quadrangle W(3,q) over GF(q)."""
-
-    def symp(u, v):
-        a = f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0]))
-        b = f.sub(f.mul(u[2], v[3]), f.mul(u[3], v[2]))
-        return f.add(a, b)
-
-    return _polar_gq(f, "w3", projective_points(f, 3), symp)
+    m1 = f.neg(1)
+    symp = [(0, 1, 1), (1, 0, m1), (2, 3, 1), (3, 2, m1)]
+    return _quadrangle(f, "w3", projective_points(f, 3), symp)
 
 
 def build_q4(f):
@@ -395,18 +421,13 @@ def build_q4(f):
     characteristic the line through two points of the quadric lies on it
     exactly when B(u,v) = 0.
     """
-
-    def qform(x):
-        return f.sub(f.mul(x[0], x[0]), f.add(f.mul(x[1], x[2]), f.mul(x[3], x[4])))
-
-    def polar(u, v):
-        d = f.mul(u[0], v[0])
-        a = f.add(f.mul(u[1], v[2]), f.mul(u[2], v[1]))
-        b = f.add(f.mul(u[3], v[4]), f.mul(u[4], v[3]))
-        return f.sub(f.add(d, d), f.add(a, b))
-
-    return _polar_gq(f, "q4", [p for p in projective_points(f, 4) if qform(p) == 0],
-                     polar)
+    m1 = f.neg(1)
+    quadric = [(0, 0, 1), (1, 2, m1), (3, 4, m1)]  # Q(x) = this form at (x, x)
+    polar = [(0, 0, f.add(1, 1)), (1, 2, m1), (2, 1, m1), (3, 4, m1), (4, 3, m1)]
+    space = projective_points(f, 4)
+    coords = np.array(space)
+    on = _form(f, quadric, coords, coords) == 0
+    return _quadrangle(f, "q4", [p for p, z in zip(space, on) if z], polar)
 
 
 # -- geometry interchange files --

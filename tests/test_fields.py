@@ -1,17 +1,18 @@
+import copy
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gqupir.fields import (
     GF,
+    MAX_ORDER,
     NotAPrimePowerError,
     UnsupportedOrderError,
     ZeroVectorError,
     field,
     normalize_point,
     projective_points,
-    vec_add,
-    vec_scale,
 )
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9]
@@ -24,12 +25,24 @@ def test_order_validation():
     for bad in (0, 1, -4):
         with pytest.raises(NotAPrimePowerError):
             GF(bad)
-    for unsupported in (16, 25, 27, 32, 49, 81):
+    # every prime power up to the cap constructs; above it nothing does,
+    # and the cap is checked before factoring (2^61 - 1 is prime)
+    for q in (16, 25, 27, 32, 49, 81):
+        assert GF(q).q == q
+    for unsupported in (MAX_ORDER + 1, 1000003, 2 ** 61 - 1):
         with pytest.raises(UnsupportedOrderError):
             GF(unsupported)
-    # larger primes are allowed
     assert GF(11).q == 11
     assert GF(13).inv(2) == 7
+
+
+def test_moduli_of_small_prime_powers():
+    # the search reproduces the polynomials once listed by hand, constant
+    # term first: x^2+x+1, x^3+x+1, x^2+1; a prime field is GF(p)[x]/(x)
+    assert GF(4).modulus == (1, 1, 1)
+    assert GF(8).modulus == (1, 1, 0, 1)
+    assert GF(9).modulus == (1, 0, 1)
+    assert GF(7).modulus == (0, 1)
 
 
 def test_prime_arith_values():
@@ -40,6 +53,11 @@ def test_prime_arith_values():
     assert f.sub(1, 3) == 5
     assert GF(2).add(1, 1) == 0
     assert GF(5).neg(2) == 3
+    # a prime field's tables are modular arithmetic
+    for q in (2, 3, 5, 7, 11, 13, 251):
+        f, a = GF(q), np.arange(q)
+        assert (f.add_table == (a[:, None] + a) % q).all()
+        assert (f.mul_table == a[:, None] * a % q).all()
 
 
 def test_gf4_table_values():
@@ -81,6 +99,21 @@ def test_axiom_sweep_all_supported():
         assert GF(q).check_axioms()
 
 
+@pytest.mark.parametrize("q", [16, 25, 27, 32, 49, 64, 81, 128, 243, 256])
+def test_axiom_sweep_large_prime_powers(q):
+    assert GF(q).check_axioms()
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_axiom_sweep_rejects_a_changed_entry(table):
+    f = copy.copy(GF(9))
+    changed = getattr(f, table).copy()
+    changed[4, 4] = (changed[4, 4] + 1) % 9  # symmetric, so commutativity holds
+    setattr(f, table, changed)
+    with pytest.raises(AssertionError):
+        f.check_axioms()
+
+
 def test_field_cache():
     assert field(3) is field(3)
     assert field(3) == GF(3)
@@ -107,7 +140,8 @@ def test_normalize_scale_invariance_exhaustive():
             canon = normalize_point(f, v)
             assert canon[next(i for i, a in enumerate(canon) if a)] == 1
             for c in range(1, q):
-                assert normalize_point(f, vec_scale(f, c, v)) == canon
+                scaled = tuple(f.mul(c, a) for a in v)
+                assert normalize_point(f, scaled) == canon
 
 
 def test_normalize_idempotent():
@@ -143,8 +177,3 @@ def test_projective_points_cover_all_directions():
             seen.add(c)
     assert seen == pts
 
-
-def test_vec_helpers():
-    f = GF(5)
-    assert vec_add(f, (1, 2, 3), (4, 4, 4)) == (0, 1, 2)
-    assert vec_scale(f, 2, (1, 2, 3)) == (2, 4, 1)

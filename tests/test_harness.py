@@ -29,8 +29,35 @@ def test_construct_and_verify_round_trip(tmp_path, capsys):
 def test_construct_bad_order_is_config_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run_cli("construct", "--family", "w3", "--q", "6", "--out", str(out)) == 2
-    assert run_cli("construct", "--family", "w3", "--q", "16", "--out", str(out)) == 2
+    assert run_cli("construct", "--family", "w3", "--q", "257", "--out", str(out)) == 2
+    # a huge order stops at the field-order cap, before any point is built
+    assert run_cli("construct", "--family", "pg2", "--q", "1000003",
+                   "--out", str(out)) == 2
     assert not out.exists()
+
+
+# SHA-256 of construct's geometry file for orders past the brute-force
+# builder oracle of test_geometry.py.  A change to any of these files must
+# show up here and be recorded as such.
+GOLDEN_GEOMETRY = {
+    ("pg2", 4): "1cf7db9df0e09b2828dd80b94503e58916f44c917b9456a960e4d1015b922b6e",
+    ("pg2", 9): "38eaaf1c7b56248c1dea1bb70e7e54b4e6536299d34942f5d5adee39afcc4118",
+    ("w3", 7): "d01c4c11226659956547806d943bf041e01bafe7c94bbc4fb569abd2d8c98573",
+    ("w3", 8): "da87146167c808a458de0eca18567b65caf49442cf02ff23cd84258640cd2f1d",
+    ("w3", 9): "2ea13b696ff7d0816dab02c9a9d13d52e016b2aab2537ba78c4cda4041eafb7a",
+    ("q4", 7): "dc70c344b72d0c38661abd1094cc204969a88fa0b7ffc7d0cc94e6de2d182c35",
+    ("q4", 8): "748974d0558c188d83beb6d5e71a2657e76a171c9dca2dd25912a12ba6241e09",
+    ("q4", 9): "8be23005ff445553cc6a7390d2a3e64c8153cc8f08f44810b56603aff486f009",
+}
+
+
+@pytest.mark.parametrize("family,q", list(GOLDEN_GEOMETRY))
+def test_construct_file_matches_golden_digest(tmp_path, capsys, family, q):
+    out = tmp_path / "geom.json"
+    assert run_cli("construct", "--family", family, "--q", str(q),
+                   "--out", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_GEOMETRY[family, q]
 
 
 def test_verify_rejects_tampered_file(tmp_path, capsys):
