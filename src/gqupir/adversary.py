@@ -50,8 +50,9 @@ from .upir import (
     DB_REQUEST,
     WRITE_REQUEST,
     QueryWorkload,
+    Transcript,
     _draw_queries,
-    _query_events,
+    _query_bodies,
     access,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
@@ -419,16 +420,19 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
 
     topic_sources maps topic -> source user.  Each topic gets its own
     deterministic substream of the seed, so results do not depend on which
-    other topics are present.  Events are built and fed to the tracker only
-    for the queries it can act on (CoalitionTracker.sees).  on_step, when
-    given, is called after each query that changed the topic's candidate
-    set, as on_step(topic, queries_so_far, candidates); the set it receives
-    is live tracker state, to be read and not kept.  log, when given, is a
-    list that receives every event of every topic, topic after topic: each
-    stream then runs to the cap, while the tracker still stops reading it at
-    convergence.  Returns {topic: CandidateState}.
+    other topics are present.  The tracker is fed only the queries it can
+    act on (CoalitionTracker.sees), as bodies interned once per distinct
+    route of a stream.  on_step, when given, is called after each query
+    that changed the topic's candidate set, as on_step(topic,
+    queries_so_far, candidates); the set it receives is live tracker state,
+    to be read and not kept.  log, when given, is a upir.Transcript that
+    receives every event of every topic, topic after topic, each stream
+    numbered from seq 0: each stream then runs to the cap, while the
+    tracker still stops reading it at convergence.  Returns {topic:
+    CandidateState}.
     """
     out = {}
+    store = Transcript(system, protocol, seed, (), {}) if log is None else log
     topics = sorted(topic_sources)
     children = np.random.SeedSequence(seed).spawn(len(topics))
     for topic, child in zip(topics, children):
@@ -441,17 +445,23 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
         rounds = queries_cap
         converged = False
         queries = _draw_queries(system, source, queries_cap, rng)
-        for qi, (seq, proxy, route) in enumerate(queries):
+        routes = {}  # route -> body ids of its query's events in store
+        bodies, lengths = [], []
+        for qi, (_, proxy, route) in enumerate(queries):
             seen = not converged and tracker.sees(proxy, route)
             if not seen and log is None:
                 continue
-            events = _query_events(workload, seq, qi, proxy, route)
+            ids = routes.get(route)
+            if ids is None:
+                ids = routes[route] = tuple(map(
+                    store.intern, _query_bodies(workload, proxy, route)))
             if log is not None:
-                log.extend(events)
+                bodies.extend(ids)
+                lengths.append(len(ids))
             if not seen:
                 continue
             before = len(tracker._live(topic))
-            tracker.feed(events)
+            tracker.feed(map(store.bodies.__getitem__, ids))
             cand = tracker._live(topic)
             if on_step is not None and len(cand) != before:
                 on_step(topic, qi + 1, cand)
@@ -460,6 +470,9 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                 converged = True
                 if log is None:
                     break
+        if log is not None:
+            log.extend(np.arange(len(bodies)), bodies,
+                       np.repeat(np.arange(len(lengths)), lengths))
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
     return out
@@ -467,18 +480,20 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
 
 def empirical_infer(transcript, coalition, analytic=None, relay_metadata=False):
     """Batch inference over a finished transcript.  Uses the transcript's
-    protocol; rounds_observed is the total query count in the log."""
+    protocol; rounds_observed is the total query count in the log.  Only
+    the events in a space some member holds are fed to the tracker, as
+    their bodies: observe() returns at once on any other."""
     protocol = transcript.protocol
     if protocol not in (1, 2):
         raise ValueError("transcript does not carry a valid protocol")
     tracker = CoalitionTracker(transcript.system, coalition, protocol,
                                analytic=analytic,
                                relay_metadata=relay_metadata)
-    rounds = 0
-    for ev in transcript.events:
-        if ev.kind == DB_REQUEST:
-            rounds += 1
-        tracker.observe(ev)
+    watched = transcript.body_mask(lambda b: b.space in tracker._watched)
+    tracker.feed(map(transcript.bodies.__getitem__,
+                     transcript.body[watched].tolist()))
+    rounds = int(np.count_nonzero(
+        transcript.body_mask(lambda b: b.kind == DB_REQUEST)))
     return {
         t: CandidateState(t, tracker.candidates(t), rounds, tracker.converged(t))
         for t in tracker.topics()

@@ -62,6 +62,8 @@ def resolve_coalition(geom, explicit, size, placement, seed):
     if explicit is not None:
         if size is not None:
             raise ValueError("give --coalition or --coalition-size, not both")
+        if not explicit:
+            raise ValueError("coalition must have at least one member")
         members = tuple(sorted(set(explicit)))
         if len(members) != len(explicit):
             raise ValueError("coalition members must be distinct")
@@ -130,10 +132,11 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
     sources = {
         f"t{i:0{pad}d}": int(rng.choice(eligible)) for i in range(n_topics)
     }
-    events = None if transcript_prefix is None else []
+    log = None if transcript_prefix is None else Transcript(
+        system, protocol, seed, (), dict(sources))
     states = converge_topics(system, coalition, protocol, sources, queries,
                              seed, analytic=analytic,
-                             relay_metadata=relay_metadata, log=events)
+                             relay_metadata=relay_metadata, log=log)
     ordered = [states[t] for t in sorted(states)]
     sound = all(st.source in st.candidates for st in ordered)
     conv = [st for st in ordered if st.converged]
@@ -164,27 +167,26 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
         ],
     })
     if transcript_prefix is not None:
-        log, truth = _write_logs(system, protocol, seed, sources, events,
-                                 transcript_prefix)
-        report["transcript"] = log
-        report["ground_truth"] = truth
+        report["transcript"], report["ground_truth"] = _write_logs(
+            log, transcript_prefix)
     return report, sound
 
 
-def _write_logs(system, protocol, seed, sources, events, prefix):
-    """Log every topic's full event stream, topic after topic, with one
-    sequence across the file, and the ground truth beside it."""
-    for seq, ev in enumerate(events):
-        ev.seq = seq
-    combined = Transcript(system, protocol, seed, events, dict(sources))
-    log_path = prefix + ".jsonl"
-    truth_path = prefix + ".truth.json"
-    write_transcript(combined, log_path)
-    write_ground_truth(combined, truth_path)
-    return log_path, truth_path
+def _write_logs(log, prefix):
+    """Write every topic's full event stream, renumbered to one sequence
+    across the file, and the ground truth beside it."""
+    log.seq = np.arange(len(log.seq), dtype=np.int64)
+    write_transcript(log, prefix + ".jsonl")
+    write_ground_truth(log, prefix + ".truth.json")
+    return prefix + ".jsonl", prefix + ".truth.json"
 
 
 def run_sweep(families, qs, protocol, sizes, placements, seed):
+    for flag, values in (("--family", families), ("--q", qs),
+                         ("--coalition-size", sizes),
+                         ("--placement", placements)):
+        if not values:
+            raise ValueError(f"{flag} needs at least one value")
     geoms = []
     for family in families:
         if family == "pg2":

@@ -24,6 +24,7 @@ unreadable, topic None, and the on-disk format keeps ground truth in a
 separate sidecar file.
 """
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -182,13 +183,51 @@ class TranscriptEvent:
     query: int
 
 
-@dataclass
 class Transcript:
-    system: UPIRSystem
-    protocol: int
-    seed: int | None
-    events: list
-    ground_truth: dict
+    """A run's events as columns: seq (int64), body (int32) and query
+    (int32), one entry per event.  body indexes bodies, the distinct events
+    without seq and query, each a TranscriptEvent with seq and query -1.
+    The constructor interns an iterable of events; events builds an equal
+    list on each access and never stores it."""
+
+    def __init__(self, system, protocol, seed, events, ground_truth):
+        self.system = system
+        self.protocol = protocol
+        self.seed = seed
+        self.ground_truth = ground_truth
+        self.bodies = []
+        self._ids = {}  # body fields -> body id
+        events = list(events)  # each column below walks it
+        self.seq = np.array([ev.seq for ev in events], np.int64)
+        self.body = np.array([self.intern((
+            ev.kind, ev.space, ev.path, ev.proxy, ev.topic, ev.visibility,
+            ev.writer)) for ev in events], np.int32)
+        self.query = np.array([ev.query for ev in events], np.int32)
+
+    def intern(self, fields):
+        """The id of the body with these fields, added if new."""
+        i = self._ids.get(fields)
+        if i is None:
+            i = self._ids[fields] = len(self.bodies)
+            self.bodies.append(TranscriptEvent(-1, *fields, -1))
+        return i
+
+    def extend(self, seq, body, query):
+        """Append events given as three columns."""
+        self.seq = np.concatenate((self.seq, np.asarray(seq, np.int64)))
+        self.body = np.concatenate((self.body, np.asarray(body, np.int32)))
+        self.query = np.concatenate((self.query, np.asarray(query, np.int32)))
+
+    @property
+    def events(self):
+        fields = list(self._ids)
+        return [TranscriptEvent(s, *fields[b], q) for s, b, q in zip(
+            self.seq.tolist(), self.body.tolist(), self.query.tolist())]
+
+    def body_mask(self, keep):
+        """Per event, whether keep(its body) holds; one call per body."""
+        return np.fromiter(map(keep, self.bodies), bool,
+                           len(self.bodies))[self.body]
 
 
 def _as_rng(seed_or_rng):
@@ -273,31 +312,27 @@ def _draw_queries(system, source, count, rng):
         seq += len(route) + 1
 
 
-def _query_events(workload, seq, qi, proxy, route):
-    """The events of query qi, numbered from seq: a write request per hop,
-    the database request and response, then a write response per hop back.
-    route is as _draw_queries yields it."""
+def _query_bodies(workload, proxy, route):
+    """The bodies of one query's events, in order, as Transcript.intern
+    takes them: a write request per hop, the database request and response,
+    then a write response per hop back.  route is as _draw_queries yields
+    it."""
     topic = workload.topic
     vis = ALL_READERS if workload.protocol == 1 else PROXY_ONLY
     hops = 0 if route is None else len(route) // 2
-    events = [
-        TranscriptEvent(seq + j, WRITE_REQUEST, route[2 * j + 1],
-                        route[2 * j + 2:], proxy, topic, vis, route[2 * j], qi)
-        for j in range(hops)
-    ]
-    seq += hops
-    events.append(TranscriptEvent(seq, DB_REQUEST, None, (), proxy, topic,
-                                  ALL_READERS, proxy, qi))
-    events.append(TranscriptEvent(seq + 1, DB_RESPONSE, None, (), proxy, topic,
-                                  ALL_READERS, proxy, qi))
-    seq += 2
-    events.extend(
-        TranscriptEvent(seq + i, WRITE_RESPONSE, route[2 * j + 1],
-                        route[2 * j + 2:], proxy, topic, vis, route[2 * j + 2],
-                        qi)
-        for i, j in enumerate(reversed(range(hops)))
-    )
-    return events
+    return (
+        [(WRITE_REQUEST, route[2 * j + 1], route[2 * j + 2:], proxy, topic,
+          vis, route[2 * j]) for j in range(hops)]
+        + [(kind, None, (), proxy, topic, ALL_READERS, proxy)
+           for kind in (DB_REQUEST, DB_RESPONSE)]
+        + [(WRITE_RESPONSE, route[2 * j + 1], route[2 * j + 2:], proxy, topic,
+            vis, route[2 * j + 2]) for j in reversed(range(hops))])
+
+
+def _query_events(workload, seq, qi, proxy, route):
+    """The events of query qi, numbered from seq."""
+    return [TranscriptEvent(seq + i, *body, qi) for i, body in
+            enumerate(_query_bodies(workload, proxy, route))]
 
 
 def iter_protocol_events(system, workload, rng):
@@ -334,8 +369,8 @@ def run_protocol(system, workload, seed_or_rng):
             f"user pair {far} at distance {system.user_distance(*far)} > 2"
         )
     rng, seed = _as_rng(seed_or_rng)
-    events = list(iter_protocol_events(system, workload, rng))
-    return Transcript(system, workload.protocol, seed, events,
+    return Transcript(system, workload.protocol, seed,
+                      iter_protocol_events(system, workload, rng),
                       {workload.topic: workload.source})
 
 
@@ -391,22 +426,15 @@ def external_view(transcript):
 
 
 _WRITE_CHUNK = 4096  # lines per write call
-# a line as write_transcript writes it: the seq in ASCII digits without a
-# leading zero, then the rest of the object
-_CANONICAL_LINE = re.compile(rb'\{"seq": (0|[1-9][0-9]*), (.*)', re.DOTALL)
+_READ_CHUNK = 1 << 20  # bytes per read call
+# lines as write_transcript writes them: the seq in at most 18 ASCII digits
+# without a leading zero, so that it fits an int64, then the rest
+_CANONICAL_LINES = re.compile(rb'^\{"seq": (0|[1-9][0-9]{0,17}), (.*)$', re.M)
 _JSON = json.JSONDecoder()
 _EVENT_KEYS = frozenset(("kind", "space", "path", "proxy", "topic",
                          "visibility"))
 _EVENT_KINDS = (WRITE_REQUEST, WRITE_RESPONSE, DB_REQUEST, DB_RESPONSE)
 _VISIBILITIES = (ALL_READERS, PROXY_ONLY)
-
-
-class _Quoted(dict):
-    """JSON string literals, each computed once."""
-
-    def __missing__(self, text):
-        quoted = self[text] = json.dumps(text)
-        return quoted
 
 
 def write_transcript(transcript, path):
@@ -415,27 +443,23 @@ def write_transcript(transcript, path):
 
         {"seq": 0, "kind": "db_request", "space": null, "path": [], ...}
 
-    Ground truth is deliberately absent; see write_ground_truth.  Strings go
-    through json.dumps once per distinct value, and lines are written in
+    Ground truth is deliberately absent; see write_ground_truth.  The text
+    after the seq is formatted once per body, and lines are written in
     chunks of _WRITE_CHUNK."""
-    quoted = _Quoted()
-    routes = {}
-    chunk = []
+    quoted = functools.cache(json.dumps)
+    texts = [
+        f'"kind": {quoted(b.kind)}, '
+        f'"space": {"null" if b.space is None else b.space}, '
+        f'"path": [{", ".join(map(str, b.path))}], "proxy": {b.proxy}, '
+        f'"topic": {quoted(b.topic)}, "visibility": {quoted(b.visibility)}}}\n'
+        for b in transcript.bodies]
     with open(path, "w") as fh:
-        for ev in transcript.events:
-            route = routes.get(ev.path)
-            if route is None:
-                route = routes[ev.path] = ", ".join(map(str, ev.path))
-            space = "null" if ev.space is None else ev.space
-            chunk.append(
-                f'{{"seq": {ev.seq}, "kind": {quoted[ev.kind]}, '
-                f'"space": {space}, "path": [{route}], "proxy": {ev.proxy}, '
-                f'"topic": {quoted[ev.topic]}, '
-                f'"visibility": {quoted[ev.visibility]}}}\n')
-            if len(chunk) == _WRITE_CHUNK:
-                fh.writelines(chunk)
-                chunk.clear()
-        fh.writelines(chunk)
+        for i in range(0, len(transcript.seq), _WRITE_CHUNK):
+            part = slice(i, i + _WRITE_CHUNK)
+            fh.write("".join([
+                f'{{"seq": {seq}, {texts[body]}' for seq, body in
+                zip(transcript.seq[part].tolist(),
+                    transcript.body[part].tolist())]))
 
 
 def write_ground_truth(transcript, path):
@@ -449,51 +473,88 @@ def write_ground_truth(transcript, path):
         fh.write("\n")
 
 
-def read_transcript(path, system, ground_truth_path=None):
-    """Load a transcript log (and optionally its sidecar).  Writer and query
-    ordinals are not in the file; events come back with writer=None.
+class _BodyIds(dict):
+    """The rest of a canonical line -> its body id in a transcript; each
+    distinct rest is parsed, checked and interned once."""
 
-    A line as write_transcript writes it is split into its '{"seq": N, '
-    prefix and the rest, and each distinct rest is parsed and checked once.
-    Any other line (keys reordered, other spacing) is parsed whole.  Blank
-    lines are skipped.  A malformed line raises ValueError naming the file
-    and line: invalid JSON, a missing, extra or ill-typed field, an unknown
-    kind or visibility, a space that is not null exactly for database
-    events, or a user or space id out of range for the system.
+    def __init__(self, transcript):
+        self.transcript = transcript
+
+    def __missing__(self, rest):
+        fields = _event_fields(_load_object(b"{" + rest),
+                               self.transcript.system)
+        i = self[rest] = self.transcript.intern(fields)
+        return i
+
+
+def read_transcript(path, system, ground_truth_path=None):
+    """Load a transcript log, and optionally its sidecar, into a Transcript
+    whose bodies have writer None and whose events have query -1.
+
+    The file is read in chunks of whole lines, about _READ_CHUNK bytes each.
+    A chunk of lines as write_transcript writes them is split at once into
+    seqs and rests, and each distinct rest is parsed, checked and interned
+    once.  Any other chunk is read line by line: a line with another key
+    order or spacing is parsed whole, and a blank line is skipped.  A
+    malformed line raises ValueError naming the file and line: invalid
+    JSON, a missing, extra or ill-typed field, a seq outside 0..2**63-1, an
+    unknown kind or visibility, a space that is not null exactly for
+    database events, or a user or space id out of range for the system.
     """
-    events = []
-    parsed = {}
-    make = TranscriptEvent
-    canonical = _CANONICAL_LINE.match
+    transcript = Transcript(system, 0, None, (), {})
+    ids = _BodyIds(transcript)
+    lineno, tail = 0, b""  # lines before the chunk, and a line begun in it
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
+        while True:
+            block = fh.read(_READ_CHUNK)
+            text = tail + block
+            cut = text.rfind(b"\n") + 1 if block else len(text)
+            text, tail = text[:cut], text[cut:]
+            n = text.count(b"\n") + (text[-1:] not in (b"", b"\n"))
+            # a chunk of canonical lines splits into '', seq, rest, '\n',
+            # seq, rest, ...; any other chunk, or one with a rest that fails
+            # its checks, is read again line by line
+            parts = _CANONICAL_LINES.split(text)
             try:
-                m = canonical(line)
-                if m is not None:
-                    digits, rest = m.groups()
-                    fields = parsed.get(rest)
-                    if fields is None:
-                        fields = parsed[rest] = _event_fields(
-                            _load_object(b"{" + rest), system)
-                    events.append(make(int(digits), *fields))
-                    continue
-                if not line.strip():
-                    continue
+                if len(parts) != 3 * n + 1:
+                    raise ValueError
+                seq = list(map(int, parts[1::3]))
+                body = list(map(ids.__getitem__, parts[2::3]))
+            except ValueError:
+                seq, body = _read_lines(text, n, lineno, path, ids)
+            transcript.extend(seq, body, np.full(len(seq), -1))
+            lineno += n
+            if not block:
+                break
+    if ground_truth_path is not None:
+        (transcript.ground_truth, transcript.protocol,
+         transcript.seed) = _read_sidecar(ground_truth_path, system)
+    return transcript
+
+
+def _read_lines(text, n, lineno, path, ids):
+    """The seq and body id columns of the n lines of text, one at a time."""
+    seqs, bodies = [], []
+    for lineno, line in enumerate(text.split(b"\n")[:n], lineno + 1):
+        try:
+            m = _CANONICAL_LINES.fullmatch(line)
+            if m is not None:
+                seqs.append(int(m[1]))
+                bodies.append(ids[m[2]])
+            elif line.strip():
                 d = _load_object(line)
                 if "seq" not in d:
                     raise ValueError("missing 'seq'")
                 seq = d.pop("seq")
-                if type(seq) is not int or seq < 0:
-                    raise ValueError("'seq' must be a non-negative integer")
-                events.append(make(seq, *_event_fields(d, system)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    truth = {}
-    protocol = 0
-    seed = None
-    if ground_truth_path is not None:
-        truth, protocol, seed = _read_sidecar(ground_truth_path, system)
-    return Transcript(system, protocol, seed, events, truth)
+                if type(seq) is not int or not 0 <= seq < 1 << 63:
+                    raise ValueError("'seq' must be a non-negative integer "
+                                     "below 2**63")
+                bodies.append(ids.transcript.intern(
+                    _event_fields(d, ids.transcript.system)))
+                seqs.append(seq)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return seqs, bodies
 
 
 def _read_sidecar(path, system):
@@ -526,8 +587,8 @@ def _load_object(text):
 
 
 def _event_fields(d, system):
-    """The checked fields of one event after seq, as TranscriptEvent takes
-    them: kind, space, path, proxy, topic, visibility, writer, query."""
+    """The checked fields of one event after seq, as Transcript.intern
+    takes them: kind, space, path, proxy, topic, visibility, writer."""
     if d.keys() != _EVENT_KEYS:
         raise ValueError("; ".join(
             [f"missing {k!r}" for k in sorted(_EVENT_KEYS - d.keys())] +
@@ -556,7 +617,7 @@ def _event_fields(d, system):
             raise ValueError(f"'path' entry {i} must be a "
                              f"{('user', 'space')[i % 2]} id "
                              f"in 0..{bounds[i % 2] - 1}")
-    return kind, space, tuple(route), proxy, topic, vis, None, -1
+    return kind, space, tuple(route), proxy, topic, vis, None
 
 
 def _is_id(x, bound):
@@ -568,11 +629,10 @@ def _is_id(x, bound):
 
 def proxy_counts(transcript):
     """Per-user count of database requests they proxied."""
-    counts = np.zeros(transcript.system.n_users, dtype=np.int64)
-    for ev in transcript.events:
-        if ev.kind == DB_REQUEST:
-            counts[ev.proxy] += 1
-    return counts
+    proxies = np.array([b.proxy for b in transcript.bodies], np.int64)
+    requests = transcript.body_mask(lambda b: b.kind == DB_REQUEST)
+    return np.bincount(proxies[transcript.body[requests]],
+                       minlength=transcript.system.n_users)
 
 
 def proxy_uniformity(transcript):

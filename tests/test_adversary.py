@@ -26,13 +26,17 @@ from gqupir.adversary import (
     security_margin,
 )
 from gqupir.upir import (
+    DB_REQUEST,
     QueryWorkload,
+    Transcript,
     UPIRSystem,
     _draw_queries,
     _query_events,
     iter_protocol_events,
     observer_view,
+    read_transcript,
     run_protocol,
+    write_transcript,
 )
 
 from conftest import get_gq, get_plane
@@ -233,7 +237,7 @@ def test_converge_topics_log_holds_every_stream_to_the_cap(protocol):
     sources = {"a": 5, "b": 22, "c": 31}
     plain = converge_topics(sys_, coalition, protocol, sources, 300, seed=4,
                             analytic=part)
-    log = []
+    log = Transcript(sys_, protocol, None, [], {})
     logged = converge_topics(sys_, coalition, protocol, sources, 300, seed=4,
                              analytic=part, log=log)
     assert logged == plain
@@ -248,7 +252,7 @@ def test_converge_topics_log_holds_every_stream_to_the_cap(protocol):
             sys_, QueryWorkload(sources[topic], topic, 300, protocol=protocol),
             np.random.default_rng(child)).events
     ]
-    assert log == expected
+    assert log.events == expected
 
 
 def reference_converge(system, coalition, protocol, topic_sources, cap, seed,
@@ -296,11 +300,16 @@ GEOMETRIES = {
 
 
 @st.composite
-def tracking_runs(draw):
-    name = draw(st.sampled_from(sorted(GEOMETRIES)))
+def tracking_runs(draw, name=None, protocol=None, relay_metadata=None):
+    """A tracking run; the geometry, protocol and relay_metadata are drawn
+    unless given."""
+    if name is None:
+        name = draw(st.sampled_from(sorted(GEOMETRIES)))
     n = GEOMETRIES[name]().n_points
-    protocol = draw(st.sampled_from([1, 2]))
-    relay_metadata = draw(st.booleans())
+    if protocol is None:
+        protocol = draw(st.sampled_from([1, 2]))
+    if relay_metadata is None:
+        relay_metadata = draw(st.booleans())
     coalition = tuple(sorted(draw(st.sets(st.integers(0, n - 1),
                                           min_size=1, max_size=3))))
     others = [u for u in range(n) if u not in coalition]
@@ -328,7 +337,7 @@ def test_converge_topics_matches_feeding_every_event(run):
         system, run["coalition"], protocol, run["sources"], run["cap"],
         run["seed"], analytic=analytic, relay_metadata=run["relay_metadata"])
     steps = {topic: [] for topic in run["sources"]}
-    log = [] if run["log"] else None
+    log = Transcript(system, protocol, None, [], {}) if run["log"] else None
     got = converge_topics(
         system, run["coalition"], protocol, run["sources"], run["cap"],
         run["seed"], analytic=analytic, relay_metadata=run["relay_metadata"],
@@ -339,12 +348,14 @@ def test_converge_topics_matches_feeding_every_event(run):
     # on_step fires after exactly the queries that changed the set
     assert steps == changes
     if log is not None:
-        assert log == everything
+        assert log.events == everything
 
 
 @pytest.mark.parametrize("log", [None, []])
 @pytest.mark.parametrize("cap", [0, -3])
 def test_converge_topics_rejects_empty_workload(log, cap):
+    if log is not None:
+        log = Transcript(w33_system(), 2, None, log, {})
     with pytest.raises(ValueError, match="count"):
         converge_topics(w33_system(), (0,), 2, {"t": 5}, cap, seed=1, log=log)
 
@@ -352,6 +363,8 @@ def test_converge_topics_rejects_empty_workload(log, cap):
 @pytest.mark.parametrize("log", [None, []])
 @pytest.mark.parametrize("source", [-1, 40])
 def test_converge_topics_rejects_source_out_of_range(log, source):
+    if log is not None:
+        log = Transcript(w33_system(), 2, None, log, {})
     with pytest.raises(ValueError, match="out of range"):
         converge_topics(w33_system(), (0,), 2, {"t": source}, 10, seed=1,
                         log=log)
@@ -464,6 +477,47 @@ def test_empirical_infer_transcript():
     states = empirical_infer(tr, (5,), analytic=part)
     assert states["topic"].rounds_observed == 4000
     assert states["topic"].candidates == part.class_of(u)
+
+
+def reference_infer(transcript, coalition, analytic=None,
+                    relay_metadata=False):
+    """empirical_infer feeding every event of the transcript to observe."""
+    tracker = CoalitionTracker(transcript.system, coalition,
+                               transcript.protocol, analytic=analytic,
+                               relay_metadata=relay_metadata)
+    rounds = 0
+    for ev in transcript.events:
+        rounds += ev.kind == DB_REQUEST
+        tracker.observe(ev)
+    return {t: CandidateState(t, tracker.candidates(t), rounds,
+                              tracker.converged(t))
+            for t in tracker.topics()}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("protocol,relay_metadata",
+                         [(1, False), (1, True), (2, False), (2, True)])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_empirical_infer_matches_feeding_every_event(
+        tmp_path_factory, name, protocol, relay_metadata, data):
+    run = data.draw(tracking_runs(name, protocol, relay_metadata))
+    geom = GEOMETRIES[name]()
+    system = UPIRSystem(geom.base)
+    coalition = run["coalition"]
+    kwargs = {"relay_metadata": relay_metadata, "analytic":
+              analytic_coalition(geom, coalition, protocol)
+              if run["floor"] else None}
+    log = Transcript(system, protocol, None, [], dict(run["sources"]))
+    converge_topics(system, coalition, protocol, run["sources"], run["cap"],
+                    run["seed"], log=log)
+    path = tmp_path_factory.mktemp("infer") / "log.jsonl"
+    write_transcript(log, path)
+    back = read_transcript(path, system)
+    back.protocol = protocol
+    for tr in log, back:
+        assert (empirical_infer(tr, coalition, **kwargs)
+                == reference_infer(tr, coalition, **kwargs))
 
 
 def test_same_class_sources_indistinguishable():

@@ -316,6 +316,34 @@ def test_sweep_rejects_planes(capsys):
                  "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "w3", "--q", "3", "--protocol", "1"],
+    ["simulate", "--family", "w3", "--q", "3", "--protocol", "2",
+     "--relay-metadata", "--queries", "10", "--seed", "1"],
+], ids=["analyze", "simulate-relay-metadata"])
+def test_empty_coalition_is_config_error(capsys, argv):
+    assert main(argv + ["--coalition", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coalition must have at least one member\n"
+
+
+SWEEP_ARGS = {"--family": "w3", "--q": "3", "--coalition-size": "1",
+              "--placement": "random"}
+
+
+@pytest.mark.parametrize("flag", list(SWEEP_ARGS))
+def test_sweep_rejects_empty_list(capsys, flag):
+    args = dict(SWEEP_ARGS, **{flag: ""})
+    argv = ["sweep", "--protocol", "2", "--seed", "0"]
+    for name, value in args.items():
+        argv += [name, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} needs at least one value\n"
+
+
 def test_library_entry_points_match_cli(tmp_path):
     geom = build_family("w3", 3)
     report, ok = run_analyze(geom, "w3", 3, 2, (0,))

@@ -4,10 +4,13 @@ reference, non-canonical input, and the checks made when a log is read."""
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqupir import upir
+from gqupir.adversary import converge_topics
 from gqupir.upir import (
     ALL_READERS,
     DB_REQUEST,
@@ -19,6 +22,7 @@ from gqupir.upir import (
     Transcript,
     TranscriptEvent,
     UPIRSystem,
+    proxy_counts,
     read_transcript,
     run_protocol,
     write_transcript,
@@ -64,9 +68,19 @@ TOPICS = st.one_of(
 
 @st.composite
 def events(draw):
+    """Random events, ground truth included; about half repeat the body of
+    an earlier one under a new seq and query."""
     n = draw(st.integers(0, 40))
     out = []
     for seq in range(n):
+        new_seq = draw(st.sampled_from((seq, seq + 1000, 10**12 + seq)))
+        query = draw(st.integers(-1, 2**31 - 1))
+        if out and draw(st.booleans()):
+            ev = out[draw(st.integers(0, len(out) - 1))]
+            out.append(TranscriptEvent(new_seq, ev.kind, ev.space, ev.path,
+                                       ev.proxy, ev.topic, ev.visibility,
+                                       ev.writer, query))
+            continue
         kind = draw(st.sampled_from(
             (WRITE_REQUEST, WRITE_RESPONSE, DB_REQUEST, DB_RESPONSE)))
         if kind in (DB_REQUEST, DB_RESPONSE):
@@ -78,10 +92,35 @@ def events(draw):
             if draw(st.booleans()):
                 path = ()
         out.append(TranscriptEvent(
-            draw(st.sampled_from((seq, seq + 1000, 10**12 + seq))), kind,
-            space, path, draw(IDS), draw(TOPICS),
-            draw(st.sampled_from((ALL_READERS, PROXY_ONLY))), None, -1))
+            new_seq, kind, space, path, draw(IDS), draw(TOPICS),
+            draw(st.sampled_from((ALL_READERS, PROXY_ONLY))),
+            draw(st.one_of(st.none(), IDS)), query))
     return out
+
+
+def body(ev):
+    return (ev.kind, ev.space, ev.path, ev.proxy, ev.topic, ev.visibility,
+            ev.writer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evs=events())
+def test_transcript_interns_bodies_and_rebuilds_events(evs):
+    tr = Transcript(w33_system(), 1, None, evs, {})
+    assert tr.events == evs
+    assert Transcript(w33_system(), 1, None, iter(evs), {}).events == evs
+    assert tr.events is not tr.events  # built on each access
+    # one body per distinct event without seq and query, in first-seen order
+    assert [body(b) for b in tr.bodies] == list(dict.fromkeys(map(body, evs)))
+    assert all(b.seq == -1 and b.query == -1 for b in tr.bodies)
+    assert tr.seq.dtype == np.int64 and tr.body.dtype == np.int32
+    assert tr.query.dtype == np.int32
+    # the column count against the loop over events it replaced
+    counts = np.zeros(40, dtype=np.int64)
+    for ev in evs:
+        if ev.kind == DB_REQUEST:
+            counts[ev.proxy] += 1
+    assert proxy_counts(tr).tolist() == counts.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,6 +135,41 @@ def test_writer_matches_reference_and_round_trips(tmp_path_factory, evs):
     back = read_transcript(tmp / "fast.jsonl", sys_)
     assert [observable(ev) for ev in back.events] == [
         observable(ev) for ev in evs]
+
+
+class _CountingEvents:
+    """Stands in for upir.TranscriptEvent and counts the events built."""
+
+    def __init__(self):
+        self.built = 0
+
+    def __call__(self, *fields):
+        self.built += 1
+        return TranscriptEvent(*fields)
+
+
+def test_columns_build_one_event_per_distinct_body(tmp_path, monkeypatch):
+    sys_ = w33_system()
+    sources = {"a": 5, "b": 22}
+    log = tmp_path / "run.jsonl"
+    # 2 x 3000 queries from two sources over 40 users repeat bodies often
+    write_transcript(Transcript(sys_, 1, None, [
+        ev for topic, source in sources.items()
+        for ev in run_protocol(sys_, QueryWorkload(source, topic, 3000),
+                               7).events], {}), log)
+    counting = _CountingEvents()
+    monkeypatch.setattr(upir, "TranscriptEvent", counting)
+    back = read_transcript(log, sys_)
+    assert counting.built == len(back.bodies)
+    counting.built = 0
+    logged = Transcript(sys_, 1, None, [], {})
+    converge_topics(sys_, (0, 13), 1, sources, 3000, seed=2, log=logged)
+    assert counting.built == len(logged.bodies)
+    monkeypatch.undo()
+    for tr in back, logged:
+        events = tr.events
+        assert len(events) > 5 * len(tr.bodies)
+        assert len(tr.bodies) == len(set(map(body, events)))
 
 
 def test_non_canonical_log_reads_back_the_same_events(tmp_path):
@@ -184,6 +258,30 @@ def test_undecodable_line_names_file_and_line(tmp_path):
     log.write_bytes(_with().encode() + b"\n" + bad + b"\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{log}:2: ")):
         read_transcript(log, w33_system())
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 4096, 1 << 20])
+def test_chunk_size_changes_nothing(tmp_path, monkeypatch, chunk):
+    """Chunks of any size, cut inside lines, give the same events and name
+    the same line in an error."""
+    sys_ = w33_system()
+    tr = run_protocol(sys_, QueryWorkload(6, "t", 40), 3)
+    write_transcript(tr, tmp_path / "log.jsonl")
+    lines = (tmp_path / "log.jsonl").read_bytes().split(b"\n")[:-1]
+    d = json.loads(lines[5])
+    lines[5] = json.dumps(dict(reversed(list(d.items())))).encode()
+    lines.insert(9, b"")
+    log = tmp_path / "odd.jsonl"
+    log.write_bytes(b"\n".join(lines))  # no newline after the last line
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n".join(lines[:-1] + [lines[-1][:-1]]) + b"\n")
+    monkeypatch.setattr(upir, "_READ_CHUNK", chunk)
+    back = read_transcript(log, sys_)
+    assert [observable(ev) for ev in back.events] == [
+        observable(ev) for ev in tr.events]
+    with pytest.raises(ValueError,
+                       match="^" + re.escape(f"{bad}:{len(lines)}: invalid")):
+        read_transcript(bad, sys_)
 
 
 def test_good_line_reads(tmp_path):
