@@ -432,6 +432,7 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     CandidateState}.
     """
     out = {}
+    parts = []  # per topic, its seq, body and query columns for log
     store = Transcript(system, protocol, seed, (), {}) if log is None else log
     topics = sorted(topic_sources)
     children = np.random.SeedSequence(seed).spawn(len(topics))
@@ -471,10 +472,12 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                 if log is None:
                     break
         if log is not None:
-            log.extend(np.arange(len(bodies)), bodies,
-                       np.repeat(np.arange(len(lengths)), lengths))
+            parts.append((np.arange(len(bodies)), bodies,
+                          np.repeat(np.arange(len(lengths)), lengths)))
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
+    if parts:
+        log.extend(*zip(*parts))
     return out
 
 

@@ -27,6 +27,7 @@ separate sidecar file.
 import functools
 import json
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +214,11 @@ class Transcript:
         return i
 
     def extend(self, seq, body, query):
-        """Append events given as three columns."""
-        self.seq = np.concatenate((self.seq, np.asarray(seq, np.int64)))
-        self.body = np.concatenate((self.body, np.asarray(body, np.int32)))
-        self.query = np.concatenate((self.query, np.asarray(query, np.int32)))
+        """Append events given as three sequences of column parts; each
+        column is copied once."""
+        self.seq = np.concatenate([self.seq, *seq], dtype=np.int64)
+        self.body = np.concatenate([self.body, *body], dtype=np.int32)
+        self.query = np.concatenate([self.query, *query], dtype=np.int32)
 
     @property
     def events(self):
@@ -426,10 +428,9 @@ def external_view(transcript):
 
 
 _WRITE_CHUNK = 4096  # lines per write call
-_READ_CHUNK = 1 << 20  # bytes per read call
-# lines as write_transcript writes them: the seq in at most 18 ASCII digits
+# a line as write_transcript writes it: the seq in at most 18 ASCII digits
 # without a leading zero, so that it fits an int64, then the rest
-_CANONICAL_LINES = re.compile(rb'^\{"seq": (0|[1-9][0-9]{0,17}), (.*)$', re.M)
+_CANONICAL_LINE = re.compile(rb'\{"seq": (0|[1-9][0-9]{0,17}), (.*)\n?')
 _JSON = json.JSONDecoder()
 _EVENT_KEYS = frozenset(("kind", "space", "path", "proxy", "topic",
                          "visibility"))
@@ -491,70 +492,44 @@ def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log, and optionally its sidecar, into a Transcript
     whose bodies have writer None and whose events have query -1.
 
-    The file is read in chunks of whole lines, about _READ_CHUNK bytes each.
-    A chunk of lines as write_transcript writes them is split at once into
-    seqs and rests, and each distinct rest is parsed, checked and interned
-    once.  Any other chunk is read line by line: a line with another key
-    order or spacing is parsed whole, and a blank line is skipped.  A
-    malformed line raises ValueError naming the file and line: invalid
-    JSON, a missing, extra or ill-typed field, a seq outside 0..2**63-1, an
-    unknown kind or visibility, a space that is not null exactly for
-    database events, or a user or space id out of range for the system.
+    The file is read line by line into the seq and body columns, with no
+    object per line.  A line as write_transcript writes it is split into its
+    seq and the rest, and each distinct rest is parsed, checked and interned
+    once; a line with another key order or spacing is parsed whole, and a
+    blank line is skipped.  A malformed line raises ValueError naming the
+    file and line: invalid JSON, a missing, extra or ill-typed field, a seq
+    outside 0..2**63-1, an unknown kind or visibility, a space that is not
+    null exactly for database events, or a user or space id out of range
+    for the system.
     """
     transcript = Transcript(system, 0, None, (), {})
     ids = _BodyIds(transcript)
-    lineno, tail = 0, b""  # lines before the chunk, and a line begun in it
+    seqs, bodies = array("q"), array("i")
+    lineno = 0
     with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_READ_CHUNK)
-            text = tail + block
-            cut = text.rfind(b"\n") + 1 if block else len(text)
-            text, tail = text[:cut], text[cut:]
-            n = text.count(b"\n") + (text[-1:] not in (b"", b"\n"))
-            # a chunk of canonical lines splits into '', seq, rest, '\n',
-            # seq, rest, ...; any other chunk, or one with a rest that fails
-            # its checks, is read again line by line
-            parts = _CANONICAL_LINES.split(text)
-            try:
-                if len(parts) != 3 * n + 1:
-                    raise ValueError
-                seq = list(map(int, parts[1::3]))
-                body = list(map(ids.__getitem__, parts[2::3]))
-            except ValueError:
-                seq, body = _read_lines(text, n, lineno, path, ids)
-            transcript.extend(seq, body, np.full(len(seq), -1))
-            lineno += n
-            if not block:
-                break
+        try:
+            for lineno, line in enumerate(fh, 1):
+                m = _CANONICAL_LINE.fullmatch(line)
+                if m is not None:
+                    seqs.append(int(m[1]))
+                    bodies.append(ids[m[2]])
+                elif line.strip():
+                    d = _load_object(line)
+                    if "seq" not in d:
+                        raise ValueError("missing 'seq'")
+                    seq = d.pop("seq")
+                    if type(seq) is not int or not 0 <= seq < 1 << 63:
+                        raise ValueError("'seq' must be a non-negative "
+                                         "integer below 2**63")
+                    bodies.append(transcript.intern(_event_fields(d, system)))
+                    seqs.append(seq)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    transcript.extend([seqs], [bodies], [np.full(len(seqs), -1)])
     if ground_truth_path is not None:
         (transcript.ground_truth, transcript.protocol,
          transcript.seed) = _read_sidecar(ground_truth_path, system)
     return transcript
-
-
-def _read_lines(text, n, lineno, path, ids):
-    """The seq and body id columns of the n lines of text, one at a time."""
-    seqs, bodies = [], []
-    for lineno, line in enumerate(text.split(b"\n")[:n], lineno + 1):
-        try:
-            m = _CANONICAL_LINES.fullmatch(line)
-            if m is not None:
-                seqs.append(int(m[1]))
-                bodies.append(ids[m[2]])
-            elif line.strip():
-                d = _load_object(line)
-                if "seq" not in d:
-                    raise ValueError("missing 'seq'")
-                seq = d.pop("seq")
-                if type(seq) is not int or not 0 <= seq < 1 << 63:
-                    raise ValueError("'seq' must be a non-negative integer "
-                                     "below 2**63")
-                bodies.append(ids.transcript.intern(
-                    _event_fields(d, ids.transcript.system)))
-                seqs.append(seq)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return seqs, bodies
 
 
 def _read_sidecar(path, system):
