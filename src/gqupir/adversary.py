@@ -271,7 +271,6 @@ class CoalitionTracker:
         self._watched = frozenset(
             m for c in self.coalition for m in system.spaces_of(c))
         self._topics = {}
-        self._far = {}
         self._single_topic = None
         self._pending_meta = []
 
@@ -294,10 +293,6 @@ class CoalitionTracker:
         else:
             st.checked_result = k == 1
         return st.checked_result
-
-    def state(self, topic):
-        return CandidateState(topic, self.candidates(topic), -1,
-                              self.converged(topic))
 
     def observe(self, event):
         """Pass the event to _ingest for each member that sees it, with
@@ -391,12 +386,8 @@ class CoalitionTracker:
                         cand.intersection_update(hood | {missing})
 
     def _far_set(self, m):
-        far = self._far.get(m)
-        if far is None:
-            row = self.system.distance_row(m)
-            far = frozenset(u for u, d in enumerate(row) if d >= 2)
-            self._far[m] = far
-        return far
+        """The users at distance 2 or more from m."""
+        return frozenset(np.flatnonzero(self.system.distances[m] >= 2).tolist())
 
     def _arrival_rules(self, st, m, space):
         arr = st.arrivals.setdefault(m, {})

@@ -107,12 +107,29 @@ def _emit(report, out):
             write_json(report, fh)
 
 
+def _read_geom(path):
+    """(geometry, family, q) from a geometry file, verified as its family.
+    Every order field the file carries must match, None meaning null: a
+    plane of order q has s = q and no t, and q names a quadrangle's order
+    only when s == t."""
+    gf = load_geometry(path)
+    geom = Geometry.from_structure(gf.structure, gf.family)
+    s, t = geom.s, geom.t
+    want = {"q": s if t in (None, s) else None, "s": s, "t": t}
+    wrong = [f"{k}={v}" for k, v in (("q", gf.q), ("s", gf.s), ("t", gf.t))
+             if v is not None and v != want[k]]
+    if wrong:
+        have = f"q={s}" if t is None else f"order ({s},{t})"
+        raise AxiomViolation(
+            f"file claims {', '.join(wrong)}, structure has {have}")
+    return geom, gf.family, gf.q
+
+
 def _load_geom(args):
     if args.infile is not None:
         if args.family is not None or args.q is not None:
             raise ValueError("give --in or --family/--q, not both")
-        gf = load_geometry(args.infile)
-        return Geometry.from_structure(gf.structure, gf.family), gf.family, gf.q
+        return _read_geom(args.infile)
     if args.family is None or args.q is None:
         raise ValueError("need --family and --q (or --in)")
     return build_family(args.family, args.q), args.family, args.q
@@ -129,21 +146,9 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
-    gf = load_geometry(args.infile)
-    geom = Geometry.from_structure(gf.structure, gf.family)
+    geom, family, _ = _read_geom(args.infile)
     s, t = geom.s, geom.t
-    # every order field the file carries must match, None meaning null: a
-    # plane of order q has s = q and no t, and q names a quadrangle's order
-    # only when s == t
-    want = {"q": s if t in (None, s) else None, "s": s, "t": t}
-    wrong = [f"{k}={v}" for k, v in (("q", gf.q), ("s", gf.s), ("t", gf.t))
-             if v is not None and v != want[k]]
-    if wrong:
-        have = f"q={s}" if t is None else f"order ({s},{t})"
-        print(f"invalid: file claims {', '.join(wrong)}, structure has {have}",
-              file=sys.stderr)
-        return 1
-    report = {"command": "verify", "family": gf.family, "valid": True}
+    report = {"command": "verify", "family": family, "valid": True}
     report.update({"q": s} if t is None else {"s": s, "t": t})
     write_json(report, sys.stdout)
     return 0

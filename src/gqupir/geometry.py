@@ -472,9 +472,13 @@ def load_geometry(path):
     IncidenceStructure constructor.  A missing or ill-typed ``points`` or
     ``blocks`` field, a ``family`` that is not a string, or a ``q``, ``s``
     or ``t`` that is neither an integer nor null raises ValueError naming
-    it.  JSON booleans are not integers here."""
+    it, as does JSON nested too deep to parse.  JSON booleans are not
+    integers here."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("geometry file nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("geometry file must hold a JSON object")
     points = data.get("points")

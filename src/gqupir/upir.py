@@ -53,8 +53,39 @@ class NotDiameterBoundedError(Exception):
     """Protocol 2 needs every user pair within distance 2."""
 
 
+def _distance_table(neighbors):
+    """User distances, n x n, -1 where a pair cannot reach each other: a
+    breadth-first search from every user at once, 256 sources at a time.
+    The first frontier is the identity; each step multiplies it by the 0/1
+    collinearity matrix (float32, exact for n < 2**24) and keeps the users
+    not reached before.  The dtype holds -n, and distances stay below n."""
+    n = len(neighbors)
+    adj = np.zeros((n, n), np.float32)
+    for x, near in enumerate(neighbors):
+        adj[x, list(near)] = 1
+    dist = np.full((n, n), -1, np.min_scalar_type(-n))
+    for lo in range(0, n, 256):
+        block = dist[lo:lo + 256]  # a view: rows lo.. of the table
+        reach = np.eye(len(block), n, lo, bool)
+        block[reach] = d = 0
+        while reach.any() and (block < 0).any():
+            d += 1
+            reach = (reach.astype(np.float32) @ adj > 0) & (block < 0)
+            block[reach] = d
+    return dist
+
+
+def _first_pair(mask):
+    """The first (u, v) in row-major order where the n x n mask holds, as
+    Python ints, or None."""
+    i = int(mask.argmax())
+    return divmod(i, len(mask)) if mask.flat[i] else None
+
+
 class UPIRSystem:
-    """A connected incidence structure viewed as a messaging system."""
+    """A connected incidence structure viewed as a messaging system.  The
+    constructor builds the n x n table ``distances`` once (O(n^2) memory),
+    and distances, the diameter and routes are read from it."""
 
     def __init__(self, structure):
         self.structure = structure
@@ -62,17 +93,12 @@ class UPIRSystem:
         self.n_spaces = structure.n_blocks
         self._spaces_of = structure.point_to_blocks
         self._neighbors = structure.collinearity()
-        self._dist_rows = {}
         self._paths = {}
-        self._diameter = None
-        self._check_connected()
-
-    def _check_connected(self):
-        row = self.distance_row(0)
-        if -1 in row:
-            missing = row.index(-1)
+        self.distances = _distance_table(self._neighbors)
+        apart = _first_pair(self.distances < 0)
+        if apart is not None:
             raise DisconnectedError(
-                f"users 0 and {missing} cannot reach each other", (0, missing)
+                f"users {apart[0]} and {apart[1]} cannot reach each other", apart
             )
 
     def spaces_of(self, user):
@@ -85,37 +111,21 @@ class UPIRSystem:
         return tuple(m for m in self._spaces_of[u] if v in self.structure.block_sets[m])
 
     def distance_row(self, u):
-        """BFS distances from u to every user, cached."""
-        row = self._dist_rows.get(u)
-        if row is None:
-            row = [-1] * self.n_users
-            row[u] = 0
-            frontier = [u]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for x in frontier:
-                    for y in self._neighbors[x]:
-                        if row[y] < 0:
-                            row[y] = d
-                            nxt.append(y)
-                frontier = nxt
-            self._dist_rows[u] = row
-        return row
+        """Row u of the distance table, as a list."""
+        return self.distances[u].tolist()
 
     def user_distance(self, u, v):
         """0 iff u == v, 1 iff they share a space, 2 beyond that (planes and
         generalised quadrangles never exceed 2)."""
-        return self.distance_row(u)[v]
+        return int(self.distances[u, v])
 
     def diameter(self):
-        if self._diameter is None:
-            self._diameter = max(max(self.distance_row(u)) for u in range(self.n_users))
-        return self._diameter
+        return int(self.distances.max())
 
     def shortest_user_paths(self, u, v):
-        """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted.
+        """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted,
+        cached per pair; grown a hop at a time through each space of the last
+        user to its members one closer to v, by the table's row for v.
 
         Between distance-1 users in a plane or GQ there is exactly one;
         between distance-2 users of a GQ of order (s,t) there are t+1, one
@@ -126,22 +136,14 @@ class UPIRSystem:
         key = (u, v)
         cached = self._paths.get(key)
         if cached is None:
-            row_v = self.distance_row(v)
-
-            def rec(x):
-                if x == v:
-                    return ((v,),)
-                out = []
-                for w in sorted(self._neighbors[x]):
-                    if row_v[w] == row_v[x] - 1:
-                        tails = rec(w)
-                        for m in self.common_spaces(x, w):
-                            for tail in tails:
-                                out.append((x, m) + tail)
-                return tuple(out)
-
-            cached = tuple(sorted(rec(u)))
-            self._paths[key] = cached
+            to_v = self.distances[v]
+            paths = [(u,)]
+            for d in reversed(range(to_v[u])):
+                ring = frozenset(np.flatnonzero(to_v == d).tolist())
+                paths = [p + (m, w) for p in paths
+                         for m in self._spaces_of[p[-1]]
+                         for w in self.structure.block_sets[m] & ring]
+            cached = self._paths[key] = tuple(sorted(paths))
         return cached
 
 
@@ -360,13 +362,8 @@ def run_protocol(system, workload, seed_or_rng):
     numpy Generator or None (unseeded); the transcript records the int seed
     or None.
     """
-    if workload.protocol == 2 and system.diameter() > 2:
-        far = next(
-            (u, v)
-            for u in range(system.n_users)
-            for v in range(system.n_users)
-            if system.user_distance(u, v) > 2
-        )
+    far = _first_pair(system.distances > 2) if workload.protocol == 2 else None
+    if far is not None:
         raise NotDiameterBoundedError(
             f"user pair {far} at distance {system.user_distance(*far)} > 2"
         )
@@ -556,6 +553,8 @@ def _load_object(text):
         d = _JSON.decode(text.decode())
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if type(d) is not dict:
         raise ValueError("not a JSON object")
     return d

@@ -84,33 +84,40 @@ def test_verify_checks_every_order_field(tmp_path, capsys, family, claims):
     data = json.loads(out.read_text())
     data.update(claims)
     out.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run_cli("verify", "--in", str(out)) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "invalid: file claims" in captured.err
+    for command in (("verify",), ("analyze", "--protocol", "2",
+                                  "--coalition", "0")):
+        capsys.readouterr()
+        assert run_cli(*command, "--in", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid: file claims" in captured.err
 
 
-@pytest.mark.parametrize("data,field", [
-    ({"family": "w3", "blocks": [[0, 1]]}, "points"),
-    ({"family": "w3", "points": [0, 1]}, "blocks"),
-    ({"family": "w3", "points": [0, 1], "blocks": [0, 1]}, "blocks"),
-    ({"family": "w3", "points": "01", "blocks": [[0, 1]]}, "points"),
-    ({"family": "pg2", "q": "2", "points": [0, 1], "blocks": [[0, 1]]}, "q"),
-    ({"family": "w3", "s": 1.0, "points": [0, 1], "blocks": [[0, 1]]}, "s"),
-    ({"family": "w3", "t": "2", "points": [0, 1], "blocks": [[0, 1]]}, "t"),
-    ({"family": ["pg2"], "points": [0, 1], "blocks": [[0, 1]]}, "family"),
+@pytest.mark.parametrize("data,message", [
+    ({"family": "w3", "blocks": [[0, 1]]}, "'points'"),
+    ({"family": "w3", "points": [0, 1]}, "'blocks'"),
+    ({"family": "w3", "points": [0, 1], "blocks": [0, 1]}, "'blocks'"),
+    ({"family": "w3", "points": "01", "blocks": [[0, 1]]}, "'points'"),
+    ({"family": "pg2", "q": "2", "points": [0, 1], "blocks": [[0, 1]]}, "'q'"),
+    ({"family": "w3", "s": 1.0, "points": [0, 1], "blocks": [[0, 1]]}, "'s'"),
+    ({"family": "w3", "t": "2", "points": [0, 1], "blocks": [[0, 1]]}, "'t'"),
+    ({"family": ["pg2"], "points": [0, 1], "blocks": [[0, 1]]}, "'family'"),
     # JSON booleans are not point ids, though true == 1
-    ({"family": "w3", "points": [False, True], "blocks": [[0, 1]]}, "points"),
-    ({"family": "w3", "points": [0, 1], "blocks": [[0, True]]}, "blocks"),
+    ({"family": "w3", "points": [False, True], "blocks": [[0, 1]]}, "'points'"),
+    ({"family": "w3", "points": [0, 1], "blocks": [[0, True]]}, "'blocks'"),
+    # text, not an object: json.dumps cannot write this nesting
+    pytest.param('{"points": ' + "[" * 200_000 + "]" * 200_000
+                 + ', "blocks": []}', "nests JSON too deeply",
+                 id="deep-nesting"),
 ])
-def test_malformed_geometry_file_is_config_error(tmp_path, capsys, data, field):
+def test_malformed_geometry_file_is_config_error(tmp_path, capsys, data,
+                                                 message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert run_cli("verify", "--in", str(path)) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert run_cli("analyze", "--in", str(path), "--protocol", "2",
                    "--coalition", "0") == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_analyze_stdout_and_epsilon_gate(tmp_path, capsys):

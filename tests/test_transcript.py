@@ -242,6 +242,9 @@ def _with(**changes):
     (_with().replace('"seq": 0', '"seq": 01'), "invalid JSON"),
     # a canonical prefix does not let a second seq through
     (_with().replace('"seq": 0', '"seq": 0, "seq": 1'), "unexpected 'seq'"),
+    # nesting past the parser's recursion limit
+    pytest.param('{"seq": 1, "kind": ' + "[" * 200_000 + "]" * 200_000
+                 + "}", "invalid JSON: nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_line_names_file_and_line(tmp_path, line, message):
     log = tmp_path / "bad.jsonl"
@@ -293,6 +296,8 @@ def test_good_line_reads(tmp_path):
 
 @pytest.mark.parametrize("side,message", [
     ("{", "invalid JSON"),
+    pytest.param("[" * 200_000 + "]" * 200_000,
+                 "invalid JSON: nested too deeply", id="deep-nesting"),
     ('{"topics": {"t": 40}}', "'topics' must map topics to user ids"),
     ('{"topics": ["t"]}', "'topics' must map topics to user ids"),
     ('{"protocol": "1", "topics": {}}', "'protocol' and 'seed'"),

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gqupir.geometry import IncidenceStructure, build_pg2, build_w3
 from gqupir.fields import field
@@ -100,6 +102,149 @@ def test_shortest_paths_distance_two_count():
 def test_path_self_rejected():
     with pytest.raises(ValueError):
         w33_system().shortest_user_paths(5, 5)
+
+
+class ReferenceSystem:
+    """User distances by a breadth-first search per user, and shortest
+    routes by recursive enumeration, as UPIRSystem found them before its
+    all-pairs table; with the error messages it raised."""
+
+    def __init__(self, inc):
+        self.inc = inc
+        self.coll = inc.collinearity()
+        self.rows = [self._bfs(u) for u in range(inc.n_points)]
+
+    def _bfs(self, u):
+        row = [-1] * self.inc.n_points
+        row[u] = 0
+        frontier = [u]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for y in self.coll[x]:
+                    if row[y] < 0:
+                        row[y] = d
+                        nxt.append(y)
+            frontier = nxt
+        return row
+
+    def diameter(self):
+        return max(max(row) for row in self.rows)
+
+    def paths(self, u, v):
+        row_v = self.rows[v]
+
+        def rec(x):
+            if x == v:
+                return ((v,),)
+            out = []
+            for w in sorted(self.coll[x]):
+                if row_v[w] == row_v[x] - 1:
+                    tails = rec(w)
+                    for m in self.inc.point_to_blocks[x]:
+                        if w in self.inc.block_sets[m]:
+                            for tail in tails:
+                                out.append((x, m) + tail)
+            return tuple(out)
+
+        return tuple(sorted(rec(u)))
+
+    def disconnected(self):
+        """(witness, message) of DisconnectedError, or None."""
+        row = self.rows[0]
+        if -1 not in row:
+            return None
+        missing = row.index(-1)
+        return (0, missing), f"users 0 and {missing} cannot reach each other"
+
+    def too_far(self):
+        """The message of protocol 2's NotDiameterBoundedError, or None."""
+        n = self.inc.n_points
+        far = next(((u, v) for u in range(n) for v in range(n)
+                     if self.rows[u][v] > 2), None)
+        if far is None:
+            return None
+        return f"user pair {far} at distance {self.rows[far[0]][far[1]]} > 2"
+
+
+def assert_matches_reference(inc):
+    """UPIRSystem(inc) against ReferenceSystem(inc): the DisconnectedError,
+    or every distance, the diameter, the routes of every ordered pair and
+    protocol 2's NotDiameterBoundedError."""
+    ref = ReferenceSystem(inc)
+    apart = ref.disconnected()
+    if apart is not None:
+        with pytest.raises(DisconnectedError) as ei:
+            UPIRSystem(inc)
+        assert (ei.value.witness, str(ei.value)) == apart
+        assert all(type(x) is int for x in ei.value.witness)
+        return
+    sys_ = UPIRSystem(inc)
+    n = inc.n_points
+    assert sys_.diameter() == ref.diameter()
+    for u in range(n):
+        assert sys_.distance_row(u) == ref.rows[u]
+        for v in range(n):
+            assert sys_.user_distance(u, v) == ref.rows[u][v]
+            if v != u:
+                assert sys_.shortest_user_paths(u, v) == ref.paths(u, v)
+    message = ref.too_far()
+    work = QueryWorkload(0, "t", 1, protocol=2)
+    if message is None:
+        run_protocol(sys_, work, 0)
+    else:
+        with pytest.raises(NotDiameterBoundedError) as ei:
+            run_protocol(sys_, work, 0)
+        assert str(ei.value) == message
+
+
+@st.composite
+def incidence_structures(draw):
+    """Up to eight blocks of one to four points on up to ten points, on
+    half the draws over a chain of two-point blocks through every point,
+    plus a one-point block for each point left over.  Disconnected
+    structures, connected ones of diameter above 2 and at most 2, and
+    repeated blocks all occur."""
+    n = draw(st.integers(1, 10))
+    blocks = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=4), max_size=8))
+    if draw(st.booleans()):
+        blocks += [{x, x + 1} for x in range(n - 1)]
+    covered = set().union(*blocks)
+    return IncidenceStructure(
+        n, blocks + [{x} for x in range(n) if x not in covered])
+
+
+@settings(max_examples=300, deadline=None)
+@given(inc=incidence_structures())
+@example(inc=IncidenceStructure(6, [(0, 1, 2), (3, 4, 5)]))
+@example(inc=IncidenceStructure(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+@example(inc=IncidenceStructure(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)]))
+@example(inc=IncidenceStructure(3, [(0, 1), (0, 1), (1, 2)]))
+def test_distance_table_matches_reference(inc):
+    assert_matches_reference(inc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: get_gq("w3", 3).base,
+    lambda: get_gq("q4", 3).base,
+    lambda: get_plane(3).base,
+], ids=["W(3,3)", "Q(4,3)", "PG(2,3)"])
+def test_distance_table_matches_reference_exhaustively(build):
+    assert_matches_reference(build())
+
+
+def test_long_chain_distances_fit_the_table():
+    # 300 users in a chain of two-point blocks: distances up to 299 need
+    # more than int8, and the search takes 299 steps
+    inc = IncidenceStructure(300, [(x, x + 1) for x in range(299)])
+    sys_ = UPIRSystem(inc)
+    ref = ReferenceSystem(inc)
+    assert sys_.diameter() == 299
+    assert [sys_.distance_row(u) for u in range(300)] == ref.rows
+    assert sys_.shortest_user_paths(0, 299) == ref.paths(0, 299)
 
 
 def test_workload_validation():
