@@ -214,20 +214,15 @@ class CandidateState:
 
 
 class _TopicState:
-    __slots__ = (
-        "cand", "census", "census_fired", "arrivals",
-        "d1_fired", "d2_fired", "checked_len", "checked_result",
-    )
+    """A topic's candidates and the counts its rules read.  Counts only grow,
+    so each rule fires once, as its count reaches its threshold."""
+
+    __slots__ = ("cand", "census", "arrivals")
 
     def __init__(self, cand):
         self.cand = cand
         self.census = {}        # (member, space) -> addressees seen
-        self.census_fired = set()
         self.arrivals = {}      # member -> {space: request count}
-        self.d1_fired = set()
-        self.d2_fired = set()
-        self.checked_len = -1
-        self.checked_result = False
 
 
 class CoalitionTracker:
@@ -250,7 +245,7 @@ class CoalitionTracker:
     converged(topic) reports whether the set has reached an
     indistinguishability class of the supplied analytic partition (or a
     singleton, when none is given); past that point no further shrinking is
-    possible.
+    possible.  With relay_metadata the tracker holds one topic at most.
     """
 
     D1_MIN_ARRIVALS = 50
@@ -271,7 +266,6 @@ class CoalitionTracker:
         self._watched = frozenset(
             m for c in self.coalition for m in system.spaces_of(c))
         self._topics = {}
-        self._single_topic = None
         self._pending_meta = []
 
     def topics(self):
@@ -284,15 +278,9 @@ class CoalitionTracker:
         st = self._topics.get(topic)
         if st is None:
             return False
-        k = len(st.cand)
-        if k == st.checked_len:
-            return st.checked_result
-        st.checked_len = k
         if self._class_set is not None:
-            st.checked_result = frozenset(st.cand) in self._class_set
-        else:
-            st.checked_result = k == 1
-        return st.checked_result
+            return frozenset(st.cand) in self._class_set
+        return len(st.cand) == 1
 
     def observe(self, event):
         """Pass the event to _ingest for each member that sees it, with
@@ -341,7 +329,6 @@ class CoalitionTracker:
             st = _TopicState(set(self._initial))
             self._topics[topic] = st
             if self.relay_metadata:
-                self._single_topic = topic
                 pending, self._pending_meta = self._pending_meta, []
                 for m, ev in pending:
                     self._route_rules(st, m, ev)
@@ -350,10 +337,11 @@ class CoalitionTracker:
     def _ingest(self, m, event, readable):
         if not readable:
             if self.relay_metadata:
-                if self._single_topic is None:
+                if not self._topics:
                     self._pending_meta.append((m, event))
                 else:
-                    self._route_rules(self._topics[self._single_topic], m, event)
+                    (st,) = self._topics.values()
+                    self._route_rules(st, m, event)
             return
         st = self._topic_state(event.topic)
         if self.protocol == 1:
@@ -371,13 +359,11 @@ class CoalitionTracker:
         if len(route) == self._route_len:
             cand &= self._members[event.space]
         if len(route) == 1:
-            key = (m, event.space)
-            seen = st.census.setdefault(key, set())
-            seen.add(route[0])
-            if key not in st.census_fired:
+            seen = st.census.setdefault((m, event.space), set())
+            if route[0] not in seen:
+                seen.add(route[0])
                 members = self._members[event.space]
                 if len(seen) == len(members) - 1:
-                    st.census_fired.add(key)
                     (missing,) = members - seen
                     hood = self.system.neighbors(missing)
                     if missing == m:
@@ -391,16 +377,13 @@ class CoalitionTracker:
 
     def _arrival_rules(self, st, m, space):
         arr = st.arrivals.setdefault(m, {})
-        arr[space] = arr.get(space, 0) + 1
-        if len(arr) >= 2:
+        arr[space] = count = arr.get(space, 0) + 1
+        if len(arr) == 2 and count == 1:
             # a shared-space source always arrives through that space, so a
             # second space is proof of distance two
-            if m not in st.d2_fired:
-                st.d2_fired.add(m)
-                st.cand &= self._far_set(m)
-        elif m not in st.d1_fired and arr[space] >= self.D1_MIN_ARRIVALS:
+            st.cand &= self._far_set(m)
+        elif len(arr) == 1 and count == self.D1_MIN_ARRIVALS:
             # every arrival so far came through this one space
-            st.d1_fired.add(m)
             st.cand &= self._members[space] - {m}
 
 

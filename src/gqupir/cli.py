@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from .adversary import DegeneratePartition
-from .fields import NotAPrimePowerError, UnsupportedOrderError
 from .geometry import (
     AxiomViolation,
     Geometry,
@@ -209,8 +208,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (NotAPrimePowerError, UnsupportedOrderError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailed, AxiomViolation, DisconnectedError,

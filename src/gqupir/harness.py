@@ -58,10 +58,12 @@ def geometry_summary(geom, family, q):
 
 def resolve_coalition(geom, explicit, size, placement, seed):
     """Either an explicit member list or a placed one; exactly one of the
-    two forms must be given."""
+    two forms must be given, and a placement only with the placed one."""
     if explicit is not None:
         if size is not None:
             raise ValueError("give --coalition or --coalition-size, not both")
+        if placement is not None:
+            raise ValueError("give --coalition or --placement, not both")
         if not explicit:
             raise ValueError("coalition must have at least one member")
         members = tuple(sorted(set(explicit)))

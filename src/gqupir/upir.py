@@ -93,7 +93,6 @@ class UPIRSystem:
         self.n_spaces = structure.n_blocks
         self._spaces_of = structure.point_to_blocks
         self._neighbors = structure.collinearity()
-        self._paths = {}
         self.distances = _distance_table(self._neighbors)
         apart = _first_pair(self.distances < 0)
         if apart is not None:
@@ -106,9 +105,6 @@ class UPIRSystem:
 
     def neighbors(self, user):
         return self._neighbors[user]
-
-    def common_spaces(self, u, v):
-        return tuple(m for m in self._spaces_of[u] if v in self.structure.block_sets[m])
 
     def distance_row(self, u):
         """Row u of the distance table, as a list."""
@@ -124,7 +120,7 @@ class UPIRSystem:
 
     def shortest_user_paths(self, u, v):
         """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted,
-        cached per pair; grown a hop at a time through each space of the last
+        built per call; grown a hop at a time through each space of the last
         user to its members one closer to v, by the table's row for v.
 
         Between distance-1 users in a plane or GQ there is exactly one;
@@ -133,18 +129,14 @@ class UPIRSystem:
         """
         if u == v:
             raise ValueError("no path from a user to itself")
-        key = (u, v)
-        cached = self._paths.get(key)
-        if cached is None:
-            to_v = self.distances[v]
-            paths = [(u,)]
-            for d in reversed(range(to_v[u])):
-                ring = frozenset(np.flatnonzero(to_v == d).tolist())
-                paths = [p + (m, w) for p in paths
-                         for m in self._spaces_of[p[-1]]
-                         for w in self.structure.block_sets[m] & ring]
-            cached = self._paths[key] = tuple(sorted(paths))
-        return cached
+        to_v = self.distances[v]
+        paths = [(u,)]
+        for d in reversed(range(to_v[u])):
+            ring = frozenset(np.flatnonzero(to_v == d).tolist())
+            paths = [p + (m, w) for p in paths
+                     for m in self._spaces_of[p[-1]]
+                     for w in self.structure.block_sets[m] & ring]
+        return tuple(sorted(paths))
 
 
 @dataclass(frozen=True)
@@ -289,7 +281,8 @@ def _draw_queries(system, source, count, rng):
     """Yield (seq, proxy, route) for each of count queries from source.
     route is the chosen shortest path (source, M1, u1, ..., Mk, proxy), or
     None when the source proxies for itself; seq counts the events of the
-    queries before, one per write and database call.
+    queries before, one per write and database call.  Each proxy's routes
+    are built once and kept in routes_to for the rest of the stream.
 
     The proxy is rng.integers(n_users) and the route index
     rng.integers(len(routes)), drawn through _bounded_draws.  Every query
@@ -471,20 +464,6 @@ def write_ground_truth(transcript, path):
         fh.write("\n")
 
 
-class _BodyIds(dict):
-    """The rest of a canonical line -> its body id in a transcript; each
-    distinct rest is parsed, checked and interned once."""
-
-    def __init__(self, transcript):
-        self.transcript = transcript
-
-    def __missing__(self, rest):
-        fields = _event_fields(_load_object(b"{" + rest),
-                               self.transcript.system)
-        i = self[rest] = self.transcript.intern(fields)
-        return i
-
-
 def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log, and optionally its sidecar, into a Transcript
     whose bodies have writer None and whose events have query -1.
@@ -496,11 +475,11 @@ def read_transcript(path, system, ground_truth_path=None):
     blank line is skipped.  A malformed line raises ValueError naming the
     file and line: invalid JSON, a missing, extra or ill-typed field, a seq
     outside 0..2**63-1, an unknown kind or visibility, a space that is not
-    null exactly for database events, or a user or space id out of range
-    for the system.
+    null exactly for database events, a database event with a route, or a
+    user or space id out of range for the system.
     """
     transcript = Transcript(system, 0, None, (), {})
-    ids = _BodyIds(transcript)
+    ids = {}  # the rest of a canonical line -> its body id
     seqs, bodies = array("q"), array("i")
     lineno = 0
     with open(path, "rb") as fh:
@@ -508,8 +487,12 @@ def read_transcript(path, system, ground_truth_path=None):
             for lineno, line in enumerate(fh, 1):
                 m = _CANONICAL_LINE.fullmatch(line)
                 if m is not None:
+                    i = ids.get(m[2])
+                    if i is None:
+                        i = ids[m[2]] = transcript.intern(_event_fields(
+                            _load_object(b"{" + m[2]), system))
                     seqs.append(int(m[1]))
-                    bodies.append(ids[m[2]])
+                    bodies.append(i)
                 elif line.strip():
                     d = _load_object(line)
                     if "seq" not in d:
@@ -578,6 +561,8 @@ def _event_fields(d, system):
     if kind == DB_REQUEST or kind == DB_RESPONSE:
         if space is not None:
             raise ValueError(f"{kind} must have a null 'space'")
+        if route != []:
+            raise ValueError(f"{kind} must have an empty 'path'")
     elif not _is_id(space, system.n_spaces):
         raise ValueError(f"'space' must be a space id in 0..{system.n_spaces - 1}")
     if not _is_id(proxy, system.n_users):

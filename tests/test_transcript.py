@@ -230,6 +230,8 @@ def _with(**changes):
     (_with(kind="db_query"), "unknown kind 'db_query'"),
     (_with(visibility="everyone"), "unknown visibility 'everyone'"),
     (_with(kind=DB_REQUEST), "db_request must have a null 'space'"),
+    (_with(kind=DB_REQUEST, space=None, path=[3, 1]),
+     "db_request must have an empty 'path'"),
     (_with(space=None), "'space' must be a space id"),
     (_with(space=40), "'space' must be a space id in 0..39"),
     (_with(proxy=40), "'proxy' must be a user id in 0..39"),
