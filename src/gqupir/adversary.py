@@ -52,7 +52,7 @@ from .upir import (
     QueryWorkload,
     Transcript,
     _draw_queries,
-    _query_bodies,
+    _body_ids,
     access,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
@@ -394,9 +394,11 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
 
     topic_sources maps topic -> source user.  Each topic gets its own
     deterministic substream of the seed, so results do not depend on which
-    other topics are present.  The tracker is fed only the queries it can
-    act on (CoalitionTracker.sees), as bodies interned once per distinct
-    route of a stream.  on_step, when given, is called after each query
+    other topics are present.  Queries come from the draw-and-intern path
+    that upir.run_protocol uses, each distinct route's bodies interned once
+    per stream.  The tracker is fed only the queries it can act on
+    (CoalitionTracker.sees); without a log, any other query is skipped
+    before it is interned.  on_step, when given, is called after each query
     that changed the topic's candidate set, as on_step(topic,
     queries_so_far, candidates); the set it receives is live tracker state,
     to be read and not kept.  log, when given, is a upir.Transcript that
@@ -406,7 +408,7 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     CandidateState}.
     """
     out = {}
-    parts = []  # per topic, its seq, body and query columns for log
+    parts = []  # per topic, the body ids of each query logged
     store = Transcript(system, protocol, seed, (), {}) if log is None else log
     topics = sorted(topic_sources)
     children = np.random.SeedSequence(seed).spawn(len(topics))
@@ -417,26 +419,16 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                                    analytic=analytic,
                                    relay_metadata=relay_metadata)
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
-        rounds = queries_cap
-        converged = False
+        rounds, converged = queries_cap, False
+        ids_of, logged = _body_ids(store, workload), []
         queries = _draw_queries(system, source, queries_cap, rng)
-        routes = {}  # route -> body ids of its query's events in store
-        bodies, lengths = [], []
-        for qi, (_, proxy, route) in enumerate(queries):
-            seen = not converged and tracker.sees(proxy, route)
-            if not seen and log is None:
-                continue
-            ids = routes.get(route)
-            if ids is None:
-                ids = routes[route] = tuple(map(
-                    store.intern, _query_bodies(workload, proxy, route)))
+        for qi, (proxy, route) in enumerate(queries):
             if log is not None:
-                bodies.extend(ids)
-                lengths.append(len(ids))
-            if not seen:
+                logged.append(ids_of(proxy, route))
+            if converged or not tracker.sees(proxy, route):
                 continue
             before = len(tracker._live(topic))
-            tracker.feed(map(store.bodies.__getitem__, ids))
+            tracker.feed(map(store.bodies.__getitem__, ids_of(proxy, route)))
             cand = tracker._live(topic)
             if on_step is not None and len(cand) != before:
                 on_step(topic, qi + 1, cand)
@@ -445,13 +437,11 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                 converged = True
                 if log is None:
                     break
-        if log is not None:
-            parts.append((np.arange(len(bodies)), bodies,
-                          np.repeat(np.arange(len(lengths)), lengths)))
+        parts.append(logged)
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
-    if parts:
-        log.extend(*zip(*parts))
+    if log is not None:
+        log.extend(parts)
     return out
 
 

@@ -154,6 +154,8 @@ def _cmd_verify(args):
 
 
 def _cmd_analyze(args):
+    if args.coalition is not None and args.seed is not None:
+        raise ValueError("give --coalition or --seed, not both")
     geom, family, q = _load_geom(args)
     coalition, placement = resolve_coalition(
         geom, args.coalition, args.coalition_size, args.placement, args.seed)

@@ -15,13 +15,15 @@ Two request disciplines are simulated:
   payload (and so link the request to its topic).  It needs every user pair
   within distance 2.
 
-Transcripts record one event per write or database call, in order.  One
-rule, access(), decides what a user sees of an event and whether it reads
-the payload.  The ground-truth map (topic -> source) and the writer and
-query ordinal of each event live outside the event log proper: observer
-views carry events with writer None, query -1 and, where the payload is
-unreadable, topic None, and the on-disk format keeps ground truth in a
-separate sidecar file.
+Transcripts record one event per write or database call, in order, and
+run_protocol and adversary.converge_topics make them by one path: queries
+drawn by _draw_queries, each distinct route's bodies interned once by
+_body_ids.  One rule, access(), decides what a user sees of an event and
+whether it reads the payload.  The ground-truth map (topic -> source) and
+the writer and query ordinal of each event live outside the event log
+proper: observer views carry events with writer None, query -1 and, where
+the payload is unreadable, topic None, and the on-disk format keeps ground
+truth in a separate sidecar file.
 """
 
 import functools
@@ -29,6 +31,7 @@ import json
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -207,12 +210,16 @@ class Transcript:
             self.bodies.append(TranscriptEvent(-1, *fields, -1))
         return i
 
-    def extend(self, seq, body, query):
-        """Append events given as three sequences of column parts; each
-        column is copied once."""
-        self.seq = np.concatenate([self.seq, *seq], dtype=np.int64)
-        self.body = np.concatenate([self.body, *body], dtype=np.int32)
-        self.query = np.concatenate([self.query, *query], dtype=np.int32)
+    def extend(self, streams):
+        """Append streams, each a list of its queries' body ids, one
+        sequence per query; a stream's seq and query count from 0."""
+        sizes = [np.fromiter(map(len, s), np.int64, len(s)) for s in streams]
+        self.seq = np.concatenate(
+            [self.seq, *map(np.arange, map(np.sum, sizes))], dtype=np.int64)
+        self.body = np.concatenate([self.body, *(np.fromiter(
+            chain.from_iterable(s), np.int32) for s in streams)])
+        self.query = np.concatenate([self.query, *(
+            np.repeat(np.arange(len(n)), n) for n in sizes)], dtype=np.int32)
 
     @property
     def events(self):
@@ -278,11 +285,10 @@ def _bounded_draws(rng):
 
 
 def _draw_queries(system, source, count, rng):
-    """Yield (seq, proxy, route) for each of count queries from source.
-    route is the chosen shortest path (source, M1, u1, ..., Mk, proxy), or
-    None when the source proxies for itself; seq counts the events of the
-    queries before, one per write and database call.  Each proxy's routes
-    are built once and kept in routes_to for the rest of the stream.
+    """Yield (proxy, route) for each of count queries from source.  route is
+    the chosen shortest path (source, M1, u1, ..., Mk, proxy), or None when
+    the source proxies for itself.  Each proxy's routes are built once and
+    cached in routes_to for the rest of the stream.
 
     The proxy is rng.integers(n_users) and the route index
     rng.integers(len(routes)), drawn through _bounded_draws.  Every query
@@ -293,20 +299,15 @@ def _draw_queries(system, source, count, rng):
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
     below = _bounded_draws(rng)
-    routes_to = {}
-    seq = 0
+    routes_to = functools.cache(
+        lambda v: system.shortest_user_paths(source, v))
     for left in range(count, 0, -1):
         v = below(n, left)
         if v == source:
-            yield seq, v, None
-            seq += 2
-            continue
-        routes = routes_to.get(v)
-        if routes is None:
-            routes = routes_to[v] = system.shortest_user_paths(source, v)
-        route = routes[below(len(routes), left)]
-        yield seq, v, route
-        seq += len(route) + 1
+            yield v, None
+        else:
+            routes = routes_to(v)
+            yield v, routes[below(len(routes), left)]
 
 
 def _query_bodies(workload, proxy, route):
@@ -326,18 +327,17 @@ def _query_bodies(workload, proxy, route):
             vis, route[2 * j + 2]) for j in reversed(range(hops))])
 
 
-def _query_events(workload, seq, qi, proxy, route):
-    """The events of query qi, numbered from seq."""
-    return [TranscriptEvent(seq + i, *body, qi) for i, body in
-            enumerate(_query_bodies(workload, proxy, route))]
+def _body_ids(store, workload):
+    """One stream's function (proxy, route) -> the ids in store of that
+    query's bodies, in order, cached so that each distinct route (which
+    fixes its proxy) is interned once."""
+    return functools.cache(lambda proxy, route: tuple(
+        map(store.intern, _query_bodies(workload, proxy, route))))
 
 
 def iter_protocol_events(system, workload, rng):
-    """Yield the events of one workload in order.  Deterministic in
-    (system, workload, rng state)."""
-    queries = _draw_queries(system, workload.source, workload.count, rng)
-    for qi, (seq, proxy, route) in enumerate(queries):
-        yield from _query_events(workload, seq, qi, proxy, route)
+    """run_protocol's events, in order; kept for bench/tracing.py to wrap."""
+    return iter(run_protocol(system, workload, rng).events)
 
 
 def run_protocol(system, workload, seed_or_rng):
@@ -353,7 +353,8 @@ def run_protocol(system, workload, seed_or_rng):
     metadata alone; it requires every user pair within distance 2
     (NotDiameterBoundedError otherwise).  ``seed_or_rng`` is an int seed, a
     numpy Generator or None (unseeded); the transcript records the int seed
-    or None.
+    or None.  Its events come from the draw-and-intern path that
+    adversary.converge_topics uses, numbered from seq 0 and query 0.
     """
     far = _first_pair(system.distances > 2) if workload.protocol == 2 else None
     if far is not None:
@@ -361,9 +362,12 @@ def run_protocol(system, workload, seed_or_rng):
             f"user pair {far} at distance {system.user_distance(*far)} > 2"
         )
     rng, seed = _as_rng(seed_or_rng)
-    return Transcript(system, workload.protocol, seed,
-                      iter_protocol_events(system, workload, rng),
-                      {workload.topic: workload.source})
+    transcript = Transcript(system, workload.protocol, seed, (),
+                            {workload.topic: workload.source})
+    ids_of = _body_ids(transcript, workload)
+    transcript.extend([[ids_of(proxy, route) for proxy, route in _draw_queries(
+        system, workload.source, workload.count, rng)]])
+    return transcript
 
 
 # -- what a user sees --
@@ -388,30 +392,31 @@ def access(system, member, event):
     return event.visibility == ALL_READERS or member == event.proxy
 
 
-def _as_seen(event, readable):
-    """The event without ground truth, and without its topic unless
-    readable."""
-    return TranscriptEvent(event.seq, event.kind, event.space, event.path,
-                           event.proxy, event.topic if readable else None,
-                           event.visibility, None, -1)
+def _view(transcript, rule):
+    """The events whose body rule() maps to True or False, in order, without
+    ground truth, and without their topic where it gives False.  rule is
+    called once per body, and an event is built only for a shown one."""
+    shown = [(b, rule(b)) for b in transcript.bodies]
+    return [TranscriptEvent(seq, b.kind, b.space, b.path, b.proxy,
+                            b.topic if readable else None, b.visibility,
+                            None, -1)
+            for seq, (b, readable) in zip(transcript.seq.tolist(), map(
+                shown.__getitem__, transcript.body.tolist()))
+            if readable is not None]
 
 
 def observer_view(transcript, observer):
     """Everything one honest-but-curious user sees of a transcript, in
     order, as access() decides it."""
-    out = []
-    for ev in transcript.events:
-        readable = access(transcript.system, observer, ev)
-        if readable is not None:
-            out.append(_as_seen(ev, readable))
-    return out
+    return _view(transcript, functools.partial(
+        access, transcript.system, observer))
 
 
 def external_view(transcript):
     """What a wire eavesdropper on the database link sees: the database
     events with proxy and payload in the clear."""
-    return [_as_seen(ev, True) for ev in transcript.events
-            if ev.kind in (DB_REQUEST, DB_RESPONSE)]
+    return _view(transcript, lambda b: (
+        True if b.kind in (DB_REQUEST, DB_RESPONSE) else None))
 
 
 # -- transcript files --
@@ -475,8 +480,9 @@ def read_transcript(path, system, ground_truth_path=None):
     blank line is skipped.  A malformed line raises ValueError naming the
     file and line: invalid JSON, a missing, extra or ill-typed field, a seq
     outside 0..2**63-1, an unknown kind or visibility, a space that is not
-    null exactly for database events, a database event with a route, or a
-    user or space id out of range for the system.
+    null exactly for database events, a database event with a route, a
+    user or space id out of range for the system, or a write whose route
+    does not fit the geometry (see _check_route).
     """
     transcript = Transcript(system, 0, None, (), {})
     ids = {}  # the rest of a canonical line -> its body id
@@ -505,7 +511,9 @@ def read_transcript(path, system, ground_truth_path=None):
                     seqs.append(seq)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    transcript.extend([seqs], [bodies], [np.full(len(seqs), -1)])
+    transcript.seq = np.array(seqs, np.int64)
+    transcript.body = np.array(bodies, np.int32)
+    transcript.query = np.full(len(seqs), -1, np.int32)
     if ground_truth_path is not None:
         (transcript.ground_truth, transcript.protocol,
          transcript.seed) = _read_sidecar(ground_truth_path, system)
@@ -576,7 +584,23 @@ def _event_fields(d, system):
             raise ValueError(f"'path' entry {i} must be a "
                              f"{('user', 'space')[i % 2]} id "
                              f"in 0..{bounds[i % 2] - 1}")
+    if space is not None:
+        _check_route(route, space, proxy, system.structure.block_sets)
     return kind, space, tuple(route), proxy, topic, vis, None
+
+
+def _check_route(route, space, proxy, members):
+    """A write's path, checked against the geometry: of odd length and
+    ending at the proxy, its first user in the write's space, and each two
+    consecutive users in the space between them."""
+    if len(route) % 2 == 0 or route[-1] != proxy:
+        raise ValueError("'path' must have odd length and end at the proxy")
+    if route[0] not in members[space]:
+        raise ValueError(f"'path' entry 0 must be a user in space {space}")
+    for i in range(1, len(route), 2):
+        if not members[route[i]].issuperset((route[i - 1], route[i + 1])):
+            raise ValueError(f"'path' entries {i - 1} and {i + 1} must be "
+                             f"users in space {route[i]}")
 
 
 def _is_id(x, bound):
@@ -598,13 +622,15 @@ def proxy_uniformity(transcript):
     """Chi-square test of the proxy distribution against uniform.
 
     Returns (chi2, p).  Honest proxying draws the proxy uniformly from all
-    users, so over many queries p should not be small.
+    users, so over many queries p should not be small.  scipy.special
+    gives p as scipy.stats.chisquare would, and imports far faster.
     """
-    from scipy.stats import chisquare
+    from scipy.special import chdtrc
 
-    counts = proxy_counts(transcript)
-    chi2, p = chisquare(counts)
-    return float(chi2), float(p)
+    counts = proxy_counts(transcript).astype(np.float64)
+    mean = counts.mean()
+    chi2 = float(((counts - mean) ** 2 / mean).sum())
+    return chi2, float(chdtrc(len(counts) - 1, chi2))
 
 
 def path_choice_counts(transcript):
@@ -615,7 +641,7 @@ def path_choice_counts(transcript):
     read-back logs, which carry no query ordinals, count the same."""
     out = {}
     route = []
-    for ev in transcript.events:
+    for ev in map(transcript.bodies.__getitem__, transcript.body.tolist()):
         if ev.kind == WRITE_REQUEST:
             route.append(ev.space)
         elif ev.kind == DB_REQUEST and route:

@@ -29,9 +29,10 @@ from gqupir.upir import (
     DB_REQUEST,
     QueryWorkload,
     Transcript,
+    TranscriptEvent,
     UPIRSystem,
     _draw_queries,
-    _query_events,
+    _query_bodies,
     iter_protocol_events,
     observer_view,
     read_transcript,
@@ -390,10 +391,11 @@ def test_tracker_sees_exactly_the_queries_it_acts_on(protocol, relay_metadata):
     workload = QueryWorkload(31, "t", 400, protocol=protocol)
     acted = []
     queries = _draw_queries(sys_, 31, 400, np.random.default_rng(12))
-    for qi, (seq, proxy, route) in enumerate(queries):
+    for proxy, route in queries:
         probe = _ActionProbe(sys_, coalition, protocol,
                              relay_metadata=relay_metadata)
-        probe.feed(_query_events(workload, seq, qi, proxy, route))
+        probe.feed(TranscriptEvent(-1, *body, -1)
+                   for body in _query_bodies(workload, proxy, route))
         assert tracker.sees(proxy, route) == probe.acted
         acted.append(probe.acted)
     assert any(acted) and not all(acted)

@@ -170,6 +170,11 @@ def test_analyze_config_errors(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all("--coalition" in e and "--placement" in e for e in err)
+    # a seed for an explicit coalition, which analyze would not use
+    assert run_cli("analyze", "--family", "w3", "--q", "3", "--protocol", "2",
+                   "--coalition", "0,13", "--seed", "7") == 2
+    assert capsys.readouterr().err == (
+        "error: give --coalition or --seed, not both\n")
 
 
 @pytest.mark.parametrize("argv", [

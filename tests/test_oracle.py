@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqupir.adversary import analytic_coalition, place_coalition
-from gqupir.upir import QueryWorkload, UPIRSystem, _query_events, access
+from gqupir.upir import (
+    QueryWorkload,
+    TranscriptEvent,
+    UPIRSystem,
+    _query_bodies,
+    access,
+)
 
 from conftest import get_gq, get_plane
 
@@ -45,7 +51,8 @@ def exact_partition(geom, coalition, protocol):
             for route in routes:
                 obs = tuple(
                     (m, ev.kind, ev.space, ev.path, ev.proxy)
-                    for ev in _query_events(workload, 0, 0, v, route)
+                    for ev in (TranscriptEvent(-1, *body, -1) for body in
+                               _query_bodies(workload, v, route))
                     for m in members if access(system, m, ev))
                 dist[obs] += weight
         by_dist.setdefault(frozenset(dist.items()), set()).add(u)

@@ -37,6 +37,9 @@ def w33_system():
     return UPIRSystem(get_gq("w3", 3).base)
 
 
+W33 = w33_system()
+
+
 def reference_write(transcript, path):
     """The per-event json.dumps writer that defines the file bytes."""
     with open(path, "w") as fh:
@@ -83,16 +86,17 @@ def events(draw):
             continue
         kind = draw(st.sampled_from(
             (WRITE_REQUEST, WRITE_RESPONSE, DB_REQUEST, DB_RESPONSE)))
+        proxy = draw(IDS)
         if kind in (DB_REQUEST, DB_RESPONSE):
             space, path = None, ()
-        else:
-            space = draw(IDS)
-            hops = draw(st.integers(0, 2))
-            path = tuple(draw(IDS) for _ in range(2 * hops + 1))
-            if draw(st.booleans()):
-                path = ()
+        else:  # one hop of a route to the proxy, as the reader checks it
+            source = draw(IDS.filter(lambda u: u != proxy))
+            route = draw(st.sampled_from(
+                W33.shortest_user_paths(source, proxy)))
+            hop = draw(st.integers(0, len(route) // 2 - 1))
+            space, path = route[2 * hop + 1], route[2 * hop + 2:]
         out.append(TranscriptEvent(
-            new_seq, kind, space, path, draw(IDS), draw(TOPICS),
+            new_seq, kind, space, path, proxy, draw(TOPICS),
             draw(st.sampled_from((ALL_READERS, PROXY_ONLY))),
             draw(st.one_of(st.none(), IDS)), query))
     return out
@@ -200,8 +204,10 @@ def test_non_canonical_log_reads_back_the_same_events(tmp_path):
         observable(ev) for ev in tr.events]
 
 
-GOOD = {"seq": 0, "kind": WRITE_REQUEST, "space": 5, "path": [1, 7, 2],
-        "proxy": 2, "topic": "t", "visibility": ALL_READERS}
+# the first hop of the W(3,3) route (0, 1, 13, 5, 1): space 1 holds users
+# 0 and 13, space 5 users 13 and 1
+GOOD = {"seq": 0, "kind": WRITE_REQUEST, "space": 1, "path": [13, 5, 1],
+        "proxy": 1, "topic": "t", "visibility": ALL_READERS}
 
 
 _DROP = object()
@@ -238,6 +244,13 @@ def _with(**changes):
     (_with(path=[40]), "'path' entry 0 must be a user id in 0..39"),
     (_with(path=[1, 40, 2]), "'path' entry 1 must be a space id in 0..39"),
     (_with(path=[1, 7, -1]), "'path' entry 2 must be a user id"),
+    # routes that do not fit the geometry
+    (_with(path=[]), "'path' must have odd length and end at the proxy"),
+    (_with(path=[13, 5]), "'path' must have odd length and end at the proxy"),
+    (_with(proxy=0), "'path' must have odd length and end at the proxy"),
+    (_with(kind=WRITE_RESPONSE, space=0),
+     "'path' entry 0 must be a user in space 0"),
+    (_with(path=[13, 4, 1]), "'path' entries 0 and 2 must be users in space 4"),
     # seq digits must be ASCII, without a leading zero
     (_with().replace('"seq": 0', '"seq": ²'), "invalid JSON"),
     (_with().replace('"seq": 0', '"seq": ١'), "invalid JSON"),
@@ -255,6 +268,17 @@ def test_malformed_line_names_file_and_line(tmp_path, line, message):
         read_transcript(log, w33_system())
     assert str(ei.value).startswith(f"{log}:2: ")
     assert message in str(ei.value)
+
+
+def test_log_of_another_geometry_is_rejected(tmp_path):
+    """Q(4,3) has as many users and spaces as W(3,3), so a W(3,3) log passes
+    the id checks against it; its routes do not."""
+    log = tmp_path / "w33.jsonl"
+    write_transcript(run_protocol(W33, QueryWorkload(0, "t", 50), 0), log)
+    assert len(read_transcript(log, W33).seq) > 100
+    with pytest.raises(ValueError,
+                       match="^" + re.escape(f"{log}:1: 'path' ")):
+        read_transcript(log, UPIRSystem(get_gq("q4", 3).base))
 
 
 def test_undecodable_line_names_file_and_line(tmp_path):
@@ -291,7 +315,7 @@ def test_good_line_reads(tmp_path):
     log = tmp_path / "good.jsonl"
     log.write_text(_with() + "\n")
     (ev,) = read_transcript(log, w33_system()).events
-    assert observable(ev) == (0, WRITE_REQUEST, 5, (1, 7, 2), 2, "t",
+    assert observable(ev) == (0, WRITE_REQUEST, 1, (13, 5, 1), 1, "t",
                               ALL_READERS)
     assert ev.writer is None and ev.query == -1
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gqupir.adversary import converge_topics
 from gqupir.geometry import IncidenceStructure, build_pg2, build_w3
 from gqupir.fields import field
 from gqupir.upir import (
@@ -20,7 +21,9 @@ from gqupir.upir import (
     DisconnectedError,
     NotDiameterBoundedError,
     QueryWorkload,
+    TranscriptEvent,
     UPIRSystem,
+    access,
     external_view,
     observer_view,
     path_choice_counts,
@@ -374,6 +377,64 @@ def test_external_view_is_db_traffic():
     assert all(ve.topic == "t" for ve in ext)
 
 
+def _as_seen(event, readable):
+    return TranscriptEvent(event.seq, event.kind, event.space, event.path,
+                           event.proxy, event.topic if readable else None,
+                           event.visibility, None, -1)
+
+
+def reference_observer_view(transcript, observer):
+    """observer_view as a walk over transcript.events, access() per event."""
+    out = []
+    for ev in transcript.events:
+        readable = access(transcript.system, observer, ev)
+        if readable is not None:
+            out.append(_as_seen(ev, readable))
+    return out
+
+
+def reference_external_view(transcript):
+    return [_as_seen(ev, True) for ev in transcript.events
+            if ev.kind in (DB_REQUEST, DB_RESPONSE)]
+
+
+def reference_path_choice_counts(transcript):
+    """path_choice_counts as a walk over transcript.events."""
+    out = {}
+    route = []
+    for ev in transcript.events:
+        if ev.kind == WRITE_REQUEST:
+            route.append(ev.space)
+        elif ev.kind == DB_REQUEST and route:
+            key = tuple(route)
+            counts = out.setdefault(ev.proxy, {})
+            counts[key] = counts.get(key, 0) + 1
+            route = []
+    return out
+
+
+@pytest.mark.parametrize("source", ["run", "log"])
+@pytest.mark.parametrize("protocol", [1, 2])
+@pytest.mark.parametrize("read_back", [False, True], ids=["raw", "file"])
+def test_views_match_event_walking_references(tmp_path, source, protocol,
+                                              read_back):
+    sys_ = w33_system()
+    if source == "run":
+        tr = run_protocol(sys_, QueryWorkload(7, "t", 500, protocol=protocol), 4)
+    else:  # three streams one after another, each numbered from seq 0
+        tr = Transcript(sys_, protocol, 4, (), {})
+        converge_topics(sys_, (0, 13), protocol, {"a": 5, "b": 22, "c": 31},
+                        300, seed=4, log=tr)
+    if read_back:
+        write_transcript(tr, tmp_path / "run.jsonl")
+        tr = read_transcript(tmp_path / "run.jsonl", sys_)
+    for observer in range(sys_.n_users):
+        assert (observer_view(tr, observer)
+                == reference_observer_view(tr, observer))
+    assert external_view(tr) == reference_external_view(tr)
+    assert path_choice_counts(tr) == reference_path_choice_counts(tr)
+
+
 def test_proxy_counts_and_uniformity():
     sys_ = w33_system()
     tr = run_protocol(sys_, QueryWorkload(0, "t", 8000, protocol=1), 2024)
@@ -382,6 +443,8 @@ def test_proxy_counts_and_uniformity():
     assert len(counts) == 40
     chi2, p = proxy_uniformity(tr)
     assert p > 0.01
+    from scipy.stats import chisquare
+    assert (chi2, p) == tuple(map(float, chisquare(counts)))
 
 
 def test_path_choice_counts_reach_all_middles():
