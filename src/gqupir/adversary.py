@@ -196,9 +196,10 @@ def security_margin(partition):
 
 
 def secure_at(partition, epsilon):
-    """Is the residue (users outside the biggest class) at most n^(1-eps)?"""
-    m = partition.margin()
-    return m.residue <= m.n_users ** (1.0 - epsilon) + 1e-9
+    """Is epsilon at most the partition's epsilon*?  Unless every class is a
+    singleton, where epsilon* is 0, that is whether the residue (users
+    outside the biggest class) is at most n^(1-epsilon)."""
+    return epsilon <= partition.margin().epsilon_star + 1e-9
 
 
 # -- empirical inference --
@@ -233,7 +234,8 @@ class CoalitionTracker:
     query's proxy and route alone whether observe() would act on any of its
     events, so a query it does not see need not be built or fed.  Tracked
     topics are assumed to originate outside the coalition (members already
-    know their own).
+    know their own).  An empty coalition, or a member outside 0..n-1, is a
+    ValueError.
 
     The candidate set only ever shrinks.  The true source is never removed,
     with one bounded exception under the encrypted protocol: the
@@ -256,6 +258,11 @@ class CoalitionTracker:
             raise ValueError("protocol must be 1 or 2")
         self.system = system
         self.coalition = tuple(sorted(set(coalition)))
+        if not self.coalition:
+            raise ValueError("coalition must have at least one member")
+        for m in (self.coalition[0], self.coalition[-1]):
+            if not 0 <= m < system.n_users:
+                raise ValueError(f"coalition member {m} out of range")
         self.protocol = protocol
         self.relay_metadata = relay_metadata
         self._class_set = None if analytic is None else set(analytic.classes)
@@ -266,7 +273,9 @@ class CoalitionTracker:
         self._watched = frozenset(
             m for c in self.coalition for m in system.spaces_of(c))
         self._topics = {}
-        self._pending_meta = []
+        # relay metadata names no topic: its rules update this state, which
+        # becomes the topic's state when the topic is first read
+        self._meta = _TopicState(set(self._initial)) if relay_metadata else None
 
     def topics(self):
         return tuple(sorted(self._topics))
@@ -326,22 +335,14 @@ class CoalitionTracker:
                 raise ValueError(
                     "metadata attribution assumes one topic; saw a second"
                 )
-            st = _TopicState(set(self._initial))
+            st = self._meta if self.relay_metadata else _TopicState(set(self._initial))
             self._topics[topic] = st
-            if self.relay_metadata:
-                pending, self._pending_meta = self._pending_meta, []
-                for m, ev in pending:
-                    self._route_rules(st, m, ev)
         return st
 
     def _ingest(self, m, event, readable):
         if not readable:
             if self.relay_metadata:
-                if not self._topics:
-                    self._pending_meta.append((m, event))
-                else:
-                    (st,) = self._topics.values()
-                    self._route_rules(st, m, event)
+                self._route_rules(self._meta, m, event)
             return
         st = self._topic_state(event.topic)
         if self.protocol == 1:
@@ -392,7 +393,8 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                     log=None):
     """Run one workload per topic and track it to convergence or the cap.
 
-    topic_sources maps topic -> source user.  Each topic gets its own
+    topic_sources maps topic -> source user, outside the coalition (a source
+    inside it is a ValueError).  Each topic gets its own
     deterministic substream of the seed, so results do not depend on which
     other topics are present.  Queries come from the draw-and-intern path
     that upir.run_protocol uses, each distinct route's bodies interned once
@@ -407,6 +409,9 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     tracker still stops reading it at convergence.  Returns {topic:
     CandidateState}.
     """
+    inside = sorted(set(topic_sources.values()) & set(coalition))
+    if inside:
+        raise ValueError(f"source {inside[0]} is inside the coalition")
     out = {}
     parts = []  # per topic, the body ids of each query logged
     store = Transcript(system, protocol, seed, (), {}) if log is None else log

@@ -163,8 +163,8 @@ def _cmd_analyze(args):
                              epsilon=args.epsilon, placement=placement)
     _emit(report, args.out)
     if not ok:
-        print(f"claim failed: residue {report['residue']} exceeds "
-              f"n^(1-{args.epsilon})", file=sys.stderr)
+        print(f"claim failed: epsilon* {report['epsilon_star']} is below "
+              f"epsilon {args.epsilon}", file=sys.stderr)
         return 1
     return 0
 

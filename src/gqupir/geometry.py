@@ -38,22 +38,20 @@ point of L is collinear with x.  Consequences used throughout: there are
 (s+1)(st+1) points and (t+1)(st+1) blocks, no triangles, |B1(x)| = s(t+1)
 and |B2(x)| = s^2*t, and s <= t^2, t <= s^2 whenever s,t > 1 (Higman).
 
-Verification checks only the axioms the others do not imply, and counts
-instead of looping over pairs of blocks or point/block pairs:
+Each verifier checks its family's defining axiom once per block or point,
+after the counts, and gets every other axiom by counting (the proofs are
+in their docstrings):
 
 ``verify_gq``     constant block size and point degree, s, t >= 1, the
-                  point count, Higman, two points on at most one block, and
-                  no triangle.  The block count follows from
-                  b(s+1) = v(t+1); the projection axiom follows because the
-                  s*t points seen off L from each of the s+1 points of a
-                  block L are distinct without triangles and number all
-                  v - (s+1) points off L.
+                  point count, Higman, and per block L that every point is
+                  on L or collinear with a point of L.  The s+1 points of L
+                  see at most (s+1)*t*s = v - (s+1) points off L, so each
+                  is seen exactly once; that equality gives the projection
+                  axiom, two points on at most one block and no triangle.
 ``verify_plane``  constant block size q+1 with q >= 2, q^2+q+1 points and
-                  blocks, two points on at most one block, and a
-                  quadrilateral.  b*C(q+1,2) = C(n,2), so every pair of
-                  points is on exactly one block; then each point is on
-                  q+1 blocks, and the q further blocks through each point
-                  of L are all b-1 other blocks, so two blocks meet once.
+                  blocks, every point collinear with the other n-1, and a
+                  quadrilateral.  b*C(q+1,2) = C(n,2), so no pair of points
+                  is on two blocks, and two blocks meet once.
 """
 
 import json
@@ -152,42 +150,24 @@ class IncidenceStructure:
         return f"<IncidenceStructure{lbl}: {self.n_points} points, {self.n_blocks} blocks>"
 
 
-def _check_partial_linear(inc):
-    """Raise AxiomViolation unless two points share at most one block.
-
-    coll[x], from the cached collinearity, is the union of the sets L - {x}
-    over the blocks L through x, so len(coll[x]) equals the sum of their
-    sizes exactly when they are disjoint, that is when no other point shares
-    two blocks with x.  Only on a mismatch are the blocks through x searched
-    for the witness (i, j, common points).
-    """
-    coll = inc.collinearity()
-    for x, through in enumerate(inc.point_to_blocks):
-        if len(coll[x]) == sum(len(inc.blocks[bi]) - 1 for bi in through):
-            continue
-        for i, j in combinations(through, 2):
-            common = inc.block_sets[i] & inc.block_sets[j]
-            if len(common) > 1:
-                raise AxiomViolation(
-                    f"blocks {i} and {j} share {sorted(common)}", (i, j, sorted(common))
-                )
-
-
 def verify_gq(inc):
     """Check that ``inc`` is a generalised quadrangle; returns its order (s, t).
 
     Raises AxiomViolation (HigmanViolation for the parameter bound) with a
     concrete witness on the first failure.  Checks, in order: constant block
     size s+1, constant point degree t+1, s, t >= 1, the point count
-    v = (s+1)(st+1), Higman's inequality, that two points share at most one
-    block, and that no triangle exists.
+    v = (s+1)(st+1), Higman's inequality, and for each block L that every
+    point is on L or collinear with a point of L; the witness of a failure
+    is the least point that sees no point of L.
 
-    The remaining axioms follow by counting.  The block count (t+1)(st+1)
-    is forced by b(s+1) = v(t+1).  For the projection axiom take a block L:
-    each of its s+1 points sees s*t points off L (s on each of its t other
-    blocks), and without triangles no point off L sees two points of L, so
-    these (s+1)*t*s points are distinct.  That is all v - (s+1) points off
-    L, so every point off L sees exactly one point of L.
+    The remaining axioms follow by counting.  Each point x of L sees at most
+    t*s points off L, s on each of its t other blocks, so the s+1 points of
+    L see at most (s+1)*t*s points off L.  That is exactly v - (s+1), the
+    number of points off L, and each is seen at least once, so each is seen
+    exactly once: the projection axiom.  Equality also means that the t+1
+    blocks through x meet only in x, and every point lies on a block, so two
+    points share at most one block.  No triangle follows from the projection
+    axiom, and the block count (t+1)(st+1) from b(s+1) = v(t+1).
     """
     sizes = {len(b) for b in inc.blocks}
     if len(sizes) != 1:
@@ -199,23 +179,19 @@ def verify_gq(inc):
     t = degrees.pop() - 1
     if s < 1 or t < 1:
         raise AxiomViolation(f"degenerate order ({s},{t})", (s, t))
-    if inc.n_points != (s + 1) * (s * t + 1):
+    n = inc.n_points
+    if n != (s + 1) * (s * t + 1):
         raise AxiomViolation(
-            f"point count {inc.n_points} != (s+1)(st+1) = {(s + 1) * (s * t + 1)}",
-            inc.n_points,
-        )
+            f"point count {n} != (s+1)(st+1) = {(s + 1) * (s * t + 1)}", n)
     if s > 1 and t > 1 and (s > t * t or t > s * s):
         raise HigmanViolation(f"order ({s},{t}) violates s <= t^2 and t <= s^2", (s, t))
-    _check_partial_linear(inc)
     coll = inc.collinearity()
-    # a triangle has two vertices x, y on a block L and its third vertex off
-    # L, collinear with both
-    for blk, bset in zip(inc.blocks, inc.block_sets):
-        for x, y in combinations(blk, 2):
-            off = (coll[x] & coll[y]) - bset
-            if off:
-                z = min(off)
-                raise AxiomViolation(f"triangle on points {x},{y},{z}", (x, y, z))
+    for i, blk in enumerate(inc.blocks):
+        seen = set().union(*(coll[x] for x in blk))  # L itself too, as s >= 1
+        if len(seen) != n:
+            z = next(z for z in range(n) if z not in seen)
+            raise AxiomViolation(
+                f"point {z} sees 0 points of block {i}, expected 1", (z, i, 0))
     return s, t
 
 
@@ -223,14 +199,16 @@ def verify_plane(inc):
     """Check that ``inc`` is a projective plane; returns its order q.
 
     Checks constant block size q+1 with q >= 2, q^2+q+1 points and blocks,
-    that two points share at most one block, and that a quadrilateral (4
-    points, no 3 on a block) exists.
+    that every point is collinear with the other n-1, and that a
+    quadrilateral (4 points, no 3 on a block) exists.  The witness of a
+    missing pair is the least pair (x, y) on no common block.
 
     The remaining axioms follow by counting.  The blocks cover
-    b*C(q+1,2) = C(n,2) point pairs, none twice, so every pair of points
-    lies on exactly one block.  Each point then lies on (n-1)/q = q+1
-    blocks; the q further blocks through each of the q+1 points of a block
-    L are distinct, and (q+1)q = b-1 accounts for every other block, so two
+    b*C(q+1,2) = C(n,2) point pairs counted with multiplicity, and every
+    pair is covered, so none is covered twice: every pair of points lies on
+    exactly one block.  Each point then lies on (n-1)/q = q+1 blocks; the q
+    further blocks through each of the q+1 points of a block L are
+    distinct, and (q+1)q = b-1 accounts for every other block, so two
     blocks meet in exactly one point.
     """
     sizes = {len(b) for b in inc.blocks}
@@ -239,22 +217,25 @@ def verify_plane(inc):
     q = sizes.pop() - 1
     if q < 2:
         raise AxiomViolation(f"order {q} too small for a plane", q)
-    expect = q * q + q + 1
-    if inc.n_points != expect or inc.n_blocks != expect:
+    n = q * q + q + 1
+    if inc.n_points != n or inc.n_blocks != n:
         raise AxiomViolation(
-            f"expected {expect} points and blocks, got {inc.n_points}/{inc.n_blocks}",
+            f"expected {n} points and blocks, got {inc.n_points}/{inc.n_blocks}",
             (inc.n_points, inc.n_blocks),
         )
-    _check_partial_linear(inc)
+    for x, near in enumerate(inc.collinearity()):
+        if len(near) != n - 1:
+            y = next(y for y in range(n) if y != x and y not in near)
+            raise AxiomViolation(f"points {(x, y)} on no common block", (x, y))
     # quadrilateral: a,b on L; c off L; d off L and off the blocks a-c, b-c
     L = inc.block_sets[0]
     a, b = inc.blocks[0][0], inc.blocks[0][1]
-    c = next(x for x in range(inc.n_points) if x not in L)
+    c = next(x for x in range(n) if x not in L)
     blocked = set(L)
     for bi in inc.point_to_blocks[c]:
         if a in inc.block_sets[bi] or b in inc.block_sets[bi]:
             blocked |= inc.block_sets[bi]
-    d = next((x for x in range(inc.n_points) if x not in blocked), None)
+    d = next((x for x in range(n) if x not in blocked), None)
     if d is None:
         raise AxiomViolation("no quadrilateral: plane is degenerate", None)
     return q

@@ -623,11 +623,14 @@ def proxy_uniformity(transcript):
 
     Returns (chi2, p).  Honest proxying draws the proxy uniformly from all
     users, so over many queries p should not be small.  scipy.special
-    gives p as scipy.stats.chisquare would, and imports far faster.
+    gives p as scipy.stats.chisquare would, and imports far faster.  A
+    transcript with no database request is a ValueError.
     """
     from scipy.special import chdtrc
 
     counts = proxy_counts(transcript).astype(np.float64)
+    if not counts.any():
+        raise ValueError("transcript holds no database request")
     mean = counts.mean()
     chi2 = float(((counts - mean) ** 2 / mean).sum())
     return chi2, float(chdtrc(len(counts) - 1, chi2))

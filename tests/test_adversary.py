@@ -371,6 +371,22 @@ def test_converge_topics_rejects_source_out_of_range(log, source):
                         log=log)
 
 
+@pytest.mark.parametrize("log", [None, []])
+@pytest.mark.parametrize("coalition,match", [
+    ((), "at least one member"),
+    ((-1,), "member -1 out of range"),
+    ((40,), "member 40 out of range"),
+    ((0, 40), "member 40 out of range"),
+    ((5,), "source 5 is inside the coalition"),
+])
+def test_converge_topics_rejects_bad_coalition(log, coalition, match):
+    if log is not None:
+        log = Transcript(w33_system(), 2, None, log, {})
+    with pytest.raises(ValueError, match=match):
+        converge_topics(w33_system(), coalition, 2, {"t": 5}, 10, seed=1,
+                        log=log)
+
+
 class _ActionProbe(CoalitionTracker):
     """Records whether observe() handed it an event it acts on: a readable
     one, or any one when relay metadata is attributed."""

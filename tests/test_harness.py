@@ -135,6 +135,40 @@ def test_analyze_stdout_and_epsilon_gate(tmp_path, capsys):
                    "--coalition", "0", "--epsilon", "0.5") == 1
 
 
+@pytest.mark.parametrize("family,q,epsilon", [("pg2", 2, "0.01"),
+                                              ("q4", 3, "0.001")])
+def test_epsilon_gate_fails_when_every_class_is_a_singleton(capsys, family, q,
+                                                            epsilon):
+    # the plaintext protocol resolves every user here, so epsilon* is 0 and
+    # no positive epsilon holds
+    assert run_cli("analyze", "--family", family, "--q", str(q),
+                   "--protocol", "1", "--coalition", "0",
+                   "--epsilon", epsilon) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["degenerate"] is True and report["epsilon_star"] == 0.0
+    assert report["secure"] is False
+    assert captured.err == (
+        f"claim failed: epsilon* 0.0 is below epsilon {epsilon}\n")
+
+
+def test_axiom_violating_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "w33.json"
+    run_cli("construct", "--family", "w3", "--q", "3", "--out", str(path))
+    data = json.loads(path.read_text())
+    blocks = data["blocks"]
+    assert blocks[0] == [0, 4, 5, 6] and blocks[5] == [1, 13, 16, 19]
+    blocks[0][1], blocks[5][0] = 1, 4  # swap point 4 of block 0 and point 1 of block 5
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    want = "invalid: point 2 sees 0 points of block 0, expected 1\n"
+    assert run_cli("verify", "--in", str(path)) == 1
+    assert capsys.readouterr() == ("", want)
+    assert run_cli("analyze", "--in", str(path), "--protocol", "2",
+                   "--coalition", "0") == 1
+    assert capsys.readouterr() == ("", want)
+
+
 def test_analyze_geometry_file_input(tmp_path, capsys):
     out = tmp_path / "q43.json"
     run_cli("construct", "--family", "q4", "--q", "3", "--out", str(out))

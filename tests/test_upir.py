@@ -445,6 +445,8 @@ def test_proxy_counts_and_uniformity():
     assert p > 0.01
     from scipy.stats import chisquare
     assert (chi2, p) == tuple(map(float, chisquare(counts)))
+    with pytest.raises(ValueError, match="no database request"):
+        proxy_uniformity(Transcript(sys_, 1, None, [], {}))
 
 
 def test_path_choice_counts_reach_all_middles():
