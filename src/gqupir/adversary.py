@@ -8,10 +8,19 @@ user is behind a topic.
 Analytic side: analytic_single and analytic_coalition compute, for a given
 geometry and protocol, the partition of users into indistinguishability
 classes (users in one class generate identically distributed views for the
-coalition, so no amount of traffic separates them).  security_margin boils
-a partition down to one number: with n users and a largest class of size g,
-the margin is 1 - log_n(n - g); margin eps means all but n^(1-eps) users sit
-together in the biggest class.
+coalition, so no amount of traffic separates them).  Each member c keys
+every user by what c tells it apart by, c alone by a key of its own, and
+users group by their keys under all members.  Encrypted protocol: the
+block a user shares with c, or -1.  Plaintext protocol: a user collinear
+with c by its id, a far user u by {c,u}^perp, its t+1 common neighbours
+with c.  Far u, u' share a span with c exactly when these agree: u' in
+{c,u}^perp^perp is not collinear with c (that would make a triangle with
+t+1 >= 2 points on different blocks through c), so {c,u}^perp lies in
+{c,u'}^perp, and both have t+1 points; the converse holds by definition.
+
+security_margin boils a partition down to one number: with n users and a
+largest class of size g, the margin is 1 - log_n(n - g); margin eps means
+all but n^(1-eps) users sit together in the biggest class.
 
 Empirical side: CoalitionTracker consumes transcript events, passes each
 through upir.access (the one rule for what a member sees and reads), and
@@ -100,80 +109,76 @@ class PseudonymityPartition:
         return SecurityMargin(n, giant, residue, eps)
 
 
-def _make_partition(n, groups, observers, protocol):
-    classes = tuple(sorted((frozenset(g) for g in groups), key=min))
-    total = sum(len(c) for c in classes)
-    if total != n or len(set().union(*classes)) != n:
-        raise ValueError("groups do not partition the users")
-    return PseudonymityPartition(n, classes, tuple(sorted(observers)), protocol)
-
-
-def analytic_single(geom, observer, protocol):
-    """Best-possible inference for one honest-but-curious user on a
-    Geometry.
-
-    Plaintext protocol: users sharing a space with the observer are fully
-    identifiable, and users at distance two are identifiable up to the span
-    they generate with the observer (on a projective plane every user is at
-    distance one, so every user is resolved).
-
-    Encrypted protocol: users group by which spaces they share with the
-    observer; those sharing none are one big class.
-    """
-    base = geom.base
+def _keys(geom, c, protocol):
+    """Per user, its key under observer c (see the module docstring); every
+    far user's common neighbours with c are listed in the order of coll[c]."""
     n = geom.n_points
-    c = observer
-    if not 0 <= c < n:
-        raise ValueError(f"observer {c} out of range")
     if protocol == 2:
-        by_key = {}
-        obs_spaces = base.point_to_blocks[c]
-        for u in range(n):
-            if u == c:
-                continue
-            shared = frozenset(m for m in obs_spaces if u in base.block_sets[m])
-            by_key.setdefault(shared, set()).add(u)
-        return _make_partition(n, [{c}] + list(by_key.values()), (c,), 2)
-    if protocol != 1:
-        raise ValueError("protocol must be 1 or 2")
-    near = geom.coll[c]
-    groups = [{c}] + [{u} for u in near]
-    assigned = set()
-    for u in range(n):
-        if u != c and u not in near and u not in assigned:
-            cls = set(geom.span((c, u)).members) - {c}
-            groups.append(cls)
-            assigned |= cls
-    return _make_partition(n, groups, (c,), 1)
+        keys = [-1] * n
+        for m in geom.base.point_to_blocks[c]:
+            for u in geom.base.blocks[m]:
+                keys[u] = m
+    else:
+        near = geom.coll[c]
+        perp = [[] for _ in range(n)]
+        for x in near:
+            for y in geom.coll[x]:
+                perp[y].append(x)
+        keys = [u if u in near else tuple(perp[u]) for u in range(n)]
+    keys[c] = None
+    return keys
 
 
-def partition_meet(parts):
-    """Common refinement: what observers deduce by pooling their views."""
-    if not parts:
-        raise ValueError("need at least one partition")
-    n = parts[0].n_users
-    protocol = parts[0].protocol
-    for p in parts[1:]:
-        if p.n_users != n or p.protocol != protocol:
-            raise ValueError("partitions disagree on users or protocol")
-    index_maps = []
-    for p in parts:
-        idx = {}
-        for i, cls in enumerate(p.classes):
-            for u in cls:
-                idx[u] = i
-        index_maps.append(idx)
+def _partition(n, keys, observers, protocol):
+    """Group users 0..n-1 by their keys under every observer; users are
+    visited in order, so classes come out in order of their least member."""
     by_key = {}
-    for u in range(n):
-        by_key.setdefault(tuple(m[u] for m in index_maps), set()).add(u)
-    observers = set()
-    for p in parts:
-        observers |= set(p.observers)
-    return _make_partition(n, by_key.values(), observers, protocol)
+    for u, key in enumerate(zip(*keys)):
+        by_key.setdefault(key, []).append(u)
+    return PseudonymityPartition(n, tuple(map(frozenset, by_key.values())),
+                                 tuple(sorted(set(observers))), protocol)
 
 
 def analytic_coalition(geom, coalition, protocol):
-    return partition_meet([analytic_single(geom, c, protocol) for c in coalition])
+    """Best-possible inference for a coalition on a Geometry.  Plaintext
+    protocol: users collinear with a member are resolved, the others up to
+    their span with each member.  Encrypted protocol: users group by the
+    spaces they share with each member, and those sharing none form one."""
+    n = geom.n_points
+    members = tuple(sorted(set(coalition)))
+    if not members:
+        raise ValueError("need at least one observer")
+    for c in members:
+        if not 0 <= c < n:
+            raise ValueError(f"observer {c} out of range")
+    if protocol not in (1, 2):
+        raise ValueError("protocol must be 1 or 2")
+    return _partition(n, [_keys(geom, c, protocol) for c in members], members,
+                      protocol)
+
+
+def analytic_single(geom, observer, protocol):
+    """analytic_coalition for the one observer."""
+    return analytic_coalition(geom, (observer,), protocol)
+
+
+def partition_meet(parts):
+    """Common refinement: what observers deduce by pooling their views.
+    Each part keys a user by the index of its class."""
+    if not parts:
+        raise ValueError("need at least one partition")
+    n, protocol = parts[0].n_users, parts[0].protocol
+    if any(p.n_users != n or p.protocol != protocol for p in parts):
+        raise ValueError("partitions disagree on users or protocol")
+    keys = []
+    for p in parts:
+        key = [0] * n
+        for i, cls in enumerate(p.classes):
+            for u in cls:
+                key[u] = i
+        keys.append(key)
+    return _partition(n, keys, [c for p in parts for c in p.observers],
+                      protocol)
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,8 @@ class CoalitionTracker:
     query's proxy and route alone whether observe() would act on any of its
     events, so a query it does not see need not be built or fed.  Tracked
     topics are assumed to originate outside the coalition (members already
-    know their own).  An empty coalition, or a member outside 0..n-1, is a
+    know their own).  An empty coalition, a member outside 0..n-1, or an
+    analytic partition of other users, protocol or observers is a
     ValueError.
 
     The candidate set only ever shrinks.  The true source is never removed,
@@ -263,6 +269,12 @@ class CoalitionTracker:
         for m in (self.coalition[0], self.coalition[-1]):
             if not 0 <= m < system.n_users:
                 raise ValueError(f"coalition member {m} out of range")
+        run = (system.n_users, protocol, self.coalition)
+        floor = None if analytic is None else (
+            analytic.n_users, analytic.protocol, analytic.observers)
+        if floor not in (None, run):
+            raise ValueError(f"analytic partition for (users, protocol, "
+                             f"observers) {floor} does not fit {run}")
         self.protocol = protocol
         self.relay_metadata = relay_metadata
         self._class_set = None if analytic is None else set(analytic.classes)

@@ -49,9 +49,10 @@ in their docstrings):
                   is seen exactly once; that equality gives the projection
                   axiom, two points on at most one block and no triangle.
 ``verify_plane``  constant block size q+1 with q >= 2, q^2+q+1 points and
-                  blocks, every point collinear with the other n-1, and a
-                  quadrilateral.  b*C(q+1,2) = C(n,2), so no pair of points
-                  is on two blocks, and two blocks meet once.
+                  blocks, and every point collinear with the other n-1.
+                  b*C(q+1,2) = C(n,2), so no pair of points is on two
+                  blocks, and two blocks meet once; three blocks L, ac, bc
+                  cover 3q points, so a quadrilateral exists.
 """
 
 import json
@@ -199,8 +200,7 @@ def verify_plane(inc):
     """Check that ``inc`` is a projective plane; returns its order q.
 
     Checks constant block size q+1 with q >= 2, q^2+q+1 points and blocks,
-    that every point is collinear with the other n-1, and that a
-    quadrilateral (4 points, no 3 on a block) exists.  The witness of a
+    and that every point is collinear with the other n-1.  The witness of a
     missing pair is the least pair (x, y) on no common block.
 
     The remaining axioms follow by counting.  The blocks cover
@@ -209,7 +209,10 @@ def verify_plane(inc):
     exactly one block.  Each point then lies on (n-1)/q = q+1 blocks; the q
     further blocks through each of the q+1 points of a block L are
     distinct, and (q+1)q = b-1 accounts for every other block, so two
-    blocks meet in exactly one point.
+    blocks meet in exactly one point.  A quadrilateral exists: for a, b on
+    a block L and c off it, the blocks L, ac and bc meet pairwise in a, b
+    and c, so they cover 3(q+1) - 3 = 3q points and leave (q-1)^2 >= 1
+    points off all three, any of which completes a, b, c.
     """
     sizes = {len(b) for b in inc.blocks}
     if len(sizes) != 1:
@@ -227,17 +230,6 @@ def verify_plane(inc):
         if len(near) != n - 1:
             y = next(y for y in range(n) if y != x and y not in near)
             raise AxiomViolation(f"points {(x, y)} on no common block", (x, y))
-    # quadrilateral: a,b on L; c off L; d off L and off the blocks a-c, b-c
-    L = inc.block_sets[0]
-    a, b = inc.blocks[0][0], inc.blocks[0][1]
-    c = next(x for x in range(n) if x not in L)
-    blocked = set(L)
-    for bi in inc.point_to_blocks[c]:
-        if a in inc.block_sets[bi] or b in inc.block_sets[bi]:
-            blocked |= inc.block_sets[bi]
-    d = next((x for x in range(n) if x not in blocked), None)
-    if d is None:
-        raise AxiomViolation("no quadrilateral: plane is degenerate", None)
     return q
 
 

@@ -9,10 +9,12 @@ files byte for byte.
 import csv
 import json
 import math
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from .adversary import (
+    SweepRow,
     analytic_coalition,
     coalition_sweep,
     converge_topics,
@@ -198,23 +200,16 @@ def run_sweep(families, qs, protocol, sizes, placements, seed):
     return coalition_sweep(geoms, protocol, sizes, placements, seed=seed)
 
 
-SWEEP_COLUMNS = (
-    "family", "q", "s", "t", "n_users", "protocol", "coalition_size",
-    "placement", "coalition", "giant", "residue", "epsilon_star",
-    "residue_bound", "within_bound",
-)
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def write_sweep_csv(rows, fh):
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(SWEEP_COLUMNS)
     for r in rows:
-        w.writerow([
-            r.family, r.q, r.s, r.t, r.n_users, r.protocol, r.coalition_size,
-            r.placement, " ".join(str(m) for m in r.coalition),
-            r.giant, r.residue, r.epsilon_star, r.residue_bound,
-            int(r.within_bound),
-        ])
+        w.writerow(astuple(replace(
+            r, coalition=" ".join(map(str, r.coalition)),
+            within_bound=int(r.within_bound))))
 
 
 def write_json(report, fh):

@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import attrgetter
 
 import numpy as np
@@ -14,6 +14,7 @@ from gqupir.adversary import (
     CandidateState,
     CoalitionTracker,
     DegeneratePartition,
+    PseudonymityPartition,
     analytic_coalition,
     analytic_single,
     coalition_sweep,
@@ -25,6 +26,7 @@ from gqupir.adversary import (
     secure_at,
     security_margin,
 )
+from gqupir.geometry import Geometry, IncidenceStructure
 from gqupir.upir import (
     DB_REQUEST,
     QueryWorkload,
@@ -182,6 +184,125 @@ def test_line_dominating_coalition_resolves_covered_points():
     for w in block[1:]:
         assert w not in members
         assert meet.class_of(w) == frozenset({w})
+
+
+def reference_make_partition(n, groups, observers, protocol):
+    classes = tuple(sorted((frozenset(g) for g in groups), key=min))
+    total = sum(len(c) for c in classes)
+    if total != n or len(set().union(*classes)) != n:
+        raise ValueError("groups do not partition the users")
+    return PseudonymityPartition(n, classes, tuple(sorted(observers)), protocol)
+
+
+def reference_analytic_single(geom, observer, protocol):
+    """The single-observer partition built per protocol: spans of the far
+    users under the plaintext protocol, the set of shared spaces under the
+    encrypted one."""
+    base = geom.base
+    n = geom.n_points
+    c = observer
+    if protocol == 2:
+        by_key = {}
+        obs_spaces = base.point_to_blocks[c]
+        for u in range(n):
+            if u == c:
+                continue
+            shared = frozenset(m for m in obs_spaces if u in base.block_sets[m])
+            by_key.setdefault(shared, set()).add(u)
+        return reference_make_partition(
+            n, [{c}] + list(by_key.values()), (c,), 2)
+    near = geom.coll[c]
+    groups = [{c}] + [{u} for u in near]
+    assigned = set()
+    for u in range(n):
+        if u != c and u not in near and u not in assigned:
+            cls = set(geom.span((c, u)).members) - {c}
+            groups.append(cls)
+            assigned |= cls
+    return reference_make_partition(n, groups, (c,), 1)
+
+
+def reference_partition_meet(parts):
+    """The common refinement, through a dict of class indices per part."""
+    n = parts[0].n_users
+    index_maps = []
+    for p in parts:
+        idx = {}
+        for i, cls in enumerate(p.classes):
+            for u in cls:
+                idx[u] = i
+        index_maps.append(idx)
+    by_key = {}
+    for u in range(n):
+        by_key.setdefault(tuple(m[u] for m in index_maps), set()).add(u)
+    observers = set()
+    for p in parts:
+        observers |= set(p.observers)
+    return reference_make_partition(n, by_key.values(), observers,
+                                    parts[0].protocol)
+
+
+def reference_coalition(geom, coalition, protocol):
+    return reference_partition_meet(
+        [reference_analytic_single(geom, c, protocol) for c in coalition])
+
+
+def _grid_33():
+    rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    cols = [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
+    return Geometry.from_structure(IncidenceStructure(9, rows + cols), "grid")
+
+
+def _k33():
+    # the dual grid, order (1,2): the 9 edges of K_{3,3} as blocks
+    edges = [(a, b) for a in range(3) for b in range(3, 6)]
+    return Geometry.from_structure(IncidenceStructure(6, edges), "k33")
+
+
+REFERENCE_GEOMETRIES = {
+    "w3-3": lambda: get_gq("w3", 3),
+    "q4-3": lambda: get_gq("q4", 3),
+    "pg2-3": lambda: get_plane(3),
+    "grid-3x3": _grid_33,
+    "k33": _k33,
+}
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+@pytest.mark.parametrize("name", sorted(REFERENCE_GEOMETRIES))
+def test_partitions_match_reference_on_every_observer_and_pair(name, protocol):
+    geom = REFERENCE_GEOMETRIES[name]()
+    n = geom.n_points
+    singles = {}
+    for c in range(n):
+        singles[c] = reference_analytic_single(geom, c, protocol)
+        assert analytic_single(geom, c, protocol) == singles[c]
+    for pair in combinations(range(n), 2):
+        want = reference_partition_meet([singles[c] for c in pair])
+        assert analytic_coalition(geom, pair, protocol) == want
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+@pytest.mark.parametrize("family", ["w3", "q4"])
+def test_partitions_match_reference_on_random_coalitions(family, protocol):
+    geom = get_gq(family, 5)
+    rng = np.random.default_rng(8)
+    for size in (3, 5, 8):
+        for _ in range(4):
+            coalition = tuple(int(x) for x in
+                              rng.choice(geom.n_points, size, replace=False))
+            assert (analytic_coalition(geom, coalition, protocol)
+                    == reference_coalition(geom, coalition, protocol))
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+def test_partitions_match_reference_with_repeats(protocol):
+    gq = w33()
+    assert (analytic_coalition(gq, (13, 0, 13, 29), protocol)
+            == reference_coalition(gq, (13, 0, 13, 29), protocol))
+    parts = [analytic_single(gq, c, protocol) for c in (5, 0, 5)]
+    assert partition_meet(parts) == reference_partition_meet(parts)
+    assert partition_meet(parts).observers == (0, 5)
 
 
 # -- empirical inference --
@@ -495,6 +616,34 @@ def test_empirical_infer_transcript():
     states = empirical_infer(tr, (5,), analytic=part)
     assert states["topic"].rounds_observed == 4000
     assert states["topic"].candidates == part.class_of(u)
+
+
+def _w33_floors():
+    """Partitions that do not belong to a protocol-2 run of observer 0 on
+    W(3,3): another protocol, another observer, another geometry."""
+    gq = w33()
+    return [analytic_single(gq, 0, 1), analytic_single(gq, 13, 2),
+            analytic_single(get_gq("q4", 2), 0, 2)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["protocol", "observer", "users"])
+def test_tracker_rejects_a_floor_of_another_run(case):
+    sys_ = w33_system()
+    bad = _w33_floors()[case]
+    with pytest.raises(ValueError, match="does not fit"):
+        CoalitionTracker(sys_, (0,), 2, analytic=bad)
+    with pytest.raises(ValueError, match="does not fit"):
+        converge_topics(sys_, (0,), 2, {"t": 1}, 10_000, seed=1, analytic=bad)
+    tr = run_protocol(sys_, QueryWorkload(1, "t", 20, protocol=2), 3)
+    with pytest.raises(ValueError, match="does not fit"):
+        empirical_infer(tr, (0,), analytic=bad)
+
+
+def test_converge_topics_stops_at_its_own_floor():
+    states = converge_topics(w33_system(), (0,), 2, {"t": 1}, 10_000, seed=1,
+                             analytic=analytic_single(w33(), 0, 2))
+    assert states["t"].converged and states["t"].rounds_observed == 83
+    assert len(states["t"].candidates) == 27
 
 
 def reference_infer(transcript, coalition, analytic=None,

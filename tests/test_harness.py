@@ -346,6 +346,39 @@ def test_simulate_reports_match_golden_digests(tmp_path, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[argv]
 
 
+# SHA-256 of analyze reports and sweep tables, pinning the analytic
+# partitions under both protocols on both quadrangle families and a plane.
+# The digests were taken before the partitions were built from one key per
+# user and member.
+GOLDEN_ANALYTIC = {
+    ("sweep", "--family", "w3,q4", "--q", "3,5,7", "--protocol", "2",
+     "--coalition-size", "1,2,3", "--placement", "random,spread,line",
+     "--seed", "1"):
+        "24fd49bc63c3f1ec473c7dd851e6c1932cab2b9ad597e2368ab2632153c9ba7d",
+    ("sweep", "--family", "w3,q4", "--q", "3,4,5", "--protocol", "1",
+     "--coalition-size", "1,2,3", "--placement", "random,spread,line",
+     "--seed", "4"):
+        "0d0ecf9f328ebac29aaa3dc5d1aabf41b3a4f33842566f93ab7d8320f529665a",
+    ("analyze", "--family", "w3", "--q", "9", "--protocol", "1",
+     "--coalition-size", "3", "--placement", "spread", "--seed", "7"):
+        "0b838b282245a8adb361851618e2f14135bd1fa98c94d33620bdb295b3bb9647",
+    ("analyze", "--family", "q4", "--q", "5", "--protocol", "2",
+     "--coalition", "0,13,77"):
+        "533c74b9508bc0fc49bd71de5b7ecd71c0234071636a605e593f9eb6305e6ab3",
+    ("analyze", "--family", "pg2", "--q", "4", "--protocol", "2",
+     "--coalition", "0,5"):
+        "47b6f58020d67db620f6c490ca657c8f1c205e12b56e57d02a2b3d738d6b0bd9",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_ANALYTIC), ids=[
+    "sweep-p2", "sweep-p1", "analyze-w3-p1", "analyze-q4-p2", "analyze-pg2-p2"])
+def test_analytic_outputs_match_golden_digests(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYTIC[argv]
+
+
 def test_simulate_generates_each_topic_once(tmp_path, monkeypatch):
     calls = []
     draw = adversary._draw_queries
