@@ -60,8 +60,9 @@ from .upir import (
     WRITE_REQUEST,
     QueryWorkload,
     Transcript,
-    _draw_queries,
+    _block_columns,
     _body_ids,
+    _draw_queries,
     access,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
@@ -74,12 +75,15 @@ class DegeneratePartition(Exception):
 
 @dataclass(frozen=True)
 class PseudonymityPartition:
-    """Indistinguishability classes of users, for a fixed observer set."""
+    """Indistinguishability classes of users, for a fixed observer set.
+    structure is the IncidenceStructure the classes were computed on, or
+    None where unknown; it takes no part in comparisons."""
 
     n_users: int
     classes: tuple
     observers: tuple
     protocol: int
+    structure: object = field(default=None, compare=False, repr=False)
 
     def class_of(self, u):
         for cls in self.classes:
@@ -129,14 +133,15 @@ def _keys(geom, c, protocol):
     return keys
 
 
-def _partition(n, keys, observers, protocol):
+def _partition(n, keys, observers, protocol, structure):
     """Group users 0..n-1 by their keys under every observer; users are
     visited in order, so classes come out in order of their least member."""
     by_key = {}
     for u, key in enumerate(zip(*keys)):
         by_key.setdefault(key, []).append(u)
     return PseudonymityPartition(n, tuple(map(frozenset, by_key.values())),
-                                 tuple(sorted(set(observers))), protocol)
+                                 tuple(sorted(set(observers))), protocol,
+                                 structure)
 
 
 def analytic_coalition(geom, coalition, protocol):
@@ -154,7 +159,7 @@ def analytic_coalition(geom, coalition, protocol):
     if protocol not in (1, 2):
         raise ValueError("protocol must be 1 or 2")
     return _partition(n, [_keys(geom, c, protocol) for c in members], members,
-                      protocol)
+                      protocol, geom.base)
 
 
 def analytic_single(geom, observer, protocol):
@@ -167,9 +172,12 @@ def partition_meet(parts):
     Each part keys a user by the index of its class."""
     if not parts:
         raise ValueError("need at least one partition")
-    n, protocol = parts[0].n_users, parts[0].protocol
-    if any(p.n_users != n or p.protocol != protocol for p in parts):
-        raise ValueError("partitions disagree on users or protocol")
+    n, protocol, structure = (parts[0].n_users, parts[0].protocol,
+                              parts[0].structure)
+    if any(p.n_users != n or p.protocol != protocol
+           or p.structure != structure for p in parts):
+        raise ValueError("partitions disagree on users, protocol or "
+                         "structure")
     keys = []
     for p in parts:
         key = [0] * n
@@ -178,7 +186,7 @@ def partition_meet(parts):
                 key[u] = i
         keys.append(key)
     return _partition(n, keys, [c for p in parts for c in p.observers],
-                      protocol)
+                      protocol, structure)
 
 
 @dataclass(frozen=True)
@@ -240,8 +248,8 @@ class CoalitionTracker:
     events, so a query it does not see need not be built or fed.  Tracked
     topics are assumed to originate outside the coalition (members already
     know their own).  An empty coalition, a member outside 0..n-1, or an
-    analytic partition of other users, protocol or observers is a
-    ValueError.
+    analytic partition of other users, protocol or observers, or computed
+    on a structure with other blocks, is a ValueError.
 
     The candidate set only ever shrinks.  The true source is never removed,
     with one bounded exception under the encrypted protocol: the
@@ -275,6 +283,10 @@ class CoalitionTracker:
         if floor not in (None, run):
             raise ValueError(f"analytic partition for (users, protocol, "
                              f"observers) {floor} does not fit {run}")
+        if analytic is not None and analytic.structure not in (
+                None, system.structure):
+            raise ValueError("analytic partition computed on other blocks "
+                             "does not fit the system's")
         self.protocol = protocol
         self.relay_metadata = relay_metadata
         self._class_set = None if analytic is None else set(analytic.classes)
@@ -317,14 +329,14 @@ class CoalitionTracker:
 
     def sees(self, proxy, route):
         """Whether observe() can act on any event of one query, given its
-        proxy and its route as _draw_queries yields it (None when the
+        proxy and its route as a pair of upir._draw_queries (None when the
         source proxied for itself).  A set-based shortcut derived from
-        upir.access, cheap enough to run for every query: database events
-        never count, and a write counts for a member of its space when the
-        member may read it or relay metadata is attributed.  So under
-        protocol 1, or with relay_metadata, a query counts when some member
-        lies in a space of its route; under protocol 2 without it, when a
-        member is its proxy."""
+        upir.access, asked once per distinct route of a block: database
+        events never count, and a write counts for a member of its space
+        when the member may read it or relay metadata is attributed.  So
+        under protocol 1, or with relay_metadata, a query counts when some
+        member lies in a space of its route; under protocol 2 without it,
+        when a member is its proxy."""
         if self._proxy_only:
             return proxy in self.coalition
         return route is not None and not self._watched.isdisjoint(route[1::2])
@@ -409,11 +421,14 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     inside it is a ValueError).  Each topic gets its own
     deterministic substream of the seed, so results do not depend on which
     other topics are present.  Queries come from the draw-and-intern path
-    that upir.run_protocol uses, each distinct route's bodies interned once
-    per stream.  The tracker is fed only the queries it can act on
-    (CoalitionTracker.sees); without a log, any other query is skipped
-    before it is interned.  on_step, when given, is called after each query
-    that changed the topic's candidate set, as on_step(topic,
+    that upir.run_protocol uses, drawn a block at a time, each distinct
+    route's bodies interned once per stream; protocol 2 on a system with
+    users beyond distance 2 is a NotDiameterBoundedError there.  sees() is
+    asked once per distinct route of a block, and the tracker is fed, query
+    by query, only the queries it admits; without a log, any other query
+    is skipped before it is interned, and drawing stops with the block in
+    which the topic converges.  on_step, when given, is called after each
+    query that changed the topic's candidate set, as on_step(topic,
     queries_so_far, candidates); the set it receives is live tracker state,
     to be read and not kept.  log, when given, is a upir.Transcript that
     receives every event of every topic, topic after topic, each stream
@@ -425,7 +440,7 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     if inside:
         raise ValueError(f"source {inside[0]} is inside the coalition")
     out = {}
-    parts = []  # per topic, the body ids of each query logged
+    parts = []  # per topic, the (body, sizes) of each block logged
     store = Transcript(system, protocol, seed, (), {}) if log is None else log
     topics = sorted(topic_sources)
     children = np.random.SeedSequence(seed).spawn(len(topics))
@@ -436,24 +451,29 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                                    analytic=analytic,
                                    relay_metadata=relay_metadata)
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
-        rounds, converged = queries_cap, False
+        done, rounds, converged = 0, queries_cap, False
         ids_of, logged = _body_ids(store, workload), []
-        queries = _draw_queries(system, source, queries_cap, rng)
-        for qi, (proxy, route) in enumerate(queries):
+        for pairs, inv in _draw_queries(system, workload, rng):
             if log is not None:
-                logged.append(ids_of(proxy, route))
-            if converged or not tracker.sees(proxy, route):
-                continue
-            before = len(tracker._live(topic))
-            tracker.feed(map(store.bodies.__getitem__, ids_of(proxy, route)))
-            cand = tracker._live(topic)
-            if on_step is not None and len(cand) != before:
-                on_step(topic, qi + 1, cand)
-            if tracker.converged(topic):
-                rounds = qi + 1
-                converged = True
-                if log is None:
-                    break
+                logged.append(_block_columns([ids_of(*p) for p in pairs], inv))
+            if not converged:
+                seen = np.fromiter((tracker.sees(*p) for p in pairs), bool,
+                                   len(pairs))[inv]
+                at = np.flatnonzero(seen)
+                for qi, k in zip(at.tolist(), inv[at].tolist()):
+                    before = len(tracker._live(topic))
+                    tracker.feed(map(store.bodies.__getitem__,
+                                     ids_of(*pairs[k])))
+                    cand = tracker._live(topic)
+                    if on_step is not None and len(cand) != before:
+                        on_step(topic, done + qi + 1, cand)
+                    if tracker.converged(topic):
+                        rounds = done + qi + 1
+                        converged = True
+                        break
+            done += len(inv)
+            if converged and log is None:
+                break
         parts.append(logged)
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)

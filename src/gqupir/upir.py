@@ -16,13 +16,22 @@ Two request disciplines are simulated:
   within distance 2.
 
 Transcripts record one event per write or database call, in order, and
-run_protocol and adversary.converge_topics make them by one path: queries
-drawn by _draw_queries, each distinct route's bodies interned once by
-_body_ids.  One rule, access(), decides what a user sees of an event and
-whether it reads the payload.  The ground-truth map (topic -> source) and
-the writer and query ordinal of each event live outside the event log
-proper: observer views carry events with writer None, query -1 and, where
-the payload is unreadable, topic None, and the on-disk format keeps ground
+run_protocol and adversary.converge_topics make them by one block stream.
+Its raw uint32 values form a chain: a proxy draw, then a route draw exactly
+when that proxy has more than one shortest route, with route counts taken
+from the distance table.  _draws finds the roles of a whole block in numpy
+and applies numpy's 32-bit Lemire rule to it; a rejected value is dropped
+and the chain restarts after it.  A block never holds more values than the
+queries left, each of which consumes at least one, so the values and the
+Generator state are those of one scalar rng.integers call per draw.  Each
+distinct (proxy, route) of a block has its bodies interned once per stream,
+and the block's columns are gathered from them in numpy.
+
+One rule, access(), decides what a user sees of an event and whether it
+reads the payload.  The ground-truth map (topic -> source) and the writer
+and query ordinal of each event live outside the event log proper:
+observer views carry events with writer None, query -1 and, where the
+payload is unreadable, topic None, and the on-disk format keeps ground
 truth in a separate sidecar file.
 """
 
@@ -211,15 +220,17 @@ class Transcript:
         return i
 
     def extend(self, streams):
-        """Append streams, each a list of its queries' body ids, one
-        sequence per query; a stream's seq and query count from 0."""
-        sizes = [np.fromiter(map(len, s), np.int64, len(s)) for s in streams]
-        self.seq = np.concatenate(
-            [self.seq, *map(np.arange, map(np.sum, sizes))], dtype=np.int64)
-        self.body = np.concatenate([self.body, *(np.fromiter(
-            chain.from_iterable(s), np.int32) for s in streams)])
+        """Append streams, each a list of its blocks' (body, sizes): the
+        block's events' body ids, and its queries' event counts, in order.
+        A stream's seq and query count from 0."""
+        parts = [tuple(map(np.concatenate, zip(*s))) for s in streams]
+        self.seq = np.concatenate([self.seq, *(
+            np.arange(len(b)) for b, _ in parts)], dtype=np.int64)
+        self.body = np.concatenate([self.body, *(b for b, _ in parts)],
+                                   dtype=np.int32)
         self.query = np.concatenate([self.query, *(
-            np.repeat(np.arange(len(n)), n) for n in sizes)], dtype=np.int32)
+            np.repeat(np.arange(len(n)), n) for _, n in parts)],
+            dtype=np.int32)
 
     @property
     def events(self):
@@ -241,79 +252,122 @@ def _as_rng(seed_or_rng):
 
 
 _U32 = 1 << 32
-# raw values per numpy call at most: held as Python ints, a block costs
-# about 40 bytes a value
+# raw values per numpy call at most
 _BLOCK = 1024
 
 
-def _bounded_draws(rng):
-    """A function below(bound, left) that returns what the scalar call
-    rng.integers(bound) would, consuming the same raw values, so the
-    Generator ends in the same state as after the scalar calls.
-
-    Raw values come in blocks from rng.integers(0, 2**32, size=k,
-    dtype=np.uint32), and each draw applies numpy's 32-bit Lemire rule to
-    them: m = x * bound, rejected while m mod 2**32 < (2**32 - bound) %
-    bound, giving m >> 32.  A draw with bound 1 consumes no value; bound
-    must be below 2**32.  left bounds the raw values the caller will still
-    consume, this draw's included: a new block is never longer (nor longer
-    than _BLOCK), so the Generator is never drawn past what the scalar
-    calls would take.
+def _draws(rng, count, n, bounds):
+    """The block stream's core (see the module docstring): yield, a block
+    at a time, int64 arrays of the proxy and the route index of each of
+    count queries as the scalar calls proxy = rng.integers(n), pick =
+    rng.integers(bounds[proxy]) would draw them, leaving rng in their state.
+    bounds is a uint64 array of route counts per proxy, 1 where no route is
+    drawn; a bound-1 call consumes no value, so n == 1 draws nothing.  A
+    draw maps raw x to x * bound >> 32, rejecting x while x * bound mod
+    2**32 < (2**32 - bound) % bound.  In a run of values whose proxy reading
+    x * n >> 32 has several routes, roles alternate from a proxy draw; any
+    other value is followed by a proxy draw.
     """
-    block = []
-    pos = 0
-    floors = {}
+    left = count  # queries not complete, one waiting for its route included
+    pending = -1  # the proxy of a query waiting for its route draw
+    while left:
+        if n == 1:
+            k = min(left, _BLOCK)
+            yield np.zeros(k, np.int64), np.zeros(k, np.int64)
+            left -= k
+            continue
+        x = rng.integers(0, _U32, size=min(left, _BLOCK),
+                         dtype=np.uint32).astype(np.uint64)
+        proxies, picks = [], []
+        while len(x):
+            reading = x * n >> 32
+            multi = bounds[reading] > 1
+            if pending >= 0:
+                multi[0] = False  # x[0] is the waiting route draw
+            i = np.arange(len(x))
+            run = i - np.maximum.accumulate(np.where(multi, -1, i))
+            route = np.empty(len(x), bool)
+            route[0] = pending >= 0
+            route[1:] = multi[:-1] & (run[:-1] % 2 == 1)
+            owner = np.empty_like(reading)  # a route draw's proxy
+            owner[0] = max(pending, 0)
+            owner[1:] = reading[:-1]
+            bound = np.where(route, bounds[owner], np.uint64(n))
+            m = x * bound
+            keep = m & 0xFFFFFFFF >= (_U32 - bound) % bound
+            cut = len(x) if keep.all() else int(keep.argmin())
+            draw = (m >> 32)[:cut]
+            route, multi, owner = route[:cut], multi[:cut], owner[:cut]
+            done = route | ~multi
+            proxies.append(np.where(route, owner, draw)[done])
+            picks.append(np.where(route, draw, 0)[done])
+            if cut:
+                pending = (int(draw[-1]) if multi[-1] and not route[-1]
+                           else -1)
+            x = x[cut + 1:]
+        proxy = np.concatenate(proxies).astype(np.int64)
+        left -= len(proxy)
+        yield proxy, np.concatenate(picks).astype(np.int64)
 
-    def below(bound, left):
-        nonlocal block, pos
-        if bound == 1:
-            return 0
-        floor = floors.get(bound)
-        if floor is None:
-            floor = floors[bound] = (_U32 - bound) % bound
-        while True:
-            if pos == len(block):
-                block = rng.integers(0, _U32, size=min(left, _BLOCK),
-                                     dtype=np.uint32).tolist()
-                pos = 0
-            m = block[pos] * bound
-            pos += 1
-            if m & 0xFFFFFFFF >= floor:
-                return m >> 32
 
-    return below
+def _route_counts(system, source):
+    """Per user v, len(system.shortest_user_paths(source, v)), 1 at the
+    source, as uint64: a ring of the distance table at a time, each space
+    sums the counts of its members one ring in, and each user of the ring
+    the sums of its spaces."""
+    blocks = system.structure.blocks
+    member = np.fromiter(chain.from_iterable(blocks), np.intp)
+    space = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+    dist = system.distances[source]
+    ring_of = dist[member]
+    counts = np.zeros(system.n_users)
+    counts[source] = 1
+    for d in range(1, int(dist.max()) + 1):
+        inner = np.bincount(space, np.where(ring_of == d - 1, counts[member],
+                                            0), len(blocks))
+        ring = dist == d
+        counts[ring] = np.bincount(member, inner[space], system.n_users)[ring]
+    return counts.astype(np.uint64)
 
 
-def _draw_queries(system, source, count, rng):
-    """Yield (proxy, route) for each of count queries from source.  route is
-    the chosen shortest path (source, M1, u1, ..., Mk, proxy), or None when
-    the source proxies for itself.  Each proxy's routes are built once and
-    cached in routes_to for the rest of the stream.
-
-    The proxy is rng.integers(n_users) and the route index
-    rng.integers(len(routes)), drawn through _bounded_draws.  Every query
-    of a system with two or more users consumes at least one raw value, so
-    the queries left bound the values left.
+def _draw_queries(system, workload, rng):
+    """Yield one workload's queries a block at a time, as (pairs, inv):
+    the block's distinct (proxy, route), route a shortest path (source, M1,
+    u1, ..., proxy) or None for the source itself, and each query's index
+    into pairs.  A bad source is a ValueError, and protocol 2 with users
+    beyond distance 2 a NotDiameterBoundedError, before any draw.
     """
-    n = system.n_users
+    n, source = system.n_users, workload.source
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    below = _bounded_draws(rng)
+    far = _first_pair(system.distances > 2) if workload.protocol == 2 else None
+    if far is not None:
+        raise NotDiameterBoundedError(
+            f"user pair {far} at distance {system.user_distance(*far)} > 2"
+        )
+    bounds = _route_counts(system, source)
+    width = int(bounds.max())
     routes_to = functools.cache(
         lambda v: system.shortest_user_paths(source, v))
-    for left in range(count, 0, -1):
-        v = below(n, left)
-        if v == source:
-            yield v, None
-        else:
-            routes = routes_to(v)
-            yield v, routes[below(len(routes), left)]
+
+    @functools.cache
+    def pair_of(key):
+        v, r = divmod(key, width)
+        return v, None if v == source else routes_to(v)[r]
+
+    for proxy, pick in _draws(rng, workload.count, n, bounds):
+        if len(proxy):
+            key = proxy * width + pick
+            hit = np.zeros(n * width, bool)
+            hit[key] = True
+            yield (list(map(pair_of, np.flatnonzero(hit).tolist())),
+                   (np.cumsum(hit) - 1)[key])
 
 
 def _query_bodies(workload, proxy, route):
     """The bodies of one query's events, in order, as Transcript.intern
     takes them: a write request per hop, the database request and response,
-    then a write response per hop back.  route is as _draw_queries yields
+    then a write response per hop back.  route is as _draw_queries gives
     it."""
     topic = workload.topic
     vis = ALL_READERS if workload.protocol == 1 else PROXY_ONLY
@@ -333,6 +387,18 @@ def _body_ids(store, workload):
     fixes its proxy) is interned once."""
     return functools.cache(lambda proxy, route: tuple(
         map(store.intern, _query_bodies(workload, proxy, route))))
+
+
+def _block_columns(ids, inv):
+    """A block's (body, sizes) for Transcript.extend, from the body ids of
+    its distinct routes and inv, each query's index into them."""
+    lens = np.fromiter(map(len, ids), np.int64, len(ids))
+    flat = np.fromiter(chain.from_iterable(ids), np.int32)
+    sizes = lens[inv]
+    first = np.cumsum(sizes) - sizes  # each query's first event
+    body = flat[np.arange(first[-1] + sizes[-1]) + np.repeat(
+        (np.cumsum(lens) - lens)[inv] - first, sizes)]
+    return body, sizes
 
 
 def iter_protocol_events(system, workload, rng):
@@ -356,17 +422,13 @@ def run_protocol(system, workload, seed_or_rng):
     or None.  Its events come from the draw-and-intern path that
     adversary.converge_topics uses, numbered from seq 0 and query 0.
     """
-    far = _first_pair(system.distances > 2) if workload.protocol == 2 else None
-    if far is not None:
-        raise NotDiameterBoundedError(
-            f"user pair {far} at distance {system.user_distance(*far)} > 2"
-        )
     rng, seed = _as_rng(seed_or_rng)
     transcript = Transcript(system, workload.protocol, seed, (),
                             {workload.topic: workload.source})
     ids_of = _body_ids(transcript, workload)
-    transcript.extend([[ids_of(proxy, route) for proxy, route in _draw_queries(
-        system, workload.source, workload.count, rng)]])
+    transcript.extend([[_block_columns([ids_of(*p) for p in pairs], inv)
+                        for pairs, inv in _draw_queries(system, workload,
+                                                        rng)]])
     return transcript
 
 

@@ -527,8 +527,9 @@ def test_tracker_sees_exactly_the_queries_it_acts_on(protocol, relay_metadata):
                                relay_metadata=relay_metadata)
     workload = QueryWorkload(31, "t", 400, protocol=protocol)
     acted = []
-    queries = _draw_queries(sys_, 31, 400, np.random.default_rng(12))
-    for proxy, route in queries:
+    blocks = _draw_queries(sys_, workload, np.random.default_rng(12))
+    for proxy, route in (pairs[k] for pairs, inv in blocks
+                         for k in inv.tolist()):
         probe = _ActionProbe(sys_, coalition, protocol,
                              relay_metadata=relay_metadata)
         probe.feed(TranscriptEvent(-1, *body, -1)
@@ -620,13 +621,17 @@ def test_empirical_infer_transcript():
 
 def _w33_floors():
     """Partitions that do not belong to a protocol-2 run of observer 0 on
-    W(3,3): another protocol, another observer, another geometry."""
+    W(3,3): another protocol, another observer, another geometry, and
+    another geometry with as many users (Q(4,3), whose floor would never
+    converge on W(3,3))."""
     gq = w33()
     return [analytic_single(gq, 0, 1), analytic_single(gq, 13, 2),
-            analytic_single(get_gq("q4", 2), 0, 2)]
+            analytic_single(get_gq("q4", 2), 0, 2),
+            analytic_single(get_gq("q4", 3), 0, 2)]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["protocol", "observer", "users"])
+@pytest.mark.parametrize("case", range(4),
+                         ids=["protocol", "observer", "users", "structure"])
 def test_tracker_rejects_a_floor_of_another_run(case):
     sys_ = w33_system()
     bad = _w33_floors()[case]

@@ -1,10 +1,11 @@
 """Block-drawn queries against numpy's scalar draws.
 
 The query stream takes raw uint32 values in blocks and maps them to bounded
-draws itself.  These tests hold it to the scalar Generator.integers calls it
-replaces: the same values, the same events, and the same Generator state
-afterwards.  reference_events below is the scalar-draw event generator the
-stream replaced, kept as the reference.
+draws itself, a block at a time in numpy.  These tests hold it to the scalar
+Generator.integers calls it replaces: the same values, the same events, and
+the same Generator state afterwards.  reference_events below is the
+scalar-draw event generator the stream replaced, kept as the reference, and
+scalar_draws the scalar form of the stream's core, _draws.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqupir.geometry import IncidenceStructure
 from gqupir.upir import (
     ALL_READERS,
     DB_REQUEST,
@@ -22,7 +24,8 @@ from gqupir.upir import (
     QueryWorkload,
     TranscriptEvent,
     UPIRSystem,
-    _bounded_draws,
+    _draws,
+    _route_counts,
     iter_protocol_events,
     run_protocol,
 )
@@ -34,6 +37,12 @@ SYSTEMS = {
     "q4-3": lambda: UPIRSystem(get_gq("q4", 3).base),
     "pg2-3": lambda: UPIRSystem(get_plane(3).base),
 }
+
+
+def hexagon():
+    """A cycle of six users: opposite users are 3 apart, with two routes."""
+    return UPIRSystem(
+        IncidenceStructure(6, [(i, (i + 1) % 6) for i in range(6)]))
 
 
 def reference_events(system, workload, rng):
@@ -77,58 +86,127 @@ def raw_state_after(seed, k):
     return rng.bit_generator.state
 
 
+def scalar_draws(rng, count, n, bounds):
+    """What _draws yields, drawn by scalar calls: per query the proxy
+    rng.integers(n), then the route index rng.integers(bounds[proxy])."""
+    proxies, picks = [], []
+    for _ in range(count):
+        v = int(rng.integers(n))
+        proxies.append(v)
+        picks.append(int(rng.integers(int(bounds[v]))))
+    return proxies, picks
+
+
+def block_draws(rng, count, n, bounds):
+    """_draws' blocks joined into lists."""
+    blocks = list(_draws(rng, count, n, np.asarray(bounds, np.uint64)))
+    return (np.concatenate([p for p, _ in blocks]).tolist(),
+            np.concatenate([r for _, r in blocks]).tolist())
+
+
+def assert_draws_match(start, count, n, bounds):
+    """_draws and scalar_draws agree from start, a seed or a Generator
+    state, and leave equal Generator states; returns the scalar side."""
+    seed = start if isinstance(start, int) else 0
+    scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    if not isinstance(start, int):
+        scalar.bit_generator.state = batched.bit_generator.state = start
+    want = scalar_draws(scalar, count, n, bounds)
+    assert block_draws(batched, count, n, bounds) == want
+    assert batched.bit_generator.state == scalar.bit_generator.state
+    return scalar
+
+
 # 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of the raw
 # values; 2**32 - 1 rejects only the value 0
 BOUNDS = (1, 2, 3, 40, 156, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1)
+
+
+def as_proxy(bound):
+    """(n, bounds) making every draw a proxy draw below bound; the bounds
+    array is a zero-stride view, so a bound near 2**32 costs no memory."""
+    return bound, np.broadcast_to(np.uint64(1), (bound,))
+
+
+def as_route(bound):
+    """(n, bounds) with three proxies, of which proxy 1 is followed by a
+    route draw below bound."""
+    return 3, (1, bound, 1)
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_bounded_draws_match_scalar_integers(bound, seed):
     count = 3000
-    scalar = np.random.default_rng(seed)
-    want = [int(scalar.integers(bound)) for _ in range(count)]
-    batched = np.random.default_rng(seed)
-    below = _bounded_draws(batched)
-    # each draw with bound > 1 consumes at least one value, so the draws
-    # left bound the values left
-    got = [below(bound, count - i) for i in range(count)]
-    assert got == want
-    assert batched.bit_generator.state == scalar.bit_generator.state
+    scalar = assert_draws_match(seed, count, *as_proxy(bound))
+    assert_draws_match(seed, count, *as_route(bound))
     if bound == 1:
         assert scalar.bit_generator.state == raw_state_after(seed, 0)
     if bound in (2**31 + 1, 3 * 2**30 + 1):  # some values were rejected
         assert scalar.bit_generator.state != raw_state_after(seed, count)
 
 
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+
+
+def planted(values):
+    """A PCG64 state whose first raw uint32 values are the three given.  The
+    buffered half-word gives the first; the second and third are the low
+    and high halves of the next 64-bit output, which is the XSL-RR output
+    of the state after one step, so that state is built for it and stepped
+    back."""
+    first, low, high = values
+    out = high << 32 | low
+    rot = 5  # any rotation: it is the state's top six bits
+    hi = rot << 58 | 0x123456789AB
+    lo = hi ^ ((out << rot | out >> (64 - rot)) & _MASK64)
+    state = np.random.default_rng(5).bit_generator.state
+    inc = state["state"]["inc"]
+    after = hi << 64 | lo
+    before = (after - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
+    state["state"]["state"] = before
+    state.update(has_uint32=1, uinteger=first)
+    check = np.random.default_rng(0)
+    check.bit_generator.state = state
+    assert check.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == list(
+        values)
+    return state
+
+
 @pytest.mark.parametrize("bound", [b for b in BOUNDS if b % 2 == 1 and b > 1])
 @pytest.mark.parametrize("offset", [0, -1])
 def test_bounded_draws_at_the_rejection_threshold(bound, offset):
-    # PCG64 hands out a buffered half-word first, so the state can plant
-    # the first raw value: one whose low product word is exactly the
-    # threshold (kept) or one below it (rejected)
+    # a raw value whose low product word is exactly the threshold (kept) or
+    # one below it (rejected), planted as a proxy draw and as a route draw
     threshold = (2**32 - bound) % bound
     raw = (threshold + offset) * pow(bound, -1, 2**32) % 2**32
-    state = np.random.default_rng(5).bit_generator.state
-    state.update(has_uint32=1, uinteger=raw)
-    scalar = np.random.default_rng(5)
-    batched = np.random.default_rng(5)
-    scalar.bit_generator.state = state
-    batched.bit_generator.state = state
-    below = _bounded_draws(batched)
-    assert [below(bound, 4 - i) for i in range(4)] == [
-        int(scalar.integers(bound)) for _ in range(4)]
-    assert batched.bit_generator.state == scalar.bit_generator.state
+    assert_draws_match(planted((raw, 1, 2)), 4, *as_proxy(bound))
+    # the first value, 2**31, draws proxy 1 of 3; the route draw follows
+    assert_draws_match(planted((2**31, raw, 7)), 4, *as_route(bound))
 
 
 def test_bounded_draws_mix_bounds_on_one_stream():
-    scalar = np.random.default_rng(99)
-    batched = np.random.default_rng(99)
-    below = _bounded_draws(batched)
-    bounds = [BOUNDS[i % len(BOUNDS)] for i in range(2000)]
-    got = [below(b, len(bounds) - i) for i, b in enumerate(bounds)]
-    assert got == [int(scalar.integers(b)) for b in bounds]
-    assert batched.bit_generator.state == scalar.bit_generator.state
+    # one proxy per bound, each followed by a route draw below it; a route
+    # draw often waits at the end of a block
+    bounds = np.array(BOUNDS, np.uint64)
+    assert_draws_match(99, 2000, len(bounds), bounds)
+    # rejection-heavy proxy and route draws, one after the other
+    assert_draws_match(99, 2000, 2**31 + 1,
+                       np.broadcast_to(np.uint64(3 * 2**30 + 1), (2**31 + 1,)))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS) + ["hexagon"])
+def test_route_counts_match_the_routes(name):
+    system = SYSTEMS[name]() if name in SYSTEMS else hexagon()
+    n = system.n_users
+    for u in range(n):
+        counts = _route_counts(system, u).tolist()
+        assert counts[u] == 1
+        assert counts[:u] + counts[u + 1:] == [
+            len(system.shortest_user_paths(u, v)) for v in range(n) if v != u]
+    if name == "hexagon":
+        assert _route_counts(system, 0).tolist() == [1, 1, 1, 2, 1, 1]
 
 
 @settings(max_examples=40, deadline=None)

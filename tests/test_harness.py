@@ -383,9 +383,9 @@ def test_simulate_generates_each_topic_once(tmp_path, monkeypatch):
     calls = []
     draw = adversary._draw_queries
 
-    def counted(system, source, count, rng):
-        calls.append(source)
-        return draw(system, source, count, rng)
+    def counted(system, workload, rng):
+        calls.append(workload.source)
+        return draw(system, workload, rng)
 
     monkeypatch.setattr(adversary, "_draw_queries", counted)
     geom = build_family("w3", 3)

@@ -23,6 +23,7 @@ from gqupir.upir import (
     QueryWorkload,
     TranscriptEvent,
     UPIRSystem,
+    _route_counts,
     access,
     external_view,
     observer_view,
@@ -193,6 +194,8 @@ def assert_matches_reference(inc):
             assert sys_.user_distance(u, v) == ref.rows[u][v]
             if v != u:
                 assert sys_.shortest_user_paths(u, v) == ref.paths(u, v)
+        assert _route_counts(sys_, u).tolist() == [
+            1 if v == u else len(ref.paths(u, v)) for v in range(n)]
     message = ref.too_far()
     work = QueryWorkload(0, "t", 1, protocol=2)
     if message is None:
@@ -325,12 +328,21 @@ def test_determinism_same_seed():
 
 
 def test_protocol2_diameter_guard():
-    # a path graph of three triangles in a row has user pairs at distance 3
-    blocks = [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)]
-    sys_ = UPIRSystem(IncidenceStructure(9, blocks))
-    assert sys_.diameter() > 2
-    with pytest.raises(NotDiameterBoundedError):
-        run_protocol(sys_, QueryWorkload(0, "t", 1, protocol=2), 0)
+    for inc in (
+        # a path graph of three triangles in a row has users 3 apart
+        IncidenceStructure(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)]),
+        # so has a cycle of six users: opposite users are 3 apart
+        IncidenceStructure(6, [(i, (i + 1) % 6) for i in range(6)]),
+    ):
+        sys_ = UPIRSystem(inc)
+        assert sys_.diameter() > 2
+        with pytest.raises(NotDiameterBoundedError):
+            run_protocol(sys_, QueryWorkload(3, "t", 200, protocol=2), 0)
+        # converge_topics shares run_protocol's stream and its guard
+        for log in (None, Transcript(sys_, 2, 1, (), {})):
+            with pytest.raises(NotDiameterBoundedError):
+                converge_topics(sys_, (1,), 2, {"t": 3}, 200, seed=1,
+                                log=log)
 
 
 def test_protocol2_visibility_flags():
