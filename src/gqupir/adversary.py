@@ -426,15 +426,15 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     users beyond distance 2 is a NotDiameterBoundedError there.  sees() is
     asked once per distinct route of a block, and the tracker is fed, query
     by query, only the queries it admits; without a log, any other query
-    is skipped before it is interned, and drawing stops with the block in
-    which the topic converges.  on_step, when given, is called after each
-    query that changed the topic's candidate set, as on_step(topic,
-    queries_so_far, candidates); the set it receives is live tracker state,
-    to be read and not kept.  log, when given, is a upir.Transcript that
-    receives every event of every topic, topic after topic, each stream
-    numbered from seq 0: each stream then runs to the cap, while the
-    tracker still stops reading it at convergence.  Returns {topic:
-    CandidateState}.
+    is skipped before it is interned, and drawing stops at most one block
+    past the query at which the topic converges.  on_step, when given, is
+    called after each query that changed the topic's candidate set, as
+    on_step(topic, queries_so_far, candidates); the set it receives is live
+    tracker state, to be read and not kept.  log, when given, is a
+    upir.Transcript that receives every event of every topic, topic after
+    topic, each stream numbered from seq 0: each stream then runs to the
+    cap, while the tracker still stops reading it at convergence.  Returns
+    {topic: CandidateState}.
     """
     inside = sorted(set(topic_sources.values()) & set(coalition))
     if inside:

@@ -21,9 +21,9 @@ Its raw uint32 values form a chain: a proxy draw, then a route draw exactly
 when that proxy has more than one shortest route, with route counts taken
 from the distance table.  _draws finds the roles of a whole block in numpy
 and applies numpy's 32-bit Lemire rule to it; a rejected value is dropped
-and the chain restarts after it.  A block never holds more values than the
-queries left, each of which consumes at least one, so the values and the
-Generator state are those of one scalar rng.integers call per draw.  Each
+and the chain restarts after it.  The block in which a stream ends is
+drawn again up to its last used value, so the values and the Generator
+state are those of one scalar rng.integers call per draw.  Each
 distinct (proxy, route) of a block has its bodies interned once per stream,
 and the block's columns are gathered from them in numpy.
 
@@ -37,6 +37,7 @@ truth in a separate sidecar file.
 
 import functools
 import json
+import operator
 import re
 from array import array
 from dataclasses import dataclass
@@ -161,6 +162,11 @@ class QueryWorkload:
     protocol: int = 1
 
     def __post_init__(self):
+        for name in ("source", "count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.protocol not in (1, 2):
@@ -252,8 +258,8 @@ def _as_rng(seed_or_rng):
 
 
 _U32 = 1 << 32
-# raw values per numpy call at most
-_BLOCK = 1024
+# raw values per numpy call
+_BLOCK = 4096
 
 
 def _draws(rng, count, n, bounds):
@@ -266,20 +272,20 @@ def _draws(rng, count, n, bounds):
     draw maps raw x to x * bound >> 32, rejecting x while x * bound mod
     2**32 < (2**32 - bound) % bound.  In a run of values whose proxy reading
     x * n >> 32 has several routes, roles alternate from a proxy draw; any
-    other value is followed by a proxy draw.
+    other value is followed by a proxy draw.  The last block is rewound.
     """
+    if n == 1:
+        yield np.zeros(count, np.int64), np.zeros(count, np.int64)
+        return
     left = count  # queries not complete, one waiting for its route included
     pending = -1  # the proxy of a query waiting for its route draw
     while left:
-        if n == 1:
-            k = min(left, _BLOCK)
-            yield np.zeros(k, np.int64), np.zeros(k, np.int64)
-            left -= k
-            continue
-        x = rng.integers(0, _U32, size=min(left, _BLOCK),
-                         dtype=np.uint32).astype(np.uint64)
-        proxies, picks = [], []
-        while len(x):
+        state = rng.bit_generator.state
+        raw = rng.integers(0, _U32, size=_BLOCK,
+                           dtype=np.uint32).astype(np.uint64)
+        proxies, picks, used = [], [], 0
+        while left and used < _BLOCK:
+            x = raw[used:]
             reading = x * n >> 32
             multi = bounds[reading] > 1
             if pending >= 0:
@@ -296,18 +302,22 @@ def _draws(rng, count, n, bounds):
             m = x * bound
             keep = m & 0xFFFFFFFF >= (_U32 - bound) % bound
             cut = len(x) if keep.all() else int(keep.argmin())
-            draw = (m >> 32)[:cut]
-            route, multi, owner = route[:cut], multi[:cut], owner[:cut]
             done = route | ~multi
+            # stop at the left-th completion
+            cut = min(cut, int(np.cumsum(done[:cut]).searchsorted(left)) + 1)
+            done[cut:] = False
+            draw = m >> 32
             proxies.append(np.where(route, owner, draw)[done])
             picks.append(np.where(route, draw, 0)[done])
             if cut:
-                pending = (int(draw[-1]) if multi[-1] and not route[-1]
-                           else -1)
-            x = x[cut + 1:]
-        proxy = np.concatenate(proxies).astype(np.int64)
-        left -= len(proxy)
-        yield proxy, np.concatenate(picks).astype(np.int64)
+                pending = -1 if done[cut - 1] else int(draw[cut - 1])
+            left -= len(proxies[-1])
+            used += cut + (left > 0 and cut < len(x))  # and the rejected one
+        if used < _BLOCK:  # rewind to the values the stream used
+            rng.bit_generator.state = state
+            rng.integers(0, _U32, size=used, dtype=np.uint32)
+        yield (np.concatenate(proxies).astype(np.int64),
+               np.concatenate(picks).astype(np.int64))
 
 
 def _route_counts(system, source):

@@ -5,7 +5,8 @@ draws itself, a block at a time in numpy.  These tests hold it to the scalar
 Generator.integers calls it replaces: the same values, the same events, and
 the same Generator state afterwards.  reference_events below is the
 scalar-draw event generator the stream replaced, kept as the reference, and
-scalar_draws the scalar form of the stream's core, _draws.
+scalar_draws the scalar form of the stream's core, _draws.  Neither the
+block size nor the caller's bit generator may change any of it.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqupir import upir
+from gqupir.adversary import converge_topics
 from gqupir.geometry import IncidenceStructure
 from gqupir.upir import (
     ALL_READERS,
@@ -22,6 +25,7 @@ from gqupir.upir import (
     WRITE_REQUEST,
     WRITE_RESPONSE,
     QueryWorkload,
+    Transcript,
     TranscriptEvent,
     UPIRSystem,
     _draws,
@@ -194,6 +198,77 @@ def test_bounded_draws_mix_bounds_on_one_stream():
     # rejection-heavy proxy and route draws, one after the other
     assert_draws_match(99, 2000, 2**31 + 1,
                        np.broadcast_to(np.uint64(3 * 2**30 + 1), (2**31 + 1,)))
+
+
+# block sizes that put every role and every stream end at a block edge, and
+# the default
+BLOCKS = [1, 2, 3, 64, upir._BLOCK]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_block_size_does_not_change_the_draws(monkeypatch, block):
+    monkeypatch.setattr(upir, "_BLOCK", block)
+    for bound in BOUNDS:
+        assert_draws_match(3, 40, *as_proxy(bound))
+        assert_draws_match(3, 40, *as_route(bound))
+    # from user 0 of the hexagon only user 3 has two routes; its route draw
+    # waits at a block end whenever its proxy draw ends a block
+    assert_draws_match(5, 300, 6, _route_counts(hexagon(), 0))
+    # bound 40 rejects none of these values, so one query takes one value
+    # and the stream fills its last block exactly
+    for count in (block, 2 * block):
+        scalar = assert_draws_match(11, count, *as_proxy(40))
+        assert scalar.bit_generator.state == raw_state_after(11, count)
+
+
+def converge_with_steps(log):
+    """converge_topics on W(3,3) under protocol 1, with the on_step calls
+    it made; every topic converges within 50 of its 200 queries."""
+    steps = []
+    states = converge_topics(
+        SYSTEMS["w3-3"](), (0, 13), 1, {"a": 5, "b": 22, "c": 31}, 200,
+        seed=4, log=log, on_step=lambda topic, rounds, cand: steps.append(
+            (topic, rounds, frozenset(cand))))
+    return states, steps
+
+
+@pytest.fixture(scope="module")
+def converged():
+    """converge_with_steps with and without a log, at a block size outside
+    BLOCKS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upir, "_BLOCK", 500)
+        log = Transcript(SYSTEMS["w3-3"](), 1, None, [], {})
+        return converge_with_steps(None), converge_with_steps(log), log.events
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_block_size_does_not_change_convergence(monkeypatch, converged,
+                                                block):
+    plain, logged, events = converged
+    assert all(st.converged and st.rounds_observed < 50
+               for st in plain[0].values())
+    monkeypatch.setattr(upir, "_BLOCK", block)
+    assert converge_with_steps(None) == plain
+    log = Transcript(SYSTEMS["w3-3"](), 1, None, [], {})
+    assert converge_with_steps(log) == logged == plain
+    assert log.events == events
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_other_bit_generators_end_in_the_scalar_state(bit_generator):
+    system = SYSTEMS["w3-3"]()
+    workload = QueryWorkload(3, "t", 5000, protocol=1)
+    ours = np.random.Generator(bit_generator(8))
+    theirs = np.random.Generator(bit_generator(8))
+    for rng in (ours, theirs):  # part-way, with a half-word left over
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    transcript = run_protocol(system, workload, ours)
+    assert transcript.events == list(reference_events(system, workload, theirs))
+    # some states hold arrays, which dict equality cannot compare
+    np.testing.assert_equal(ours.bit_generator.state,
+                            theirs.bit_generator.state)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS) + ["hexagon"])

@@ -260,6 +260,24 @@ def test_workload_validation():
         QueryWorkload(0, "t", 1, protocol=3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("count", 2.5), ("count", True), ("count", "3"), ("count", np.float64(3)),
+    ("source", 0.0), ("source", False), ("source", None),
+])
+def test_workload_rejects_non_integers(field, value):
+    args = {"source": 0, "topic": "t", "count": 3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        QueryWorkload(**args)
+
+
+def test_workload_takes_numpy_integers_as_ints():
+    workload = QueryWorkload(np.int64(4), "t", np.uint16(3))
+    assert (workload.source, workload.count) == (4, 3)
+    assert type(workload.source) is int and type(workload.count) is int
+    queries = run_protocol(w33_system(), workload, 0).query
+    assert np.unique(queries).tolist() == [0, 1, 2]
+
+
 def test_event_shapes_per_query():
     sys_ = w33_system()
     tr = run_protocol(sys_, QueryWorkload(0, "topic-a", 400, protocol=1), seed_or_rng=7)
