@@ -21,9 +21,9 @@ Its raw uint32 values form a chain: a proxy draw, then a route draw exactly
 when that proxy has more than one shortest route, with route counts taken
 from the distance table.  _draws finds the roles of a whole block in numpy
 and applies numpy's 32-bit Lemire rule to it; a rejected value is dropped
-and the chain restarts after it.  The block in which a stream ends is
-drawn again up to its last used value, so the values and the Generator
-state are those of one scalar rng.integers call per draw.  Each
+and the chain restarts after it.  Blocks grow from 1024 values to 4096, and
+the last is drawn again up to its last used value, so the values and the
+Generator state are those of one scalar rng.integers call per draw.  Each
 distinct (proxy, route) of a block has its bodies interned once per stream,
 and the block's columns are gathered from them in numpy.
 
@@ -258,8 +258,8 @@ def _as_rng(seed_or_rng):
 
 
 _U32 = 1 << 32
-# raw values per numpy call
-_BLOCK = 4096
+# raw values per block: _FIRST for a stream's first, doubling up to _BLOCK
+_FIRST, _BLOCK = 1024, 4096
 
 
 def _draws(rng, count, n, bounds):
@@ -274,17 +274,14 @@ def _draws(rng, count, n, bounds):
     x * n >> 32 has several routes, roles alternate from a proxy draw; any
     other value is followed by a proxy draw.  The last block is rewound.
     """
-    if n == 1:
-        yield np.zeros(count, np.int64), np.zeros(count, np.int64)
-        return
     left = count  # queries not complete, one waiting for its route included
     pending = -1  # the proxy of a query waiting for its route draw
+    size = _FIRST
     while left:
         state = rng.bit_generator.state
-        raw = rng.integers(0, _U32, size=_BLOCK,
-                           dtype=np.uint32).astype(np.uint64)
+        raw = rng.integers(0, _U32, size, np.uint32).astype(np.uint64)
         proxies, picks, used = [], [], 0
-        while left and used < _BLOCK:
+        while left and used < size:
             x = raw[used:]
             reading = x * n >> 32
             multi = bounds[reading] > 1
@@ -313,9 +310,12 @@ def _draws(rng, count, n, bounds):
                 pending = -1 if done[cut - 1] else int(draw[cut - 1])
             left -= len(proxies[-1])
             used += cut + (left > 0 and cut < len(x))  # and the rejected one
-        if used < _BLOCK:  # rewind to the values the stream used
+        if n == 1:  # a bound-1 call draws no value
+            used = 0
+        if used < size:  # rewind to the values the stream used
             rng.bit_generator.state = state
             rng.integers(0, _U32, size=used, dtype=np.uint32)
+        size = min(2 * size, _BLOCK)
         yield (np.concatenate(proxies).astype(np.int64),
                np.concatenate(picks).astype(np.int64))
 

@@ -138,10 +138,23 @@ def as_route(bound):
     return 3, (1, bound, 1)
 
 
+# (first, full) block sizes that put every role and every stream end at a
+# block edge, with and without doubling, and the default
+BLOCKS = [(1, 1), (1, 3), (3, 3), (2, 16), (upir._FIRST, upir._BLOCK)]
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda b: f"first{b[0]}-full{b[1]}")
+def block(request, monkeypatch):
+    """Runs the test under each of BLOCKS: _draws' first and full block."""
+    monkeypatch.setattr(upir, "_FIRST", request.param[0])
+    monkeypatch.setattr(upir, "_BLOCK", request.param[1])
+    return request.param
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_bounded_draws_match_scalar_integers(bound, seed):
-    count = 3000
+def test_bounded_draws_match_scalar_integers(bound, seed, block):
+    count = min(3000, 40 * block[1])
     scalar = assert_draws_match(seed, count, *as_proxy(bound))
     assert_draws_match(seed, count, *as_route(bound))
     if bound == 1:
@@ -180,7 +193,7 @@ def planted(values):
 
 @pytest.mark.parametrize("bound", [b for b in BOUNDS if b % 2 == 1 and b > 1])
 @pytest.mark.parametrize("offset", [0, -1])
-def test_bounded_draws_at_the_rejection_threshold(bound, offset):
+def test_bounded_draws_at_the_rejection_threshold(bound, offset, block):
     # a raw value whose low product word is exactly the threshold (kept) or
     # one below it (rejected), planted as a proxy draw and as a route draw
     threshold = (2**32 - bound) % bound
@@ -190,33 +203,25 @@ def test_bounded_draws_at_the_rejection_threshold(bound, offset):
     assert_draws_match(planted((2**31, raw, 7)), 4, *as_route(bound))
 
 
-def test_bounded_draws_mix_bounds_on_one_stream():
+def test_bounded_draws_mix_bounds_on_one_stream(block):
     # one proxy per bound, each followed by a route draw below it; a route
     # draw often waits at the end of a block
+    count = min(2000, 40 * block[1])
     bounds = np.array(BOUNDS, np.uint64)
-    assert_draws_match(99, 2000, len(bounds), bounds)
+    assert_draws_match(99, count, len(bounds), bounds)
     # rejection-heavy proxy and route draws, one after the other
-    assert_draws_match(99, 2000, 2**31 + 1,
+    assert_draws_match(99, count, 2**31 + 1,
                        np.broadcast_to(np.uint64(3 * 2**30 + 1), (2**31 + 1,)))
 
 
-# block sizes that put every role and every stream end at a block edge, and
-# the default
-BLOCKS = [1, 2, 3, 64, upir._BLOCK]
-
-
-@pytest.mark.parametrize("block", BLOCKS)
-def test_block_size_does_not_change_the_draws(monkeypatch, block):
-    monkeypatch.setattr(upir, "_BLOCK", block)
-    for bound in BOUNDS:
-        assert_draws_match(3, 40, *as_proxy(bound))
-        assert_draws_match(3, 40, *as_route(bound))
+def test_draws_at_block_edges(block):
     # from user 0 of the hexagon only user 3 has two routes; its route draw
     # waits at a block end whenever its proxy draw ends a block
     assert_draws_match(5, 300, 6, _route_counts(hexagon(), 0))
     # bound 40 rejects none of these values, so one query takes one value
-    # and the stream fills its last block exactly
-    for count in (block, 2 * block):
+    # and the stream fills its first, then its second block exactly
+    first, full = block
+    for count in (first, first + min(2 * first, full)):
         scalar = assert_draws_match(11, count, *as_proxy(40))
         assert scalar.bit_generator.state == raw_state_after(11, count)
 
@@ -237,18 +242,16 @@ def converged():
     """converge_with_steps with and without a log, at a block size outside
     BLOCKS."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upir, "_FIRST", 500)
         mp.setattr(upir, "_BLOCK", 500)
         log = Transcript(SYSTEMS["w3-3"](), 1, None, [], {})
         return converge_with_steps(None), converge_with_steps(log), log.events
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_block_size_does_not_change_convergence(monkeypatch, converged,
-                                                block):
+def test_block_size_does_not_change_convergence(converged, block):
     plain, logged, events = converged
     assert all(st.converged and st.rounds_observed < 50
                for st in plain[0].values())
-    monkeypatch.setattr(upir, "_BLOCK", block)
     assert converge_with_steps(None) == plain
     log = Transcript(SYSTEMS["w3-3"](), 1, None, [], {})
     assert converge_with_steps(log) == logged == plain
