@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands: construct, verify, analyze, simulate, sweep.  Exit status 0 on
-success, 1 when a verification or security claim fails, 2 for bad
-configuration, a file that cannot be read or written included.  Reports go
-to --out when given, else stdout; rerunning a command with the same
-arguments reproduces its output byte for byte.
+Subcommands: construct, verify, analyze, simulate, infer, sweep.  Exit
+status 0 on success, 1 when a verification or security claim fails, 2 for
+bad configuration, a file that cannot be read or written included, and a
+malformed transcript log or sidecar.  Reports go to --out when given, else
+stdout; rerunning a command with the same arguments reproduces its output
+byte for byte.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .harness import (
     geometry_summary,
     resolve_coalition,
     run_analyze,
+    run_infer,
     run_simulate,
     run_sweep,
     write_json,
@@ -83,6 +85,15 @@ def build_parser():
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--relay-metadata", action="store_true")
     p.add_argument("--transcript", help="prefix for .jsonl and .truth.json logs")
+    p.add_argument("--out")
+
+    p = sub.add_parser("infer", help="score a coalition's inference from a "
+                       "transcript log against its sidecar")
+    p.add_argument("--in", dest="infile", required=True, help="a .jsonl log")
+    p.add_argument("--truth", required=True, help="its .truth.json sidecar")
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--coalition", required=True, type=_int_list)
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="margin table over sizes and placements")
@@ -185,6 +196,19 @@ def _cmd_simulate(args):
     return 0
 
 
+def _cmd_infer(args):
+    geom = build_family(args.family, args.q)
+    coalition, _ = resolve_coalition(geom, args.coalition, None, None, None)
+    report, ok = run_infer(geom, args.family, args.q, coalition, args.infile,
+                           args.truth)
+    _emit(report, args.out)
+    if not ok:
+        print("soundness violated: a source left its candidate set",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_sweep(args):
     rows = run_sweep(args.family, args.q, args.protocol, args.coalition_size,
                      args.placement, args.seed)
@@ -201,6 +225,7 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
+    "infer": _cmd_infer,
     "sweep": _cmd_sweep,
 }
 

@@ -18,15 +18,18 @@ from .adversary import (
     analytic_coalition,
     coalition_sweep,
     converge_topics,
+    empirical_infer,
     place_coalition,
     secure_at,
 )
 from .fields import field
 from .geometry import build_pg2, build_q4, build_w3
 from .upir import (
+    DB_REQUEST,
     Transcript,
     UPIRSystem,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
+    read_transcript,
     write_ground_truth,
     write_transcript,
 )
@@ -183,6 +186,58 @@ def _write_logs(log, prefix):
     write_transcript(log, prefix + ".jsonl")
     write_ground_truth(log, prefix + ".truth.json")
     return prefix + ".jsonl", prefix + ".truth.json"
+
+
+def run_infer(geom, family, q, coalition, log_path, truth_path):
+    """Read a transcript log and its sidecar, run the coalition's tracker
+    over the log with the analytic floor of the sidecar's protocol, and
+    score each topic of the sidecar against its source.  A topic's rounds
+    are its queries in the log; a topic the coalition never observed keeps
+    every user outside the coalition.  Returns (report, ok); ok is False
+    only if a true source left its candidate set.  A source inside the
+    coalition is a ValueError."""
+    system = UPIRSystem(geom.base)
+    transcript = read_transcript(log_path, system, truth_path)
+    truth = transcript.ground_truth
+    inside = sorted(set(truth.values()) & set(coalition))
+    if inside:
+        raise ValueError(f"{truth_path}: source {inside[0]} is inside the "
+                         "coalition")
+    states = empirical_infer(transcript, coalition, analytic=analytic_coalition(
+        geom, coalition, transcript.protocol))
+    rounds = dict.fromkeys(truth, 0)  # per topic, its queries in the log
+    for b, count in zip(transcript.bodies, np.bincount(
+            transcript.body, minlength=len(transcript.bodies)).tolist()):
+        if b.kind == DB_REQUEST:
+            rounds[b.topic] += count
+    unseen = frozenset(range(geom.n_points)) - set(coalition)
+    rows = []
+    for topic, source in sorted(truth.items()):
+        st = states.get(topic)
+        candidates = unseen if st is None else st.candidates
+        rows.append({
+            "topic": topic,
+            "source": source,
+            "rounds": rounds[topic],
+            "converged": st is not None and st.converged,
+            "n_candidates": len(candidates),
+            "candidates": sorted(candidates),
+            "source_survived": source in candidates,
+        })
+    sound = all(row["source_survived"] for row in rows)
+    report = geometry_summary(geom, family, q)
+    report.update({
+        "command": "infer",
+        "protocol": transcript.protocol,
+        "seed": transcript.seed,
+        "coalition": list(coalition),
+        "events": len(transcript.seq),
+        "topics": len(rows),
+        "sound": sound,
+        "converged": sum(row["converged"] for row in rows),
+        "per_topic": rows,
+    })
+    return report, sound
 
 
 def run_sweep(families, qs, protocol, sizes, placements, seed):

@@ -27,6 +27,12 @@ Generator state are those of one scalar rng.integers call per draw.  Each
 distinct (proxy, route) of a block has its bodies interned once per stream,
 and the block's columns are gathered from them in numpy.
 
+read_transcript reads a log back a block of lines at a time: numpy finds
+the lines and their seqs, each distinct text after a seq is split into a
+frame and a tail, each distinct frame and tail is decoded and checked
+once, and a line it cannot take that way is parsed on its own, in file
+order.  A sidecar must agree with its log on the topics and the protocol.
+
 One rule, access(), decides what a user sees of an event and whether it
 reads the payload.  The ground-truth map (topic -> source) and the writer
 and query ordinal of each event live outside the event log proper:
@@ -38,10 +44,8 @@ truth in a separate sidecar file.
 import functools
 import json
 import operator
-import re
-from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 
 import numpy as np
 
@@ -495,12 +499,23 @@ def external_view(transcript):
 
 
 _WRITE_CHUNK = 4096  # lines per write call
-# a line as write_transcript writes it: the seq in at most 18 ASCII digits
-# without a leading zero, so that it fits an int64, then the rest
-_CANONICAL_LINE = re.compile(rb'\{"seq": (0|[1-9][0-9]{0,17}), (.*)\n?')
+_READ_BLOCK = 1 << 20  # bytes per read; a block is cut after its last newline
+# a line as write_transcript writes it starts with _SEQ, then the seq in at
+# most 18 ASCII digits without a leading zero, so that it fits an int64,
+# then ", " and the rest; the rest splits at _TOPIC into frame and tail
+_SEQ = b'{"seq": '
+_SEQ_WORD = np.frombuffer(_SEQ, "<u8")[0]  # its 8 bytes as one word
+_SEQ_DIGITS = 18
+_LOOK = 24  # bytes read after _SEQ: the digits, ", " and some to spare
+_TOPIC = b', "topic": '
 _JSON = json.JSONDecoder()
 _EVENT_KEYS = frozenset(("kind", "space", "path", "proxy", "topic",
                          "visibility"))
+_FRAME_KEYS = frozenset(("kind", "space", "path", "proxy"))
+_TAIL_KEYS = _EVENT_KEYS - _FRAME_KEYS
+# a tail and a frame that pass every check, to check the other part alone
+_ANY_TAIL = {"topic": "", "visibility": ALL_READERS}
+_ANY_FRAME = {"kind": DB_REQUEST, "space": None, "path": [], "proxy": 0}
 _EVENT_KINDS = (WRITE_REQUEST, WRITE_RESPONSE, DB_REQUEST, DB_RESPONSE)
 _VISIBILITIES = (ALL_READERS, PROXY_ONLY)
 
@@ -545,55 +560,171 @@ def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log, and optionally its sidecar, into a Transcript
     whose bodies have writer None and whose events have query -1.
 
-    The file is read line by line into the seq and body columns, with no
-    object per line.  A line as write_transcript writes it is split into its
-    seq and the rest, and each distinct rest is parsed, checked and interned
-    once; a line with another key order or spacing is parsed whole, and a
-    blank line is skipped.  A malformed line raises ValueError naming the
-    file and line: invalid JSON, a missing, extra or ill-typed field, a seq
-    outside 0..2**63-1, an unknown kind or visibility, a space that is not
-    null exactly for database events, a database event with a route, a
+    The file is read in blocks of whole lines of about _READ_BLOCK bytes,
+    never whole.  In each block numpy finds the lines, checks which start
+    as write_transcript writes them and reads their seqs (_split_lines).
+    The rest of such a line, after its seq, splits at , "topic":  into a
+    frame (kind, space, path, proxy) and a tail (topic, visibility), and
+    each distinct frame and tail is decoded and checked once; a part counts
+    only when it decodes to exactly its own keys, and a rest that does not
+    split into two such parts is parsed whole.  Each distinct rest is
+    interned once, in file order, and a block's body column is mapped from
+    its rests in C.  Any other line, one in another key order or spacing
+    or a malformed one, is parsed on its own by _line_event, in file order,
+    and a blank line is skipped.  A malformed line raises ValueError naming
+    the file and line: invalid JSON, a missing, extra or ill-typed field, a
+    seq outside 0..2**63-1, an unknown kind or visibility, a space that is
+    not null exactly for database events, a database event with a route, a
     user or space id out of range for the system, or a write whose route
-    does not fit the geometry (see _check_route).
+    does not fit the geometry (see _check_route).  The sidecar is checked
+    against the log (see _read_sidecar).
     """
     transcript = Transcript(system, 0, None, (), {})
     ids = {}  # the rest of a canonical line -> its body id
-    seqs, bodies = array("q"), array("i")
-    lineno = 0
-    with open(path, "rb") as fh:
+    frame_of = functools.cache(lambda text: _checked_part(
+        b"{" + text + b"}", _FRAME_KEYS, _ANY_TAIL, system)[:4])
+    tail_of = functools.cache(lambda text: _checked_part(
+        b'{"topic": ' + text, _TAIL_KEYS, _ANY_FRAME, system)[4:])
+
+    def fields_of(rest):
+        """A rest's checked fields, or None where it is malformed."""
+        frame, split, tail = rest.partition(_TOPIC)
+        if split and (frame := frame_of(frame)) and (tail := tail_of(tail)):
+            return frame + tail
         try:
-            for lineno, line in enumerate(fh, 1):
-                m = _CANONICAL_LINE.fullmatch(line)
-                if m is not None:
-                    i = ids.get(m[2])
-                    if i is None:
-                        i = ids[m[2]] = transcript.intern(_event_fields(
-                            _load_object(b"{" + m[2]), system))
-                    seqs.append(int(m[1]))
-                    bodies.append(i)
-                elif line.strip():
-                    d = _load_object(line)
-                    if "seq" not in d:
-                        raise ValueError("missing 'seq'")
-                    seq = d.pop("seq")
-                    if type(seq) is not int or not 0 <= seq < 1 << 63:
-                        raise ValueError("'seq' must be a non-negative "
-                                         "integer below 2**63")
-                    bodies.append(transcript.intern(_event_fields(d, system)))
-                    seqs.append(seq)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    transcript.seq = np.array(seqs, np.int64)
-    transcript.body = np.array(bodies, np.int32)
-    transcript.query = np.full(len(seqs), -1, np.int32)
+            return _rest_fields(rest, system)
+        except ValueError:
+            return None
+
+    seqs, bodies = [np.empty(0, np.int64)], [np.empty(0, np.int32)]
+    lineno = 0  # lines before the block
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            start, end, seq, rest = _split_lines(block)
+            # a line with no seq has the empty rest, which is malformed
+            keys = [block[a:b] for a, b in zip(rest.tolist(), end.tolist())]
+            new = list(filterfalse(ids.__contains__, dict.fromkeys(keys)))
+            checked = dict(zip(new, map(fields_of, new)))
+            # the lines with no seq or a new malformed rest (a rest met in
+            # an earlier block is in ids, not in checked)
+            bad = [] if all(checked.values()) else [
+                i for i, k in enumerate(keys) if checked.get(k, ()) is None]
+            body = np.empty(len(keys), np.int32)
+            keep = np.ones(len(keys), bool)
+            lo = 0
+            for i in chain(bad, [len(keys)]):
+                run = keys[lo:i]
+                # checked holds a block's new rests in order of first use
+                fresh = list(filterfalse(ids.__contains__, dict.fromkeys(
+                    run))) if bad else checked
+                ids.update(zip(fresh, map(transcript.intern, map(
+                    checked.__getitem__, fresh))))
+                body[lo:i] = np.fromiter(map(ids.__getitem__, run), np.int32,
+                                         i - lo)
+                if i < len(keys):
+                    try:
+                        event = _line_event(block[start[i]:end[i] + 1],
+                                            int(seq[i]), keys[i], system)
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}:{lineno + i + 1}: {exc}") from None
+                    keep[i] = event is not None
+                    if keep[i]:
+                        seq[i], body[i] = event[0], transcript.intern(event[1])
+                lo = i + 1
+            seqs.append(seq[keep])
+            bodies.append(body[keep])
+            lineno += len(keys)
+    transcript.seq = np.concatenate(seqs)
+    transcript.body = np.concatenate(bodies)
+    transcript.query = np.full(len(transcript.seq), -1, np.int32)
     if ground_truth_path is not None:
         (transcript.ground_truth, transcript.protocol,
-         transcript.seed) = _read_sidecar(ground_truth_path, system)
+         transcript.seed) = _read_sidecar(ground_truth_path, system,
+                                          transcript.bodies)
     return transcript
 
 
-def _read_sidecar(path, system):
-    """topics, protocol and seed from a ground-truth sidecar, checked."""
+def _line_blocks(fh):
+    """fh's bytes in blocks of whole lines, read _READ_BLOCK bytes at a
+    time; only the last block may end without a newline."""
+    held = []  # the start of a line no read has ended yet
+    while chunk := fh.read(_READ_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*held, chunk[:cut]])
+            held = []
+        held.append(chunk[cut:])
+    if any(held):
+        yield b"".join(held)
+
+
+def _split_lines(block):
+    """Per line of a block: its start, its end (its newline, or the end of
+    the block), its seq and the start of its rest.  A line has a seq when it
+    starts as write_transcript writes one: _SEQ, 1 to 18 ASCII digits
+    without a leading zero, then ", ".  A line without one has seq -1 and
+    an empty rest.  No byte tested is a newline, so a test that runs past
+    a line's end fails at its newline."""
+    buf = np.frombuffer(block + bytes(len(_SEQ) + _LOOK), np.uint8)
+    end = np.flatnonzero(buf[:len(block)] == ord("\n"))
+    if not block.endswith(b"\n"):
+        end = np.append(end, len(block))
+    start = np.concatenate(([0], end[:-1] + 1))
+    # the 8 bytes at each offset as one word, so that a line's _SEQ and
+    # the _LOOK bytes after it are gathered as a few words
+    words = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))
+    digit = (words[start[:, None] + np.arange(
+        len(_SEQ), len(_SEQ) + _LOOK, 8)].view(np.uint8) - np.uint8(ord("0")))
+    k = np.argmin(digit < 10, 1)  # leading digits, 0 when all are
+    after = start + len(_SEQ) + k
+    ok = ((words[start] == _SEQ_WORD) & (k > 0) & (k <= _SEQ_DIGITS)
+          & ((k == 1) | (digit[:, 0] > 0))
+          & (buf[after] == ord(",")) & (buf[after + 1] == ord(" ")))
+    seq = np.zeros(len(end), np.int64)
+    for j in range(k[ok].max(initial=0)):
+        seq = np.where(j < k, seq * 10 + digit[:, j], seq)
+    return start, end, np.where(ok, seq, -1), np.where(ok, after + 2, end)
+
+
+def _line_event(line, seq, rest, system):
+    """(seq, fields) of one line parsed on its own, as the reader does for
+    a line its caches cannot take: after a seq that _split_lines read, the
+    rest alone, so that a second seq is an unexpected key; else the whole
+    line; None for a blank line."""
+    if seq >= 0:
+        return seq, _rest_fields(rest, system)
+    if not line.strip():
+        return None
+    d = _load_object(line)
+    if "seq" not in d:
+        raise ValueError("missing 'seq'")
+    seq = d.pop("seq")
+    if type(seq) is not int or not 0 <= seq < 1 << 63:
+        raise ValueError("'seq' must be a non-negative integer below 2**63")
+    return seq, _event_fields(d, system)
+
+
+def _rest_fields(rest, system):
+    return _event_fields(_load_object(b"{" + rest), system)
+
+
+def _checked_part(text, keys, other, system):
+    """The fields of a frame or tail, checked beside the other part, which
+    passes every check; () unless it decodes to an object with exactly
+    keys and passes."""
+    try:
+        d = _load_object(text)
+        return _event_fields({**d, **other}, system) if d.keys() == keys else ()
+    except ValueError:
+        return ()
+
+
+def _read_sidecar(path, system, bodies):
+    """topics, protocol and seed from a ground-truth sidecar, checked on
+    its own and against the log's bodies: the topics must be exactly the
+    log's, and every write's visibility that of the protocol, all_readers
+    for 1 and proxy_only for 2."""
     with open(path, "rb") as fh:
         try:
             side = _load_object(fh.read())
@@ -608,12 +739,30 @@ def _read_sidecar(path, system):
                          f"in 0..{system.n_users - 1}")
     if type(protocol) is not int or not (seed is None or type(seed) is int):
         raise ValueError(f"{path}: 'protocol' and 'seed' must be integers")
+    if protocol not in (1, 2):
+        raise ValueError(f"{path}: 'protocol' must be 1 or 2")
+    logged = {b.topic for b in bodies}
+    if truth.keys() != logged:
+        odd = min(truth.keys() ^ logged)
+        where = "sidecar" if odd in truth else "log"
+        raise ValueError(f"{path}: topic {odd!r} is in the {where} only")
+    vis = ALL_READERS if protocol == 1 else PROXY_ONLY
+    for b in bodies:
+        if b.space is not None and b.visibility != vis:
+            raise ValueError(f"{path}: protocol {protocol} writes are {vis}, "
+                             f"but the log has a {b.visibility} {b.kind}")
     return truth, protocol, seed
 
 
 def _load_object(text):
+    text = text.decode()
     try:
-        d = _JSON.decode(text.decode())
+        try:  # a text as written, with no space around it, decodes faster
+            d, end = _JSON.raw_decode(text)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(text):
+            d = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     except RecursionError:

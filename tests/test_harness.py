@@ -267,6 +267,54 @@ def test_simulate_report_and_transcript(tmp_path, capsys):
     assert {d["topic"] for d in lines} == set(side["topics"])
 
 
+def test_infer_scores_a_simulated_log(tmp_path, capsys):
+    """infer reads back simulate's log and sidecar and finds what simulate
+    found: the tracker cannot narrow a topic past its analytic floor, so
+    reading the rest of a converged topic's stream changes nothing."""
+    assert run_cli("simulate", "--family", "w3", "--q", "3", "--protocol",
+                   "2", "--coalition", "0", "--topics", "3", "--queries",
+                   "400", "--seed", "5", "--transcript", str(tmp_path / "run"),
+                   "--out", str(tmp_path / "sim.json")) == 0
+    log, truth = tmp_path / "run.jsonl", tmp_path / "run.truth.json"
+    argv = ["infer", "--in", str(log), "--truth", str(truth), "--family",
+            "w3", "--q", "3", "--coalition", "0"]
+    assert run_cli(*argv, "--out", str(tmp_path / "a.json")) == 0
+    assert run_cli(*argv, "--out", str(tmp_path / "b.json")) == 0
+    assert (tmp_path / "a.json").read_bytes() == (
+        tmp_path / "b.json").read_bytes()
+    sim = json.loads((tmp_path / "sim.json").read_text())
+    report = json.loads((tmp_path / "a.json").read_text())
+    assert report["command"] == "infer" and report["sound"] is True
+    assert (report["protocol"], report["seed"]) == (2, 5)
+    assert report["converged"] == sim["converged"]
+    assert report["events"] == len(log.read_text().splitlines())
+    for got, want in zip(report["per_topic"], sim["per_topic"], strict=True):
+        assert got["rounds"] == 400 and got["source_survived"] is True
+        for key in ("topic", "source", "converged", "candidates"):
+            assert got[key] == want[key]
+    capsys.readouterr()
+
+    # a cut last line, a sidecar of the other protocol, or a coalition
+    # holding a source exits 2
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines)[:-2])
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {log}:{len(lines)}: invalid JSON")
+    log.write_bytes(b"".join(lines))
+    truth.write_text(truth.read_text().replace('"protocol": 2',
+                                               '"protocol": 1'))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {truth}: protocol 1 writes are all_readers")
+    truth.write_text(truth.read_text().replace('"protocol": 1',
+                                               '"protocol": 2'))
+    source = sim["per_topic"][0]["source"]
+    assert run_cli(*argv[:-1], f"0,{source}") == 2
+    assert capsys.readouterr().err == (
+        f"error: {truth}: source {source} is inside the coalition\n")
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "sim.json"
     prefix = tmp_path / "run"

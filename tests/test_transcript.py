@@ -1,5 +1,7 @@
 """Transcript files: the line codec against a per-event json.dumps
-reference, non-canonical input, and the checks made when a log is read."""
+reference, the block reader against a line-by-line reference,
+non-canonical input, and the checks made when a log and its sidecar are
+read."""
 
 import json
 import re
@@ -25,6 +27,7 @@ from gqupir.upir import (
     proxy_counts,
     read_transcript,
     run_protocol,
+    write_ground_truth,
     write_transcript,
 )
 
@@ -320,6 +323,167 @@ def test_good_line_reads(tmp_path):
     assert ev.writer is None and ev.query == -1
 
 
+# The reader as it was before logs were read a block at a time: a line at a
+# time, the seq of a line as write_transcript writes it split off by a
+# regex, each distinct rest after it parsed and checked once, any other line
+# parsed whole.  read_transcript must return what it returns, and raise
+# what it raises.
+CANONICAL_LINE = re.compile(rb'\{"seq": (0|[1-9][0-9]{0,17}), (.*)\n?')
+
+
+def reference_read(path, system=W33):
+    """(seq, body, bodies) of a log read line by line."""
+    transcript = Transcript(system, 0, None, (), {})
+    ids = {}  # the rest of a canonical line -> its body id
+    seqs, bodies = [], []
+    lineno = 0
+    with open(path, "rb") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                m = CANONICAL_LINE.fullmatch(line)
+                if m is not None:
+                    i = ids.get(m[2])
+                    if i is None:
+                        i = ids[m[2]] = transcript.intern(upir._event_fields(
+                            upir._load_object(b"{" + m[2]), system))
+                    seqs.append(int(m[1]))
+                    bodies.append(i)
+                elif line.strip():
+                    d = upir._load_object(line)
+                    if "seq" not in d:
+                        raise ValueError("missing 'seq'")
+                    seq = d.pop("seq")
+                    if type(seq) is not int or not 0 <= seq < 1 << 63:
+                        raise ValueError("'seq' must be a non-negative "
+                                         "integer below 2**63")
+                    bodies.append(transcript.intern(
+                        upir._event_fields(d, system)))
+                    seqs.append(seq)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return seqs, bodies, transcript.bodies
+
+
+def block_read(path, system=W33):
+    tr = read_transcript(path, system)
+    assert tr.seq.dtype == np.int64 and tr.body.dtype == np.int32
+    assert tr.query.tolist() == [-1] * len(tr.seq)
+    return tr.seq.tolist(), tr.body.tolist(), tr.bodies
+
+
+def outcome(read, path):
+    """What read returns for the log, or the message it raises."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def as_line(ev):
+    return {"seq": ev.seq, "kind": ev.kind, "space": ev.space,
+            "path": list(ev.path), "proxy": ev.proxy, "topic": ev.topic,
+            "visibility": ev.visibility}
+
+
+VALUES = st.one_of(IDS, st.lists(IDS, max_size=5), st.sampled_from([
+    None, -1, 40, 1.0, True, "", "t", [], {}, 2**63, 10**18,
+    ALL_READERS, PROXY_ONLY, DB_REQUEST, WRITE_REQUEST]))
+SEQS = st.sampled_from([
+    "00", "01", "-1", "1.0", "1e3", "+1", " 1", "\u0663", "9" * 18, "9" * 19,
+    str(2**63 - 1), str(2**63), str(10**18)])
+
+
+@st.composite
+def log_bytes(draw):
+    """A log of random events, each line written as write_transcript
+    writes it, in another key order, or in another spacing; blank lines
+    among them, perhaps one line with a field, its seq, one byte or one key
+    more changed, and perhaps no newline at the end."""
+    evs = draw(events())
+    changed = draw(st.integers(-1 - len(evs), len(evs) - 1))  # none if < 0
+    lines = []
+    for i, ev in enumerate(evs):
+        d = as_line(ev)
+        change = draw(st.sampled_from(("field", "seq", "byte", "key"))) \
+            if i == changed else None
+        # a changed seq or a key more after a canonical seq and split
+        form = "canonical" if change in ("seq", "key") else draw(
+            st.sampled_from(("canonical", "order", "spacing")))
+        if form == "order":
+            d = {k: d[k] for k in draw(st.permutations(list(d)))}
+        if change == "field":
+            d[draw(st.sampled_from(FIELDS))] = draw(VALUES)
+        separators = (", ", ": ") if form != "spacing" else draw(
+            st.sampled_from(((",", ":"), (" , ", " : "), (",", ": "))))
+        line = json.dumps(d, separators=separators,
+                          ensure_ascii=draw(st.booleans())).encode()
+        if change == "seq":
+            line = re.sub(rb'"seq"( ?: ?)[0-9]+', lambda m: b'"seq"' + m[1]
+                          + draw(SEQS).encode(), line)
+        elif change == "byte":
+            j = draw(st.integers(0, len(line) - 1))
+            line = line[:j] + bytes([draw(st.integers(0, 255))]) + line[j + 1:]
+        elif change == "key":  # a key more at the end, perhaps twice
+            line = line[:-1] + b", " + json.dumps({draw(st.sampled_from(
+                FIELDS + ("writer",))): draw(VALUES)})[1:].encode()
+        lines.append(line)
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from((b"", b" ", b"\t", b"\r"))))
+    text = b"".join(line + b"\n" for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=log_bytes(), block=st.sampled_from((1, 7, 64, upir._READ_BLOCK)))
+def test_reader_matches_line_by_line_reference(tmp_path_factory, text,
+                                               block):
+    """Block sizes of one byte and of a few lines split lines across the
+    block edge."""
+    log = tmp_path_factory.mktemp("equiv") / "log.jsonl"
+    log.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upir, "_READ_BLOCK", block)
+        assert outcome(block_read, log) == outcome(reference_read, log)
+
+
+@pytest.mark.parametrize("line,message", [
+    # not a key: a quote inside a string is escaped
+    (_with(topic='a, "topic": "b"'), None),
+    (_with(topic='a, "topic": "b"', kind=WRITE_RESPONSE), None),
+    # a key twice, once in the frame and once in the tail; the last counts
+    (_with().replace('"proxy": 1, ',
+                          '"proxy": 1, "visibility": "proxy_only", '), None),
+    (_with().replace('"visibility"', '"proxy": 2, "visibility"'),
+     "'path' must have odd length and end at the proxy"),
+    (_with().replace('"topic"', '"kind": "db_query", "topic"'),
+     "unknown kind 'db_query'"),
+    # a second seq after the canonical one
+    (_with().replace('"topic"', '"seq": 1, "topic"'), "unexpected 'seq'"),
+    (_with().replace('"visibility"', '"seq": 1, "visibility"'),
+     "unexpected 'seq'"),
+    # the topic before the kind: no split, the rest is parsed whole
+    ('{"seq": 0, "topic": "t", ' + _with(topic=_DROP)[11:], None),
+    ('{"seq": 0, ', "invalid JSON"),
+    ('{"seq": 0, \r', "invalid JSON"),
+    ('{"seq": 0, "topic": ', "invalid JSON"),
+    ('{"seq": 0, "kind": "db_request", "topic": "t"}', "missing 'proxy'"),
+    # at most 18 digits
+    (_with(seq=10**17), None),
+    (_with(seq=10**18), None),
+    (_with(seq=2**63), "'seq' must be a non-negative integer"),
+    (_with().replace('"seq": 0', '"seq": 0' * 30), "invalid JSON"),
+])
+def test_reader_takes_odd_lines_as_the_reference(tmp_path, line, message):
+    log = tmp_path / "log.jsonl"
+    log.write_text(f"{_with()}\n{line}\n{_with(seq=2)}\n")
+    got = outcome(block_read, log)
+    assert got == outcome(reference_read, log)
+    if message is None:
+        assert len(got[0]) == 3
+    else:
+        assert got.startswith(f"{log}:2: ") and message in got
+
+
 @pytest.mark.parametrize("side,message", [
     ("{", "invalid JSON"),
     pytest.param("[" * 200_000 + "]" * 200_000,
@@ -328,6 +492,16 @@ def test_good_line_reads(tmp_path):
     ('{"topics": ["t"]}', "'topics' must map topics to user ids"),
     ('{"protocol": "1", "topics": {}}', "'protocol' and 'seed'"),
     ('{"seed": 1.5, "topics": {}}', "'protocol' and 'seed'"),
+    # checked against the log, whose one line is a protocol-1 write on "t"
+    ('{"topics": {"t": 5}}', "'protocol' must be 1 or 2"),
+    ('{"protocol": 3, "topics": {"t": 5}}', "'protocol' must be 1 or 2"),
+    ('{"protocol": 1, "topics": {"zzz": 5}}', "topic 't' is in the log only"),
+    ('{"protocol": 1, "topics": {}}', "topic 't' is in the log only"),
+    ('{"protocol": 1, "topics": {"t": 5, "zzz": 5}}',
+     "topic 'zzz' is in the sidecar only"),
+    ('{"protocol": 2, "topics": {"t": 5}}',
+     "protocol 2 writes are proxy_only, but the log has a all_readers "
+     "write_request"),
 ])
 def test_malformed_sidecar_names_file(tmp_path, side, message):
     sys_ = w33_system()
@@ -339,3 +513,21 @@ def test_malformed_sidecar_names_file(tmp_path, side, message):
         read_transcript(log, sys_, truth)
     assert message in str(ei.value)
 
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+def test_sidecar_must_match_the_protocol_of_the_log(tmp_path, protocol):
+    """Read with the other protocol, a W(3,3) log would let a protocol-2
+    tracker deduce nothing from writes it can read in the clear."""
+    tr = run_protocol(W33, QueryWorkload(6, "t", 40, protocol=protocol), 5)
+    log, side = tmp_path / "run.jsonl", tmp_path / "run.truth.json"
+    write_transcript(tr, log)
+    write_ground_truth(tr, side)
+    back = read_transcript(log, W33, side)
+    assert (back.protocol, back.ground_truth) == (protocol, {"t": 6})
+    other = 3 - protocol
+    side.write_text(side.read_text().replace(
+        f'"protocol": {protocol}', f'"protocol": {other}'))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{side}: protocol {other} writes are ")):
+        read_transcript(log, W33, side)
