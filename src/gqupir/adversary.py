@@ -114,8 +114,9 @@ class PseudonymityPartition:
 
 
 def _keys(geom, c, protocol):
-    """Per user, its key under observer c (see the module docstring); every
-    far user's common neighbours with c are listed in the order of coll[c]."""
+    """Per user, its key under observer c (see the module docstring); a far
+    user's common neighbours with c are its collinearity row restricted to
+    the users collinear with c, as bytes."""
     n = geom.n_points
     if protocol == 2:
         keys = [-1] * n
@@ -123,12 +124,10 @@ def _keys(geom, c, protocol):
             for u in geom.base.blocks[m]:
                 keys[u] = m
     else:
-        near = geom.coll[c]
-        perp = [[] for _ in range(n)]
-        for x in near:
-            for y in geom.coll[x]:
-                perp[y].append(x)
-        keys = [u if u in near else tuple(perp[u]) for u in range(n)]
+        coll = geom.base.collinearity()
+        near = coll[c]
+        perp = coll[:, near]
+        keys = [u if near[u] else perp[u].tobytes() for u in range(n)]
     keys[c] = None
     return keys
 
@@ -292,6 +291,7 @@ class CoalitionTracker:
         self._class_set = None if analytic is None else set(analytic.classes)
         self._route_len = 2 * system.diameter() - 1
         self._members = system.structure.block_sets
+        self._coll = system.structure.collinearity()
         self._initial = frozenset(range(system.n_users)) - set(self.coalition)
         self._proxy_only = protocol == 2 and not relay_metadata
         self._watched = frozenset(
@@ -390,11 +390,10 @@ class CoalitionTracker:
                 members = self._members[event.space]
                 if len(seen) == len(members) - 1:
                     (missing,) = members - seen
-                    hood = self.system.neighbors(missing)
-                    if missing == m:
-                        cand &= hood
-                    else:
-                        cand.intersection_update(hood | {missing})
+                    # the source is missing or collinear with it (when
+                    # missing is m, m itself is no candidate)
+                    cand.intersection_update(
+                        [missing, *np.flatnonzero(self._coll[missing]).tolist()])
 
     def _far_set(self, m):
         """The users at distance 2 or more from m."""
@@ -483,8 +482,10 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
 
 
 def empirical_infer(transcript, coalition, analytic=None, relay_metadata=False):
-    """Batch inference over a finished transcript.  Uses the transcript's
-    protocol; rounds_observed is the total query count in the log.  Only
+    """Batch inference over a finished transcript, with the transcript's
+    protocol: a CandidateState for every topic in the log, whose
+    rounds_observed are its database requests there; a topic the tracker
+    never saw keeps every user outside the coalition, not converged.  Only
     the events in a space some member holds are fed to the tracker, as
     their bodies: observe() returns at once on any other."""
     protocol = transcript.protocol
@@ -496,11 +497,13 @@ def empirical_infer(transcript, coalition, analytic=None, relay_metadata=False):
     watched = transcript.body_mask(lambda b: b.space in tracker._watched)
     tracker.feed(map(transcript.bodies.__getitem__,
                      transcript.body[watched].tolist()))
-    rounds = int(np.count_nonzero(
-        transcript.body_mask(lambda b: b.kind == DB_REQUEST)))
+    rounds = {}
+    for b, count in zip(transcript.bodies, np.bincount(
+            transcript.body, minlength=len(transcript.bodies)).tolist()):
+        rounds[b.topic] = rounds.get(b.topic, 0) + count * (b.kind == DB_REQUEST)
     return {
-        t: CandidateState(t, tracker.candidates(t), rounds, tracker.converged(t))
-        for t in tracker.topics()
+        t: CandidateState(t, tracker.candidates(t), rounds[t], tracker.converged(t))
+        for t in sorted(rounds)
     }
 
 
@@ -523,21 +526,15 @@ def place_coalition(geom, size, placement, seed=0):
     if placement == "random":
         rng = np.random.default_rng(seed)
         return tuple(sorted(int(x) for x in rng.choice(n, size, replace=False)))
-    coll = geom.coll
+    coll = geom.base.collinearity()
     if placement == "spread":
         rng = np.random.default_rng(seed)
         chosen = [int(rng.integers(n))]
         while len(chosen) < size:
-            pool = set(chosen)
-            best = None
-            for u in range(n):
-                if u in pool:
-                    continue
-                d = min(1 if u in coll[v] else 2 for v in chosen)
-                key = (d, -u)
-                if best is None or key > best[0]:
-                    best = (key, u)
-            chosen.append(best[1])
+            free = np.ones(n, bool)
+            free[chosen] = False
+            far = free & ~coll[chosen].any(0)
+            chosen.append(int((far if far.any() else free).argmax()))
         return tuple(sorted(chosen))
     if placement == "line":
         blocks = geom.base.blocks
@@ -546,12 +543,12 @@ def place_coalition(geom, size, placement, seed=0):
             raise ValueError(
                 f"line placement holds at most {len(block)} members"
             )
-        anchor = block[0]
-        chosen = [anchor]
-        off_line = set()
+        chosen = [block[0]]
+        free = np.ones(n, bool)
+        free[list(block)] = False
         for w in block[1:size]:
-            y = min(coll[w] - set(block) - off_line)
-            off_line.add(y)
+            y = int((coll[w] & free).argmax())
+            free[y] = False
             chosen.append(y)
         return tuple(sorted(chosen))
     raise ValueError(f"unknown placement {placement!r}")

@@ -13,16 +13,20 @@ Constructions
                    PG(4,q) lying entirely on the quadric.  Order (q,q).
 
 All three come from one form evaluator.  A bilinear form B is given as
-data, a list of terms (i, j, c) standing for the sum of c*u_i*v_j, and for
-every point u the evaluator returns u^perp = {v : B(u,v) = 0}, working on
-the field's add/mul tables a fixed number of rows at a time.  The plane is
-self-dual, so its blocks are the perps of the dot form.  For a quadrangle
-B is the alternating form for W(3,q) and the polar form of the quadric for
-Q(4,q): the line through two points u != v of the point set belongs to the
-geometry iff B(u,v) = 0, and B(x,x) = 0 on the point set.  That line is
-u^perp & v^perp: every point of it lies in both, and a common point w off
-it would be collinear with u and with v, a triangle, which a quadrangle
-has none of.  Each line is kept once, from its smallest point.
+data, a list of terms (i, j, c) standing for the sum of c*u_i*v_j, and the
+evaluator returns the boolean matrix of B(u,v) = 0 over the point set,
+working on the field's add/mul tables a fixed number of rows at a time.
+The plane is self-dual, so its blocks are the rows of that matrix for the
+dot form.  For a quadrangle B is the alternating form for W(3,q) and the
+polar form of the quadric for Q(4,q): the line through two points u != v
+of the point set belongs to the geometry iff B(u,v) = 0, and B(x,x) = 0 on
+the point set.  That line is the AND of rows u and v: every point of it
+lies in both, and a common point w off it would be collinear with u and
+with v, a triangle, which a quadrangle has none of.  Each line is kept
+once, from its smallest point.
+
+Collinearity has one form, IncidenceStructure.collinearity(): an n x n
+boolean matrix filled once from the blocks, which every layer reads.
 
 Every constructor returns a Geometry.  Point ids are assigned by
 lexicographic order of canonical coordinates and blocks are sorted
@@ -57,6 +61,7 @@ in their docstrings):
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -124,19 +129,18 @@ class IncidenceStructure:
         return len(self.blocks)
 
     def collinearity(self):
-        """Per point, the frozenset of other points sharing a block with it.
-
-        Computed on the first call; later calls return the same tuple.
-        """
+        """The n x n boolean matrix whose row x is True at the other points
+        sharing a block with x.  Filled from the blocks on the first call,
+        one block size at a time; later calls return the same read-only
+        array."""
         if self._coll is None:
-            coll = []
-            for x, through in enumerate(self.point_to_blocks):
-                near = set()  # one point at a time keeps the peak small
-                for bi in through:
-                    near.update(self.blocks[bi])
-                near.discard(x)
-                coll.append(frozenset(near))
-            self._coll = tuple(coll)
+            coll = np.zeros((self.n_points, self.n_points), bool)
+            for k in {len(b) for b in self.blocks}:
+                same = np.array([b for b in self.blocks if len(b) == k], np.intp)
+                coll[same[:, :, None], same[:, None, :]] = True
+            np.fill_diagonal(coll, False)
+            coll.flags.writeable = False
+            self._coll = coll
         return self._coll
 
     def __eq__(self, other):
@@ -187,10 +191,15 @@ def verify_gq(inc):
     if s > 1 and t > 1 and (s > t * t or t > s * s):
         raise HigmanViolation(f"order ({s},{t}) violates s <= t^2 and t <= s^2", (s, t))
     coll = inc.collinearity()
-    for i, blk in enumerate(inc.blocks):
-        seen = set().union(*(coll[x] for x in blk))  # L itself too, as s >= 1
-        if len(seen) != n:
-            z = next(z for z in range(n) if z not in seen)
+    blocks = np.array(inc.blocks, np.intp)
+    for lo in range(0, len(blocks), _ROWS):
+        rows = blocks[lo:lo + _ROWS]
+        seen = coll[rows[:, 0]]  # L itself too, as s >= 1
+        for j in range(1, s + 1):
+            seen |= coll[rows[:, j]]
+        missed = np.argwhere(~seen)
+        if len(missed):
+            i, z = lo + int(missed[0, 0]), int(missed[0, 1])
             raise AxiomViolation(
                 f"point {z} sees 0 points of block {i}, expected 1", (z, i, 0))
     return s, t
@@ -226,26 +235,31 @@ def verify_plane(inc):
             f"expected {n} points and blocks, got {inc.n_points}/{inc.n_blocks}",
             (inc.n_points, inc.n_blocks),
         )
-    for x, near in enumerate(inc.collinearity()):
-        if len(near) != n - 1:
-            y = next(y for y in range(n) if y != x and y not in near)
-            raise AxiomViolation(f"points {(x, y)} on no common block", (x, y))
+    missed = np.argwhere(~inc.collinearity() & ~np.eye(n, dtype=bool))
+    if len(missed):
+        x, y = map(int, missed[0])
+        raise AxiomViolation(f"points {(x, y)} on no common block", (x, y))
     return q
 
 
 class Geometry:
     """A verified projective plane or generalised quadrangle.
 
-    ``base`` is the IncidenceStructure, ``(s, t)`` its order (a plane of
-    order q has s = q and t = None) and ``coll`` the collinearity of every
-    point.
+    ``base`` is the IncidenceStructure and ``(s, t)`` its order (a plane of
+    order q has s = q and t = None).  ``coll`` gives, per point, the
+    frozenset of points collinear with it: rows of base.collinearity(),
+    made on first access.
     """
 
     def __init__(self, base, s, t):
         self.base = base
         self.s = s
         self.t = t
-        self.coll = base.collinearity()
+
+    @cached_property
+    def coll(self):
+        return tuple(frozenset(np.flatnonzero(row).tolist())
+                     for row in self.base.collinearity())
 
     @classmethod
     def from_structure(cls, inc, family):
@@ -323,7 +337,7 @@ def _checked(inc, family):
 
 # A bilinear form as data: B(u, v) = the sum of c*u[i]*v[j] over its terms
 # (i, j, c), c a field element.
-_ROWS = 256  # point rows evaluated at a time
+_ROWS = 256  # rows at a time: points in _perps, blocks in verify_gq
 
 
 def _form(f, terms, u, v):
@@ -336,16 +350,15 @@ def _form(f, terms, u, v):
 
 
 def _perps(f, pts, terms):
-    """Per point u of ``pts``, the frozenset of point ids v with B(u, v) = 0.
+    """The boolean matrix of B(u, v) = 0 over the points ``pts``, u by row.
 
     The form is evaluated on _ROWS rows of u against every v at a time, so
-    the working memory stays O(_ROWS * n)."""
+    the working memory beyond the matrix stays O(_ROWS * n)."""
     pts = np.array(pts, dtype=np.intp)
-    perps = []
+    zero = np.empty((len(pts), len(pts)), bool)
     for lo in range(0, len(pts), _ROWS):
-        zero = _form(f, terms, pts[lo:lo + _ROWS, None, :], pts) == 0
-        perps.extend(frozenset(np.flatnonzero(row).tolist()) for row in zero)
-    return perps
+        zero[lo:lo + _ROWS] = _form(f, terms, pts[lo:lo + _ROWS, None, :], pts) == 0
+    return zero
 
 
 def build_pg2(f):
@@ -354,7 +367,8 @@ def build_pg2(f):
     The plane is self-dual: the kernel of the linear form with the
     coordinates of u is the block u^perp of the dot form."""
     pts = projective_points(f, 2)
-    blocks = _perps(f, pts, [(i, i, 1) for i in range(3)])
+    blocks = [np.flatnonzero(row).tolist()
+              for row in _perps(f, pts, [(i, i, 1) for i in range(3)])]
     return _checked(IncidenceStructure(len(pts), blocks, label=f"pg2(q={f.q})"), "pg2")
 
 
@@ -362,17 +376,18 @@ def _quadrangle(f, family, pts, terms):
     """The quadrangle on ``pts`` whose blocks are the lines uv, for u != v in
     ``pts`` with B(u, v) = 0; the caller guarantees that every such line
     lies inside ``pts`` and that B(x, x) = 0 on it.  The line through u and
-    v is u^perp & v^perp (see the module docstring); each is kept once, from
-    its smallest point."""
+    v is the AND of rows u and v of the B(u, v) = 0 matrix (see the module
+    docstring); each is kept once, from its smallest point."""
     perps = _perps(f, pts, terms)
     blocks = []
     for u, perp in enumerate(perps):
-        rest = {v for v in perp if v > u}
-        while rest:
-            line = perp & perps[rest.pop()]
-            rest -= line
-            if min(line) == u:
-                blocks.append(line)
+        rest = perp.copy()
+        rest[:u + 1] = False
+        while rest.any():
+            line = perp & perps[rest.argmax()]
+            rest &= ~line
+            if line.argmax() == u:
+                blocks.append(np.flatnonzero(line).tolist())
     del perps  # freed before verification builds the collinearity
     return _checked(IncidenceStructure(len(pts), blocks, label=f"{family}(q={f.q})"),
                     family)

@@ -25,7 +25,6 @@ from .adversary import (
 from .fields import field
 from .geometry import build_pg2, build_q4, build_w3
 from .upir import (
-    DB_REQUEST,
     Transcript,
     UPIRSystem,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
@@ -205,24 +204,17 @@ def run_infer(geom, family, q, coalition, log_path, truth_path):
                          "coalition")
     states = empirical_infer(transcript, coalition, analytic=analytic_coalition(
         geom, coalition, transcript.protocol))
-    rounds = dict.fromkeys(truth, 0)  # per topic, its queries in the log
-    for b, count in zip(transcript.bodies, np.bincount(
-            transcript.body, minlength=len(transcript.bodies)).tolist()):
-        if b.kind == DB_REQUEST:
-            rounds[b.topic] += count
-    unseen = frozenset(range(geom.n_points)) - set(coalition)
     rows = []
     for topic, source in sorted(truth.items()):
-        st = states.get(topic)
-        candidates = unseen if st is None else st.candidates
+        st = states[topic]
         rows.append({
             "topic": topic,
             "source": source,
-            "rounds": rounds[topic],
-            "converged": st is not None and st.converged,
-            "n_candidates": len(candidates),
-            "candidates": sorted(candidates),
-            "source_survived": source in candidates,
+            "rounds": st.rounds_observed,
+            "converged": st.converged,
+            "n_candidates": len(st.candidates),
+            "candidates": sorted(st.candidates),
+            "source_survived": source in st.candidates,
         })
     sound = all(row["source_survived"] for row in rows)
     report = geometry_summary(geom, family, q)

@@ -70,16 +70,15 @@ class NotDiameterBoundedError(Exception):
     """Protocol 2 needs every user pair within distance 2."""
 
 
-def _distance_table(neighbors):
+def _distance_table(coll):
     """User distances, n x n, -1 where a pair cannot reach each other: a
     breadth-first search from every user at once, 256 sources at a time.
-    The first frontier is the identity; each step multiplies it by the 0/1
-    collinearity matrix (float32, exact for n < 2**24) and keeps the users
-    not reached before.  The dtype holds -n, and distances stay below n."""
-    n = len(neighbors)
-    adj = np.zeros((n, n), np.float32)
-    for x, near in enumerate(neighbors):
-        adj[x, list(near)] = 1
+    The first frontier is the identity; each step multiplies it by the
+    boolean collinearity matrix ``coll`` as float32 (exact for n < 2**24)
+    and keeps the users not reached before.  The dtype holds -n, and
+    distances stay below n."""
+    n = len(coll)
+    adj = coll.astype(np.float32)
     dist = np.full((n, n), -1, np.min_scalar_type(-n))
     for lo in range(0, n, 256):
         block = dist[lo:lo + 256]  # a view: rows lo.. of the table
@@ -109,8 +108,7 @@ class UPIRSystem:
         self.n_users = structure.n_points
         self.n_spaces = structure.n_blocks
         self._spaces_of = structure.point_to_blocks
-        self._neighbors = structure.collinearity()
-        self.distances = _distance_table(self._neighbors)
+        self.distances = _distance_table(structure.collinearity())
         apart = _first_pair(self.distances < 0)
         if apart is not None:
             raise DisconnectedError(
@@ -119,13 +117,6 @@ class UPIRSystem:
 
     def spaces_of(self, user):
         return self._spaces_of[user]
-
-    def neighbors(self, user):
-        return self._neighbors[user]
-
-    def distance_row(self, u):
-        """Row u of the distance table, as a list."""
-        return self.distances[u].tolist()
 
     def user_distance(self, u, v):
         """0 iff u == v, 1 iff they share a space, 2 beyond that (planes and

@@ -171,7 +171,7 @@ def test_whole_line_coalition_resolves_nobody_extra():
 
 def test_line_dominating_coalition_resolves_covered_points():
     gq = w33()
-    coll = gq.base.collinearity()
+    coll = gq.coll
     block = gq.base.blocks[0]
     anchor = block[0]
     members = [anchor]
@@ -653,17 +653,19 @@ def test_converge_topics_stops_at_its_own_floor():
 
 def reference_infer(transcript, coalition, analytic=None,
                     relay_metadata=False):
-    """empirical_infer feeding every event of the transcript to observe."""
+    """empirical_infer feeding every event of the transcript to observe,
+    with a state for every topic in the log and its own requests as its
+    rounds."""
     tracker = CoalitionTracker(transcript.system, coalition,
                                transcript.protocol, analytic=analytic,
                                relay_metadata=relay_metadata)
-    rounds = 0
+    rounds = {}
     for ev in transcript.events:
-        rounds += ev.kind == DB_REQUEST
+        rounds[ev.topic] = rounds.get(ev.topic, 0) + (ev.kind == DB_REQUEST)
         tracker.observe(ev)
-    return {t: CandidateState(t, tracker.candidates(t), rounds,
+    return {t: CandidateState(t, tracker.candidates(t), rounds[t],
                               tracker.converged(t))
-            for t in tracker.topics()}
+            for t in sorted(rounds)}
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
@@ -727,7 +729,7 @@ def test_place_random_deterministic():
 
 def test_place_spread_pairwise_far():
     gq = w33()
-    coll = gq.base.collinearity()
+    coll = gq.coll
     members = place_coalition(gq, 3, "spread", seed=4)
     assert len(set(members)) == 3
     for i, x in enumerate(members):
@@ -737,13 +739,49 @@ def test_place_spread_pairwise_far():
 
 def test_place_line_shape():
     gq = w33()
-    coll = gq.base.collinearity()
+    coll = gq.coll
     members = place_coalition(gq, 4, "line", seed=0)
     assert len(set(members)) == 4
     with pytest.raises(ValueError):
         place_coalition(gq, 5, "line", seed=0)
     with pytest.raises(ValueError):
         place_coalition(gq, 2, "banana", seed=0)
+
+
+def reference_place(geom, size, placement, seed):
+    """place_coalition's spread and line rules as the set loops they
+    replaced: spread maximises (distance to the nearest member, -id), and
+    line takes the least neighbour off the block and not yet taken."""
+    coll, n = geom.coll, geom.n_points
+    if placement == "spread":
+        chosen = [int(np.random.default_rng(seed).integers(n))]
+        while len(chosen) < size:
+            chosen.append(max(
+                (u for u in range(n) if u not in chosen),
+                key=lambda u: (min(1 if u in coll[v] else 2 for v in chosen), -u)))
+        return tuple(sorted(chosen))
+    blocks = geom.base.blocks
+    block = blocks[int(np.random.default_rng(seed).integers(len(blocks)))]
+    chosen, taken = [block[0]], set()
+    for w in block[1:size]:
+        y = min(coll[w] - set(block) - taken)
+        taken.add(y)
+        chosen.append(y)
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize("geom", [w33, lambda: get_gq("q4", 3),
+                                  lambda: get_plane(3)],
+                         ids=["W(3,3)", "Q(4,3)", "PG(2,3)"])
+def test_placement_matches_set_reference(geom):
+    geom = geom()
+    for seed in range(5):
+        for size in 1, 2, 4:
+            for placement in "spread", "line":
+                assert (place_coalition(geom, size, placement, seed)
+                        == reference_place(geom, size, placement, seed))
+        assert (place_coalition(geom, 12, "spread", seed)
+                == reference_place(geom, 12, "spread", seed))
 
 
 def test_sweep_rows():

@@ -33,13 +33,27 @@ def test_structure_validation():
         IncidenceStructure(2, [(0, 1), ()])  # empty block
 
 
+def reference_collinearity(inc):
+    """Per point x, per point y, whether x != y share a block: the matrix
+    as nested lists, from the set of point pairs of every block."""
+    pairs = {(x, y) for blk in inc.blocks for x in blk for y in blk if x != y}
+    n = inc.n_points
+    return [[(x, y) in pairs for y in range(n)] for x in range(n)]
+
+
 def test_structure_blocks_sorted_and_indexed():
     inc = IncidenceStructure(4, [(2, 3), (1, 0), (1, 2)])
     assert inc.blocks == ((0, 1), (1, 2), (2, 3))
     assert inc.point_to_blocks[1] == (0, 1)
     coll = inc.collinearity()
-    assert coll[1] == frozenset({0, 2})
+    assert coll[1].tolist() == [True, False, True, False]
     assert inc.collinearity() is coll
+    assert not coll.flags.writeable
+    # repeated blocks and blocks of one, two and three points
+    mixed = IncidenceStructure(6, [(4, 3, 5), (2, 1), (1, 2), (0,), (1, 3)])
+    assert mixed.blocks == ((0,), (1, 2), (1, 2), (1, 3), (3, 4, 5))
+    for one in inc, mixed:
+        assert one.collinearity().tolist() == reference_collinearity(one)
 
 
 def test_fano_plane():
@@ -292,6 +306,7 @@ def test_file_roundtrip_random_structures(tmp_path_factory, data):
     if set().union(*blocks) != set(range(n)):
         blocks.append(set(range(n)))
     inc = IncidenceStructure(n, blocks)
+    assert inc.collinearity().tolist() == reference_collinearity(inc)
     path = tmp_path_factory.mktemp("geo") / "r.json"
     save_geometry(path, inc, family="custom")
     assert load_geometry(path).structure == inc

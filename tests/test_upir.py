@@ -55,7 +55,7 @@ def test_plane_distances_all_one():
     sys_ = UPIRSystem(get_plane(3).base)
     assert sys_.diameter() == 1
     for u in range(sys_.n_users):
-        row = sys_.distance_row(u)
+        row = sys_.distances[u].tolist()
         assert row[u] == 0
         assert all(d == 1 for v, d in enumerate(row) if v != u)
 
@@ -65,7 +65,7 @@ def test_gq_distance_matches_collinearity():
     sys_ = UPIRSystem(gq.base)
     assert sys_.diameter() == 2
     for u in range(sys_.n_users):
-        row = sys_.distance_row(u)
+        row = sys_.distances[u].tolist()
         for v in range(sys_.n_users):
             if v == u:
                 assert row[v] == 0
@@ -115,7 +115,10 @@ class ReferenceSystem:
 
     def __init__(self, inc):
         self.inc = inc
-        self.coll = inc.collinearity()
+        self.coll = [set() for _ in range(inc.n_points)]
+        for blk in inc.blocks:
+            for x in blk:
+                self.coll[x].update(y for y in blk if y != x)
         self.rows = [self._bfs(u) for u in range(inc.n_points)]
 
     def _bfs(self, u):
@@ -189,7 +192,7 @@ def assert_matches_reference(inc):
     n = inc.n_points
     assert sys_.diameter() == ref.diameter()
     for u in range(n):
-        assert sys_.distance_row(u) == ref.rows[u]
+        assert sys_.distances[u].tolist() == ref.rows[u]
         for v in range(n):
             assert sys_.user_distance(u, v) == ref.rows[u][v]
             if v != u:
@@ -249,7 +252,7 @@ def test_long_chain_distances_fit_the_table():
     sys_ = UPIRSystem(inc)
     ref = ReferenceSystem(inc)
     assert sys_.diameter() == 299
-    assert [sys_.distance_row(u) for u in range(300)] == ref.rows
+    assert [sys_.distances[u].tolist() for u in range(300)] == ref.rows
     assert sys_.shortest_user_paths(0, 299) == ref.paths(0, 299)
 
 

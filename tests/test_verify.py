@@ -24,6 +24,18 @@ from gqupir.geometry import (
 from conftest import get_gq, get_plane
 
 
+def collinear_sets(inc):
+    """Per point, the set of other points sharing a block with it, built
+    from the blocks."""
+    coll = [set() for _ in range(inc.n_points)]
+    for blk in inc.blocks:
+        for x in blk:
+            coll[x].update(blk)
+    for x, near in enumerate(coll):
+        near.discard(x)
+    return coll
+
+
 def reference_verify_gq(inc):
     """Check every defining axiom of a generalised quadrangle on ``inc``.
 
@@ -64,7 +76,7 @@ def reference_verify_gq(inc):
                 f"blocks {i} and {j} share {sorted(common)}", (i, j, sorted(common))
             )
 
-    coll = inc.collinearity()
+    coll = collinear_sets(inc)
     for li, blk in enumerate(inc.blocks):
         bset = inc.block_sets[li]
         for x in range(inc.n_points):
@@ -174,7 +186,7 @@ def _outcome(verify, inc):
 def assert_real_violation(inc, exc, ref_exc):
     """The witness of exc names a real failure of inc."""
     w = exc.witness
-    coll = inc.collinearity()
+    coll = collinear_sets(inc)
     if str(exc).startswith("point ") and " sees " in str(exc):
         z, i, hits = w  # a point off block i seeing none of its points
         assert z not in inc.block_sets[i]
