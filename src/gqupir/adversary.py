@@ -260,7 +260,11 @@ class CoalitionTracker:
     converged(topic) reports whether the set has reached an
     indistinguishability class of the supplied analytic partition (or a
     singleton, when none is given); past that point no further shrinking is
-    possible.  With relay_metadata the tracker holds one topic at most.
+    possible.  With relay_metadata the tracker holds one topic at most,
+    and the relay metadata reaches it only at the first event whose payload
+    a member reads, and then all at once: until then candidates() is every
+    user outside the coalition and converged() is False, though the
+    metadata state may already have shrunk.
     """
 
     D1_MIN_ARRIVALS = 50
@@ -300,9 +304,6 @@ class CoalitionTracker:
         # relay metadata names no topic: its rules update this state, which
         # becomes the topic's state when the topic is first read
         self._meta = _TopicState(set(self._initial)) if relay_metadata else None
-
-    def topics(self):
-        return tuple(sorted(self._topics))
 
     def candidates(self, topic):
         return frozenset(self._live(topic))

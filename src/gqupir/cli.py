@@ -117,6 +117,17 @@ def _emit(report, out):
             write_json(report, fh)
 
 
+def _emit_sound(report, ok, out):
+    """Emit a simulate or infer report; exit 1 if a source left its
+    candidate set."""
+    _emit(report, out)
+    if not ok:
+        print("soundness violated: a source left its candidate set",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def _read_geom(path):
     """(geometry, family, q) from a geometry file, verified as its family.
     Every order field the file carries must match, None meaning null: a
@@ -184,29 +195,17 @@ def _cmd_simulate(args):
     geom = build_family(args.family, args.q)
     coalition, _ = resolve_coalition(
         geom, args.coalition, args.coalition_size, args.placement, args.seed)
-    report, ok = run_simulate(
+    return _emit_sound(*run_simulate(
         geom, args.family, args.q, args.protocol, coalition, args.topics,
         args.queries, args.seed, relay_metadata=args.relay_metadata,
-        transcript_prefix=args.transcript)
-    _emit(report, args.out)
-    if not ok:
-        print("soundness violated: a source left its candidate set",
-              file=sys.stderr)
-        return 1
-    return 0
+        transcript_prefix=args.transcript), args.out)
 
 
 def _cmd_infer(args):
     geom = build_family(args.family, args.q)
     coalition, _ = resolve_coalition(geom, args.coalition, None, None, None)
-    report, ok = run_infer(geom, args.family, args.q, coalition, args.infile,
-                           args.truth)
-    _emit(report, args.out)
-    if not ok:
-        print("soundness violated: a source left its candidate set",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _emit_sound(*run_infer(geom, args.family, args.q, coalition,
+                                  args.infile, args.truth), args.out)
 
 
 def _cmd_sweep(args):

@@ -160,22 +160,24 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
         "converged_fraction": len(conv) / n_topics,
         "mean_rounds_to_converge":
             None if not conv else sum(st.rounds_observed for st in conv) / len(conv),
-        "per_topic": [
-            {
-                "topic": st.topic,
-                "source": st.source,
-                "rounds": st.rounds_observed,
-                "converged": st.converged,
-                "n_candidates": len(st.candidates),
-                "candidates": sorted(st.candidates),
-            }
-            for st in ordered
-        ],
+        "per_topic": [_topic_row(st, st.source) for st in ordered],
     })
     if transcript_prefix is not None:
         report["transcript"], report["ground_truth"] = _write_logs(
             log, transcript_prefix)
     return report, sound
+
+
+def _topic_row(st, source):
+    """One topic's entry in a simulate or infer report."""
+    return {
+        "topic": st.topic,
+        "source": source,
+        "rounds": st.rounds_observed,
+        "converged": st.converged,
+        "n_candidates": len(st.candidates),
+        "candidates": sorted(st.candidates),
+    }
 
 
 def _write_logs(log, prefix):
@@ -204,18 +206,9 @@ def run_infer(geom, family, q, coalition, log_path, truth_path):
                          "coalition")
     states = empirical_infer(transcript, coalition, analytic=analytic_coalition(
         geom, coalition, transcript.protocol))
-    rows = []
-    for topic, source in sorted(truth.items()):
-        st = states[topic]
-        rows.append({
-            "topic": topic,
-            "source": source,
-            "rounds": st.rounds_observed,
-            "converged": st.converged,
-            "n_candidates": len(st.candidates),
-            "candidates": sorted(st.candidates),
-            "source_survived": source in st.candidates,
-        })
+    rows = [{**_topic_row(states[topic], source),
+             "source_survived": source in states[topic].candidates}
+            for topic, source in sorted(truth.items())]
     sound = all(row["source_survived"] for row in rows)
     report = geometry_summary(geom, family, q)
     report.update({

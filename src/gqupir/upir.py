@@ -27,11 +27,12 @@ Generator state are those of one scalar rng.integers call per draw.  Each
 distinct (proxy, route) of a block has its bodies interned once per stream,
 and the block's columns are gathered from them in numpy.
 
-read_transcript reads a log back a block of lines at a time: numpy finds
-the lines and their seqs, each distinct text after a seq is split into a
-frame and a tail, each distinct frame and tail is decoded and checked
-once, and a line it cannot take that way is parsed on its own, in file
-order.  A sidecar must agree with its log on the topics and the protocol.
+read_transcript reads a log back a block of lines at a time, numpy finding
+the lines and their seqs.  A block whose lines all start as write_transcript
+writes them, and whose new texts after the seq each split into a frame and
+a tail that check, is mapped to body ids at C level; any other block is
+read line by line.  A sidecar must agree with its log on the topics and the
+protocol.
 
 One rule, access(), decides what a user sees of an event and whether it
 reads the payload.  The ground-truth map (topic -> source) and the writer
@@ -45,7 +46,7 @@ import functools
 import json
 import operator
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +57,7 @@ DB_RESPONSE = "db_response"
 
 ALL_READERS = "all_readers"
 PROXY_ONLY = "proxy_only"
+_VISIBILITIES = (ALL_READERS, PROXY_ONLY)  # of a write, protocol 1 and 2
 
 
 class DisconnectedError(Exception):
@@ -375,7 +377,7 @@ def _query_bodies(workload, proxy, route):
     then a write response per hop back.  route is as _draw_queries gives
     it."""
     topic = workload.topic
-    vis = ALL_READERS if workload.protocol == 1 else PROXY_ONLY
+    vis = _VISIBILITIES[workload.protocol - 1]
     hops = 0 if route is None else len(route) // 2
     return (
         [(WRITE_REQUEST, route[2 * j + 1], route[2 * j + 2:], proxy, topic,
@@ -508,7 +510,6 @@ _TAIL_KEYS = _EVENT_KEYS - _FRAME_KEYS
 _ANY_TAIL = {"topic": "", "visibility": ALL_READERS}
 _ANY_FRAME = {"kind": DB_REQUEST, "space": None, "path": [], "proxy": 0}
 _EVENT_KINDS = (WRITE_REQUEST, WRITE_RESPONSE, DB_REQUEST, DB_RESPONSE)
-_VISIBILITIES = (ALL_READERS, PROXY_ONLY)
 
 
 def write_transcript(transcript, path):
@@ -554,21 +555,23 @@ def read_transcript(path, system, ground_truth_path=None):
     The file is read in blocks of whole lines of about _READ_BLOCK bytes,
     never whole.  In each block numpy finds the lines, checks which start
     as write_transcript writes them and reads their seqs (_split_lines).
-    The rest of such a line, after its seq, splits at , "topic":  into a
-    frame (kind, space, path, proxy) and a tail (topic, visibility), and
-    each distinct frame and tail is decoded and checked once; a part counts
-    only when it decodes to exactly its own keys, and a rest that does not
-    split into two such parts is parsed whole.  Each distinct rest is
-    interned once, in file order, and a block's body column is mapped from
-    its rests in C.  Any other line, one in another key order or spacing
-    or a malformed one, is parsed on its own by _line_event, in file order,
-    and a blank line is skipped.  A malformed line raises ValueError naming
-    the file and line: invalid JSON, a missing, extra or ill-typed field, a
-    seq outside 0..2**63-1, an unknown kind or visibility, a space that is
-    not null exactly for database events, a database event with a route, a
-    user or space id out of range for the system, or a write whose route
-    does not fit the geometry (see _check_route).  The sidecar is checked
-    against the log (see _read_sidecar).
+    ids maps each rest after such a seq met so far to its body id.  When
+    every line of a block has such a seq and every new rest splits at
+    , "topic":  into a frame (kind, space, path, proxy) and a tail (topic,
+    visibility) that each decode to exactly their own keys and check, the
+    new rests are interned in order of first use and the block's body
+    column is mapped from ids in C; each distinct frame and tail is
+    decoded and checked once.  Any other block is read line by line: a
+    rest in ids takes its id, any other line is parsed on its own by
+    _line_event and interned, in file order, and a blank line is skipped.
+    So any log reads back as a line-by-line reader would read it.  A
+    malformed line raises ValueError naming the file and line: invalid
+    JSON, a missing, extra or ill-typed field, a seq outside 0..2**63-1,
+    an unknown kind or visibility, a space that is not null exactly for
+    database events, a database event with a route, a user or space id out
+    of range for the system, or a write whose route does not fit the
+    geometry (see _check_route).  The sidecar is checked against the log
+    (see _read_sidecar).
     """
     transcript = Transcript(system, 0, None, (), {})
     ids = {}  # the rest of a canonical line -> its body id
@@ -578,53 +581,46 @@ def read_transcript(path, system, ground_truth_path=None):
         b'{"topic": ' + text, _TAIL_KEYS, _ANY_FRAME, system)[4:])
 
     def fields_of(rest):
-        """A rest's checked fields, or None where it is malformed."""
+        """A rest's checked frame and tail fields, or None."""
         frame, split, tail = rest.partition(_TOPIC)
         if split and (frame := frame_of(frame)) and (tail := tail_of(tail)):
             return frame + tail
-        try:
-            return _rest_fields(rest, system)
-        except ValueError:
-            return None
+        return None
 
     seqs, bodies = [np.empty(0, np.int64)], [np.empty(0, np.int32)]
     lineno = 0  # lines before the block
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
             start, end, seq, rest = _split_lines(block)
-            # a line with no seq has the empty rest, which is malformed
+            # a line with no seq has the empty rest, which is never in ids
             keys = [block[a:b] for a, b in zip(rest.tolist(), end.tolist())]
-            new = list(filterfalse(ids.__contains__, dict.fromkeys(keys)))
-            checked = dict(zip(new, map(fields_of, new)))
-            # the lines with no seq or a new malformed rest (a rest met in
-            # an earlier block is in ids, not in checked)
-            bad = [] if all(checked.values()) else [
-                i for i, k in enumerate(keys) if checked.get(k, ()) is None]
-            body = np.empty(len(keys), np.int32)
-            keep = np.ones(len(keys), bool)
-            lo = 0
-            for i in chain(bad, [len(keys)]):
-                run = keys[lo:i]
-                # checked holds a block's new rests in order of first use
-                fresh = list(filterfalse(ids.__contains__, dict.fromkeys(
-                    run))) if bad else checked
-                ids.update(zip(fresh, map(transcript.intern, map(
-                    checked.__getitem__, fresh))))
-                body[lo:i] = np.fromiter(map(ids.__getitem__, run), np.int32,
-                                         i - lo)
-                if i < len(keys):
-                    try:
-                        event = _line_event(block[start[i]:end[i] + 1],
-                                            int(seq[i]), keys[i], system)
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"{path}:{lineno + i + 1}: {exc}") from None
-                    keep[i] = event is not None
-                    if keep[i]:
-                        seq[i], body[i] = event[0], transcript.intern(event[1])
-                lo = i + 1
-            seqs.append(seq[keep])
-            bodies.append(body[keep])
+            new = [k for k in dict.fromkeys(keys) if k not in ids]
+            if (seq >= 0).all() and all(fields := list(map(fields_of, new))):
+                ids.update(zip(new, map(transcript.intern, fields)))
+                seqs.append(seq)
+                bodies.append(np.fromiter(map(ids.__getitem__, keys),
+                                          np.int32, len(keys)))
+            else:
+                line_seqs, line_bodies = [], []
+                for i, (s, key) in enumerate(zip(seq.tolist(), keys)):
+                    body = ids.get(key)
+                    if body is None:
+                        try:
+                            event = _line_event(block[start[i]:end[i] + 1],
+                                                s, key, system)
+                        except ValueError as exc:
+                            raise ValueError(
+                                f"{path}:{lineno + i + 1}: {exc}") from None
+                        if event is None:  # a blank line
+                            continue
+                        body = transcript.intern(event[1])
+                        if s >= 0:
+                            ids[key] = body
+                        s = event[0]
+                    line_seqs.append(s)
+                    line_bodies.append(body)
+                seqs.append(np.array(line_seqs, np.int64))
+                bodies.append(np.array(line_bodies, np.int32))
             lineno += len(keys)
     transcript.seq = np.concatenate(seqs)
     transcript.body = np.concatenate(bodies)
@@ -679,12 +675,12 @@ def _split_lines(block):
 
 
 def _line_event(line, seq, rest, system):
-    """(seq, fields) of one line parsed on its own, as the reader does for
-    a line its caches cannot take: after a seq that _split_lines read, the
-    rest alone, so that a second seq is an unexpected key; else the whole
-    line; None for a blank line."""
+    """(seq, fields) of one line parsed on its own, as the reader's
+    line-by-line path does: after a seq that _split_lines read, the rest
+    alone, so that a second seq is an unexpected key; else the whole line;
+    None for a blank line."""
     if seq >= 0:
-        return seq, _rest_fields(rest, system)
+        return seq, _event_fields(_load_object(b"{" + rest), system)
     if not line.strip():
         return None
     d = _load_object(line)
@@ -694,10 +690,6 @@ def _line_event(line, seq, rest, system):
     if type(seq) is not int or not 0 <= seq < 1 << 63:
         raise ValueError("'seq' must be a non-negative integer below 2**63")
     return seq, _event_fields(d, system)
-
-
-def _rest_fields(rest, system):
-    return _event_fields(_load_object(b"{" + rest), system)
 
 
 def _checked_part(text, keys, other, system):
@@ -737,7 +729,7 @@ def _read_sidecar(path, system, bodies):
         odd = min(truth.keys() ^ logged)
         where = "sidecar" if odd in truth else "log"
         raise ValueError(f"{path}: topic {odd!r} is in the {where} only")
-    vis = ALL_READERS if protocol == 1 else PROXY_ONLY
+    vis = _VISIBILITIES[protocol - 1]
     for b in bodies:
         if b.space is not None and b.visibility != vis:
             raise ValueError(f"{path}: protocol {protocol} writes are {vis}, "

@@ -446,6 +446,31 @@ def test_reader_matches_line_by_line_reference(tmp_path_factory, text,
         assert outcome(block_read, log) == outcome(reference_read, log)
 
 
+def _read_by_line(*args):
+    raise AssertionError("a block was read line by line")
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+@pytest.mark.parametrize("block", [1, 64, upir._READ_BLOCK])
+def test_written_log_never_reads_line_by_line(tmp_path, monkeypatch,
+                                              protocol, block):
+    """Every block of a log write_transcript wrote takes the reader's C
+    level path, whatever the block size."""
+    sources = {"a": 5, "b": 22}
+    log = Transcript(W33, protocol, 3, (), sources)
+    converge_topics(W33, (0, 13), protocol, sources, 400, seed=3, log=log)
+    path = tmp_path / "run.jsonl"
+    write_transcript(log, path)
+    monkeypatch.setattr(upir, "_line_event", _read_by_line)
+    monkeypatch.setattr(upir, "_READ_BLOCK", block)
+    back = read_transcript(path, W33)
+    assert back.seq.tolist() == log.seq.tolist()
+    # a body as logged, without its writer
+    logged = [body(log.bodies[i])[:-1] for i in log.body.tolist()]
+    assert [body(b)[:-1] for b in back.bodies] == list(dict.fromkeys(logged))
+    assert [body(back.bodies[i])[:-1] for i in back.body.tolist()] == logged
+
+
 @pytest.mark.parametrize("line,message", [
     # not a key: a quote inside a string is escaped
     (_with(topic='a, "topic": "b"'), None),
