@@ -13,11 +13,11 @@ quotient is GF(p) itself; the first few prime powers get
 
 An element is an integer in range(q) whose base-p digits are the polynomial
 coefficients, least-significant digit = constant term.  So in GF(9) the
-element 3*h + l stands for h*x + l.  Addition and multiplication are q x q
-uint8 tables (``add_table``, ``mul_table``) built once, and every scalar
-operation indexes them.  A candidate m is irreducible exactly when its
-quotient ring has no zero divisors; a factor of a reducible m has degree at
-most k/2, so only the products of such elements are searched.
+element 3*h + l stands for h*x + l.  Scalar operations index q x q uint8
+tables (``add_table``, ``mul_table``) built once; bulk sums may add digits
+mod p instead (geometry's form evaluator).  A candidate m is irreducible
+exactly when its quotient ring has no zero divisors; a reducible m has a
+factor of degree at most k/2, so only products of such elements are searched.
 
 Vectors over a field are plain tuples of elements; a projective point is a
 vector scaled so its first nonzero coordinate is 1.

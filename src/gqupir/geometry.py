@@ -14,16 +14,20 @@ Constructions
 
 All three come from one form evaluator.  A bilinear form B is given as
 data, a list of terms (i, j, c) standing for the sum of c*u_i*v_j, and the
-evaluator returns the boolean matrix of B(u,v) = 0 over the point set,
-working on the field's add/mul tables a fixed number of rows at a time.
-The plane is self-dual, so its blocks are the rows of that matrix for the
-dot form.  For a quadrangle B is the alternating form for W(3,q) and the
-polar form of the quadric for Q(4,q): the line through two points u != v
-of the point set belongs to the geometry iff B(u,v) = 0, and B(x,x) = 0 on
-the point set.  That line is the AND of rows u and v: every point of it
-lies in both, and a common point w off it would be collinear with u and
-with v, a triangle, which a quadrangle has none of.  Each line is kept
-once, from its smallest point.
+evaluator returns the boolean matrix of B(u,v) = 0 over the point set, a
+fixed number of rows at a time (or B(x,x) = 0 pointwise).  It adds field
+elements as integers whose w-bit slots hold their base-p digits, w wide
+enough that a sum of one digit per term never carries: each term adds rows
+of a q x n table of the packed products a*v_j, and B(u,v) = 0 when every
+slot of the sum is 0 mod p, which a table of at most 2^16 entries reads a
+few slots at a time.  The plane is self-dual, so its blocks are the rows
+of that matrix for the dot form.  For a quadrangle B is the alternating
+form for W(3,q) and the polar form of the quadric for Q(4,q): the line
+through two points u != v of the point set belongs to the geometry iff
+B(u,v) = 0, and B(x,x) = 0 on the point set.  That line is the AND of rows
+u and v: every point of it lies in both, and a common point w off it would
+be collinear with u and with v, a triangle, which a quadrangle has none of.
+Each line is kept once, from its smallest point.
 
 Collinearity has one form, IncidenceStructure.collinearity(): an n x n
 boolean matrix filled once from the blocks, which every layer reads.
@@ -66,7 +70,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import projective_points
+from .fields import _digits, projective_points
 
 
 class AxiomViolation(Exception):
@@ -337,28 +341,36 @@ def _checked(inc, family):
 
 # A bilinear form as data: B(u, v) = the sum of c*u[i]*v[j] over its terms
 # (i, j, c), c a field element.
-_ROWS = 256  # rows at a time: points in _perps, blocks in verify_gq
+_ROWS = 256  # rows at a time: points in _form and _quadrangle, blocks in verify_gq
 
 
-def _form(f, terms, u, v):
-    """B(u, v) over the last axis of the index arrays u and v, broadcast."""
-    add, mul = f.add_table, f.mul_table
-    acc = 0
-    for i, j, c in terms:
-        acc = add[acc, mul[mul[c][u[..., i]], v[..., j]]]
-    return acc
+def _form(f, terms, u, v=None):
+    """B(u, v) = 0 for the points u against the points v, n x d arrays of
+    field elements: the len(u) x len(v) matrix, evaluated _ROWS rows at a
+    time so the working memory beyond it stays O(_ROWS * n), or B(x, x) = 0
+    for each point x of u when v is None (see the module docstring)."""
+    p, k, mul = f.p, f.k, f.mul_table
+    w = (len(terms) * (p - 1)).bit_length()  # bits per slot: no carry
+    g = min(k, 16 // w)  # slots per lookup
+    # zero_at[x]: all g w-bit slots of x are 0 mod p (symmetric in the slots)
+    zero_at = (np.indices((1 << w,) * g, np.uint16) % p == 0).all(0).ravel()
+    packed = (_digits(p, k, range(f.q)) << w * np.arange(k)).sum(1)[mul]
+    packed = packed.astype(np.min_scalar_type((1 << w * k) - 1))
 
+    def zero(acc):
+        ok = zero_at[acc & (1 << g * w) - 1]
+        for i in range(g, k, g):
+            ok &= zero_at[acc >> w * i & (1 << g * w) - 1]
+        return ok
 
-def _perps(f, pts, terms):
-    """The boolean matrix of B(u, v) = 0 over the points ``pts``, u by row.
-
-    The form is evaluated on _ROWS rows of u against every v at a time, so
-    the working memory beyond the matrix stays O(_ROWS * n)."""
-    pts = np.array(pts, dtype=np.intp)
-    zero = np.empty((len(pts), len(pts)), bool)
-    for lo in range(0, len(pts), _ROWS):
-        zero[lo:lo + _ROWS] = _form(f, terms, pts[lo:lo + _ROWS, None, :], pts) == 0
-    return zero
+    if v is None:
+        return zero(sum(packed[mul[c][u[:, i]], u[:, j]] for i, j, c in terms))
+    cols = {j: packed[:, v[:, j]] for _, j, _ in terms}  # q x n: a*v_j
+    out = np.empty((len(u), len(v)), bool)
+    for lo in range(0, len(u), _ROWS):
+        rows = u[lo:lo + _ROWS]
+        out[lo:lo + _ROWS] = zero(sum(cols[j][mul[c][rows[:, i]]] for i, j, c in terms))
+    return out
 
 
 def build_pg2(f):
@@ -366,31 +378,41 @@ def build_pg2(f):
 
     The plane is self-dual: the kernel of the linear form with the
     coordinates of u is the block u^perp of the dot form."""
-    pts = projective_points(f, 2)
+    pts = np.array(projective_points(f, 2))
     blocks = [np.flatnonzero(row).tolist()
-              for row in _perps(f, pts, [(i, i, 1) for i in range(3)])]
+              for row in _form(f, [(i, i, 1) for i in range(3)], pts, pts)]
     return _checked(IncidenceStructure(len(pts), blocks, label=f"pg2(q={f.q})"), "pg2")
 
 
 def _quadrangle(f, family, pts, terms):
-    """The quadrangle on ``pts`` whose blocks are the lines uv, for u != v in
-    ``pts`` with B(u, v) = 0; the caller guarantees that every such line
-    lies inside ``pts`` and that B(x, x) = 0 on it.  The line through u and
-    v is the AND of rows u and v of the B(u, v) = 0 matrix (see the module
-    docstring); each is kept once, from its smallest point."""
-    perps = _perps(f, pts, terms)
+    """The quadrangle on the points ``pts`` (n x d) whose blocks are the
+    lines uv, for u != v with B(u, v) = 0, each the AND of rows u and v of
+    the B(u, v) = 0 matrix (see the module docstring) and kept once, from
+    its smallest point; the caller guarantees that every such line lies
+    inside ``pts``.  A point with B(x, x) != 0 raises VerificationFailed
+    naming the least one.  Lines are assembled for _ROWS points u at a time
+    in rounds, each taking for every u the least v > u on none of its lines
+    so far: at most t + 1 rounds for a quadrangle of order (s, t)."""
+    pts = np.asarray(pts)
+    perps = _form(f, terms, pts, pts)
+    off = np.flatnonzero(~perps.diagonal())
+    if len(off):
+        raise VerificationFailed(f"{family}(q={f.q}): B(x, x) != 0 at point {off[0]}")
+    n = len(pts)
     blocks = []
-    for u, perp in enumerate(perps):
-        rest = perp.copy()
-        rest[:u + 1] = False
-        while rest.any():
-            line = perp & perps[rest.argmax()]
+    for lo in range(0, n, _ROWS):
+        u = np.arange(lo, min(lo + _ROWS, n))
+        rest = perps[u] & (np.arange(n) > u[:, None])
+        while (live := rest.any(1)).any():
+            u, rest = u[live], rest[live]
+            line = perps[u] & perps[rest.argmax(1)]
             rest &= ~line
-            if line.argmax() == u:
-                blocks.append(np.flatnonzero(line).tolist())
+            mine = line[line.argmax(1) == u]
+            cols = (np.flatnonzero(mine) % n).tolist()
+            ends = np.cumsum(mine.sum(1)).tolist()
+            blocks += [cols[a:b] for a, b in zip([0] + ends, ends)]
     del perps  # freed before verification builds the collinearity
-    return _checked(IncidenceStructure(len(pts), blocks, label=f"{family}(q={f.q})"),
-                    family)
+    return _checked(IncidenceStructure(n, blocks, label=f"{family}(q={f.q})"), family)
 
 
 def build_w3(f):
@@ -412,10 +434,8 @@ def build_q4(f):
     m1 = f.neg(1)
     quadric = [(0, 0, 1), (1, 2, m1), (3, 4, m1)]  # Q(x) = this form at (x, x)
     polar = [(0, 0, f.add(1, 1)), (1, 2, m1), (2, 1, m1), (3, 4, m1), (4, 3, m1)]
-    space = projective_points(f, 4)
-    coords = np.array(space)
-    on = _form(f, quadric, coords, coords) == 0
-    return _quadrangle(f, "q4", [p for p, z in zip(space, on) if z], polar)
+    space = np.array(projective_points(f, 4))
+    return _quadrangle(f, "q4", space[_form(f, quadric, space)], polar)
 
 
 # -- geometry interchange files --

@@ -1,5 +1,7 @@
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,9 @@ from gqupir.geometry import (
     Geometry,
     HigmanViolation,
     IncidenceStructure,
+    VerificationFailed,
+    _form,
+    _quadrangle,
     build_pg2,
     build_q4,
     build_w3,
@@ -151,6 +156,57 @@ def test_construction_deterministic():
     assert a.base == b.base
     c, d = build_q4(GF(2)), build_q4(GF(2))
     assert c.base == d.base
+
+
+def _scalar_form(f, terms, u, v):
+    acc = 0
+    for i, j, c in terms:
+        acc = f.add(acc, f.mul(f.mul(c, u[i]), v[j]))
+    return acc
+
+
+FORM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 251, 256]
+
+
+@pytest.mark.parametrize("q", FORM_ORDERS)
+def test_form_matches_scalar_arithmetic(q):
+    # p = 251 with 5 terms needs the widest digit slot, 2^8 and 3^5 the most
+    # digits; half the coordinates are 0 so that B = 0 is common at every q
+    f, rng = field(q), np.random.default_rng(q)
+    for n_terms in range(1, 6):
+        terms = [(int(rng.integers(5)), int(rng.integers(5)), int(rng.integers(q)))
+                 for _ in range(n_terms)]
+        u, v = (rng.integers(q, size=(m, 5)) * (rng.random((m, 5)) < 0.5)
+                for m in (12, 40))
+        tracemalloc.start()
+        got = _form(f, terms, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 * 2**20  # no lookup table grows with k
+        assert got.tolist() == [[_scalar_form(f, terms, a, b) == 0 for b in v]
+                                for a in u]
+        assert _form(f, terms, v).tolist() == [_scalar_form(f, terms, a, a) == 0
+                                                for a in v]
+
+
+def test_w3_16_memory_peak():
+    # at most the 47.1 MiB that the build with table-gathered form sums
+    # peaked at, stated in n^2 bytes (the size of the collinearity and of the
+    # B(u, v) = 0 matrix) so that it holds across numpy versions
+    field(16)  # built outside the traced region
+    tracemalloc.start()
+    n = build_w3(field(16)).n_points
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2.6 * n * n
+
+
+def test_quadrangle_rejects_nonisotropic_points():
+    # under the dot form B(x, x) = 1 at (0, 0, 0, 1), point 0; unchecked, a
+    # line uv would lack v and line assembly would never end
+    f = GF(3)
+    with pytest.raises(VerificationFailed, match=r"B\(x, x\) != 0 at point 0$"):
+        _quadrangle(f, "w3", projective_points(f, 3), [(i, i, 1) for i in range(4)])
 
 
 def _double_cyclic_33():
