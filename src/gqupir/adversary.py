@@ -63,6 +63,7 @@ from .upir import (
     _block_columns,
     _body_ids,
     _draw_queries,
+    _gc_paused,
     access,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
@@ -412,6 +413,7 @@ class CoalitionTracker:
             st.cand &= self._members[space] - {m}
 
 
+@_gc_paused
 def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                     seed, analytic=None, relay_metadata=False, on_step=None,
                     log=None):
@@ -434,7 +436,8 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     upir.Transcript that receives every event of every topic, topic after
     topic, each stream numbered from seq 0: each stream then runs to the
     cap, while the tracker still stops reading it at convergence.  Returns
-    {topic: CandidateState}.
+    {topic: CandidateState}.  The whole run, on_step included, has the
+    cyclic garbage collector paused (see upir._gc_paused).
     """
     inside = sorted(set(topic_sources.values()) & set(coalition))
     if inside:

@@ -201,8 +201,8 @@ def verify_gq(inc):
         seen = coll[rows[:, 0]]  # L itself too, as s >= 1
         for j in range(1, s + 1):
             seen |= coll[rows[:, j]]
-        missed = np.argwhere(~seen)
-        if len(missed):
+        if not seen.all():
+            missed = np.argwhere(~seen)
             i, z = lo + int(missed[0, 0]), int(missed[0, 1])
             raise AxiomViolation(
                 f"point {z} sees 0 points of block {i}, expected 1", (z, i, 0))

@@ -40,9 +40,21 @@ and query ordinal of each event live outside the event log proper:
 observer views carry events with writer None, query -1 and, where the
 payload is unreadable, topic None, and the on-disk format keeps ground
 truth in a separate sidecar file.
+
+run_protocol, adversary.converge_topics, read_transcript,
+Transcript.events and _view (behind observer_view and external_view) run
+with the cyclic garbage collector paused by _gc_paused.  They build
+hundreds of thousands of objects and no reference cycle, so the
+collections their allocations would start find nothing: on the
+plaintext-transcript benchmark's inputs, 264/25/2, 252/22/2 and 434/40/4
+young/middle/full collections inside run_simulate, read_transcript and
+Transcript.events, against none inside the paused functions and one
+catch-up young collection after each.  The pause is process-wide, on_step
+callbacks included, and not for code that toggles gc from other threads.
 """
 
 import functools
+import gc
 import json
 import operator
 from dataclasses import dataclass
@@ -58,6 +70,40 @@ DB_RESPONSE = "db_response"
 ALL_READERS = "all_readers"
 PROXY_ONLY = "proxy_only"
 _VISIBILITIES = (ALL_READERS, PROXY_ONLY)  # of a write, protocol 1 and 2
+_CHUNK = 4096  # rows per write call, and per list of events built
+
+
+def _gc_paused(fn):
+    """fn, run with the cyclic garbage collector disabled, and the caller's
+    setting restored when it returns or raises: a caller that disabled it
+    keeps it disabled, so paused calls nest.
+
+    The functions paused build hundreds of thousands of objects and none of
+    them makes a reference cycle, so every collection the allocations would
+    trigger scans them in vain.  Any cycle that does appear is collected as
+    usual once the collector is on again.  The pause is process-wide: it
+    holds for other threads too, and for callbacks run inside, such as
+    adversary.converge_topics' on_step; a thread that turns gc on or off
+    meanwhile would undo the pause, or have its own setting undone."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+def _chunks(*columns):
+    """The columns' entries as lists of Python ints, _CHUNK rows at a time,
+    so that no full-length list is held."""
+    for i in range(0, len(columns[0]), _CHUNK):
+        yield [c[i:i + _CHUNK].tolist() for c in columns]
 
 
 class DisconnectedError(Exception):
@@ -102,8 +148,8 @@ def _first_pair(mask):
 
 class UPIRSystem:
     """A connected incidence structure viewed as a messaging system.  The
-    constructor builds the n x n table ``distances`` once (O(n^2) memory),
-    and distances, the diameter and routes are read from it."""
+    constructor builds the n x n table ``distances`` once (O(n^2) memory)
+    and takes its diameter; distances and routes are read from the table."""
 
     def __init__(self, structure):
         self.structure = structure
@@ -111,11 +157,12 @@ class UPIRSystem:
         self.n_spaces = structure.n_blocks
         self._spaces_of = structure.point_to_blocks
         self.distances = _distance_table(structure.collinearity())
-        apart = _first_pair(self.distances < 0)
-        if apart is not None:
+        if self.distances.min() < 0:
+            apart = _first_pair(self.distances < 0)
             raise DisconnectedError(
                 f"users {apart[0]} and {apart[1]} cannot reach each other", apart
             )
+        self._diameter = int(self.distances.max())
 
     def spaces_of(self, user):
         return self._spaces_of[user]
@@ -126,7 +173,7 @@ class UPIRSystem:
         return int(self.distances[u, v])
 
     def diameter(self):
-        return int(self.distances.max())
+        return self._diameter
 
     def shortest_user_paths(self, u, v):
         """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted,
@@ -236,10 +283,17 @@ class Transcript:
             dtype=np.int32)
 
     @property
+    @_gc_paused
     def events(self):
+        """The events, in order, as a new list of TranscriptEvent, built
+        _CHUNK rows of the columns at a time.  The cyclic collector is
+        paused meanwhile, process-wide: the events hold no cycle, and 335k
+        of them started 478 collections, none of which found anything."""
         fields = list(self._ids)
-        return [TranscriptEvent(s, *fields[b], q) for s, b, q in zip(
-            self.seq.tolist(), self.body.tolist(), self.query.tolist())]
+        return [TranscriptEvent(s, *fields[b], q)
+                for seqs, bodies, queries in _chunks(self.seq, self.body,
+                                                     self.query)
+                for s, b, q in zip(seqs, bodies, queries)]
 
     def body_mask(self, keep):
         """Per event, whether keep(its body) holds; one call per body."""
@@ -347,8 +401,8 @@ def _draw_queries(system, workload, rng):
     n, source = system.n_users, workload.source
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    far = _first_pair(system.distances > 2) if workload.protocol == 2 else None
-    if far is not None:
+    if workload.protocol == 2 and system.diameter() > 2:
+        far = _first_pair(system.distances > 2)
         raise NotDiameterBoundedError(
             f"user pair {far} at distance {system.user_distance(*far)} > 2"
         )
@@ -413,6 +467,7 @@ def iter_protocol_events(system, workload, rng):
     return iter(run_protocol(system, workload, rng).events)
 
 
+@_gc_paused
 def run_protocol(system, workload, seed_or_rng):
     """Simulate one workload under its protocol.
 
@@ -461,16 +516,19 @@ def access(system, member, event):
     return event.visibility == ALL_READERS or member == event.proxy
 
 
+@_gc_paused
 def _view(transcript, rule):
     """The events whose body rule() maps to True or False, in order, without
     ground truth, and without their topic where it gives False.  rule is
-    called once per body, and an event is built only for a shown one."""
+    called once per body, and an event is built only for a shown one, from
+    _CHUNK rows of the columns at a time."""
     shown = [(b, rule(b)) for b in transcript.bodies]
     return [TranscriptEvent(seq, b.kind, b.space, b.path, b.proxy,
                             b.topic if readable else None, b.visibility,
                             None, -1)
-            for seq, (b, readable) in zip(transcript.seq.tolist(), map(
-                shown.__getitem__, transcript.body.tolist()))
+            for seqs, bodies in _chunks(transcript.seq, transcript.body)
+            for seq, (b, readable) in zip(seqs, map(shown.__getitem__,
+                                                    bodies))
             if readable is not None]
 
 
@@ -491,7 +549,6 @@ def external_view(transcript):
 # -- transcript files --
 
 
-_WRITE_CHUNK = 4096  # lines per write call
 _READ_BLOCK = 1 << 20  # bytes per read; a block is cut after its last newline
 # a line as write_transcript writes it starts with _SEQ, then the seq in at
 # most 18 ASCII digits without a leading zero, so that it fits an int64,
@@ -520,7 +577,7 @@ def write_transcript(transcript, path):
 
     Ground truth is deliberately absent; see write_ground_truth.  The text
     after the seq is formatted once per body, and lines are written in
-    chunks of _WRITE_CHUNK."""
+    chunks of _CHUNK."""
     quoted = functools.cache(json.dumps)
     texts = [
         f'"kind": {quoted(b.kind)}, '
@@ -529,12 +586,9 @@ def write_transcript(transcript, path):
         f'"topic": {quoted(b.topic)}, "visibility": {quoted(b.visibility)}}}\n'
         for b in transcript.bodies]
     with open(path, "w") as fh:
-        for i in range(0, len(transcript.seq), _WRITE_CHUNK):
-            part = slice(i, i + _WRITE_CHUNK)
-            fh.write("".join([
-                f'{{"seq": {seq}, {texts[body]}' for seq, body in
-                zip(transcript.seq[part].tolist(),
-                    transcript.body[part].tolist())]))
+        for seqs, bodies in _chunks(transcript.seq, transcript.body):
+            fh.write("".join([f'{{"seq": {seq}, {texts[body]}'
+                              for seq, body in zip(seqs, bodies)]))
 
 
 def write_ground_truth(transcript, path):
@@ -548,6 +602,7 @@ def write_ground_truth(transcript, path):
         fh.write("\n")
 
 
+@_gc_paused
 def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log, and optionally its sidecar, into a Transcript
     whose bodies have writer None and whose events have query -1.

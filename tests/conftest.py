@@ -1,7 +1,11 @@
-"""Shared builders: geometries are expensive enough to cache per session."""
+"""Shared builders: geometries are expensive enough to cache per session.
+Every test must leave the cyclic garbage collector enabled."""
 
+import gc
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -24,3 +28,13 @@ def get_plane(q):
     if q not in _PLANE_CACHE:
         _PLANE_CACHE[q] = build_pg2(GF(q))
     return _PLANE_CACHE[q]
+
+
+@pytest.fixture(autouse=True)
+def gc_left_enabled():
+    """Fail a test that leaves gc disabled, and enable it again, so that a
+    pause that is never undone does not carry into the tests after it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

@@ -1,17 +1,21 @@
 """Transcript files: the line codec against a per-event json.dumps
 reference, the block reader against a line-by-line reference,
 non-canonical input, and the checks made when a log and its sidecar are
-read."""
+read.  Last, the builders that run with the cyclic garbage collector
+paused, and the lists built a chunk of columns at a time."""
 
+import gc
+import inspect
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqupir import upir
+from gqupir import adversary, harness, upir
 from gqupir.adversary import converge_topics
 from gqupir.upir import (
     ALL_READERS,
@@ -24,6 +28,9 @@ from gqupir.upir import (
     Transcript,
     TranscriptEvent,
     UPIRSystem,
+    access,
+    external_view,
+    observer_view,
     proxy_counts,
     read_transcript,
     run_protocol,
@@ -556,3 +563,141 @@ def test_sidecar_must_match_the_protocol_of_the_log(tmp_path, protocol):
     with pytest.raises(ValueError, match="^" + re.escape(
             f"{side}: protocol {other} writes are ")):
         read_transcript(log, W33, side)
+
+
+# -- the collector pause --
+
+
+@pytest.fixture(scope="module")
+def w33_log():
+    """A W(3,3) run_protocol log of 10000 queries: 52918 events."""
+    return run_protocol(W33, QueryWorkload(0, "t", 10_000), 1)
+
+
+def collections_inside(fn, *args, **kwargs):
+    """fn's result, and the generation of each cyclic collection that
+    started while the frame of fn's own code (beneath any wrapper) was on
+    the stack."""
+    code = inspect.unwrap(fn).__code__
+    started = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is code:
+                started.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    gc.callbacks.append(count)
+    try:
+        return fn(*args, **kwargs), started
+    finally:
+        gc.callbacks.remove(count)
+
+
+def paused_calls(log, path):
+    """Each paused builder, or the public function that reaches it, as
+    (function, args, kwargs) on the W(3,3) log and its file at path."""
+    return {
+        "read_transcript": (read_transcript, (path, W33), {}),
+        "run_protocol": (run_protocol,
+                         (W33, QueryWorkload(0, "t", 10_000), 1), {}),
+        "converge_topics": (converge_topics, (W33, (1,), 1, {"t": 0},
+                                              10_000, 1),
+                            {"log": Transcript(W33, 1, 1, (), {})}),
+        "events": (Transcript.events.fget, (log,), {}),
+        "observer_view": (observer_view, (log, 5), {}),
+    }
+
+
+PAUSED = ("read_transcript", "run_protocol", "converge_topics", "events",
+          "observer_view")
+
+
+@pytest.mark.parametrize("name", PAUSED)
+def test_no_collection_starts_inside_a_paused_builder(tmp_path, w33_log,
+                                                      name):
+    """At the default thresholds the allocations of each build would start
+    young collections; with the collector paused none starts until the
+    build returns."""
+    path = tmp_path / "log.jsonl"
+    write_transcript(w33_log, path)
+    fn, args, kwargs = paused_calls(w33_log, path)[name]
+    _, started = collections_inside(fn, *args, **kwargs)
+    assert started == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", PAUSED)
+def test_paused_builder_keeps_the_callers_setting(tmp_path, w33_log, name):
+    path = tmp_path / "log.jsonl"
+    write_transcript(w33_log, path)
+    fn, args, kwargs = paused_calls(w33_log, path)[name]
+    gc.disable()
+    try:
+        fn(*args, **kwargs)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    fn(*args, **kwargs)
+    assert gc.isenabled()
+
+
+def test_reader_error_restores_the_collector(tmp_path):
+    log = tmp_path / "bad.jsonl"
+    log.write_text(_with() + "\n" + _with(kind="no_such_kind") + "\n")
+    with pytest.raises(ValueError, match="unknown kind"):
+        read_transcript(log, W33)
+    assert gc.isenabled()
+
+
+def test_collector_stays_paused_through_converge_topics_in_simulate(
+        tmp_path, monkeypatch):
+    """harness.run_simulate's converge_topics feeds the tracker and fills
+    the log with the collector off from its first event to its last."""
+    enabled = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            enabled.append(gc.isenabled())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(adversary.CoalitionTracker, "observe",
+                        recording(adversary.CoalitionTracker.observe))
+    monkeypatch.setattr(Transcript, "extend", recording(Transcript.extend))
+    report, ok = harness.run_simulate(get_gq("w3", 3), "w3", 3, 1, (0, 13),
+                                      2, 300, 1,
+                                      transcript_prefix=str(tmp_path / "run"))
+    assert ok and report["converged"] == 2
+    assert len(enabled) > 2 and not any(enabled)
+    assert gc.isenabled()
+
+
+def test_chunked_lists_equal_the_one_pass_lists(tmp_path, monkeypatch,
+                                                w33_log):
+    """events, the views and the written file, built 997 rows at a time,
+    which does not divide the event count, equal their one-pass builds."""
+    t = w33_log
+    monkeypatch.setattr(upir, "_CHUNK", 997)
+    assert len(t.seq) % 997
+    fields = [body(b) for b in t.bodies]
+    one_pass = [TranscriptEvent(s, *fields[b], q) for s, b, q in zip(
+        t.seq.tolist(), t.body.tolist(), t.query.tolist())]
+    assert t.events == one_pass
+    for observer in (0, 5):
+        assert observer_view(t, observer) == [
+            TranscriptEvent(ev.seq, ev.kind, ev.space, ev.path, ev.proxy,
+                            ev.topic if seen else None, ev.visibility, None,
+                            -1)
+            for ev in one_pass
+            if (seen := access(W33, observer, ev)) is not None]
+    assert external_view(t) == [
+        TranscriptEvent(ev.seq, ev.kind, ev.space, ev.path, ev.proxy,
+                        ev.topic, ev.visibility, None, -1)
+        for ev in one_pass if ev.kind in (DB_REQUEST, DB_RESPONSE)]
+    write_transcript(t, tmp_path / "chunked.jsonl")
+    reference_write(t, tmp_path / "reference.jsonl")
+    assert ((tmp_path / "chunked.jsonl").read_bytes()
+            == (tmp_path / "reference.jsonl").read_bytes())

@@ -366,6 +366,36 @@ def test_protocol2_diameter_guard():
                                 log=log)
 
 
+class WholeTableWatch(np.ndarray):
+    """A distance table that fails any ufunc or copy over its n x n whole;
+    rows and entries read from it are plain arrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(isinstance(x, WholeTableWatch) and x.ndim == 2
+               for x in inputs):
+            raise AssertionError(f"{ufunc.__name__}.{method} over the table")
+        return getattr(ufunc, method)(*(
+            x.view(np.ndarray) if isinstance(x, WholeTableWatch) else x
+            for x in inputs), **kwargs)
+
+    def copy(self, *args, **kwargs):
+        raise AssertionError("the table was copied")
+
+
+def test_streams_and_trackers_do_not_rescan_the_distance_table():
+    """The constructor takes the diameter once: a protocol-2 stream and a
+    tracker per topic read rows of the table, never the whole."""
+    sys_ = w33_system()
+    sys_.distances = sys_.distances.view(WholeTableWatch)
+    assert sys_.diameter() == 2
+    tr = run_protocol(sys_, QueryWorkload(0, "t", 200, protocol=2), 0)
+    assert len(tr.seq) > 200
+    for protocol in (1, 2):
+        states = converge_topics(sys_, (1,), protocol, {"a": 0, "b": 5},
+                                 200, seed=1)
+        assert all(st.source in st.candidates for st in states.values())
+
+
 def test_protocol2_visibility_flags():
     sys_ = w33_system()
     tr = run_protocol(sys_, QueryWorkload(0, "t", 100, protocol=2), 5)
