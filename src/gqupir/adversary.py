@@ -420,31 +420,26 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     """Run one workload per topic and track it to convergence or the cap.
 
     topic_sources maps topic -> source user, outside the coalition (a source
-    inside it is a ValueError).  Each topic gets its own
-    deterministic substream of the seed, so results do not depend on which
-    other topics are present.  Queries come from the draw-and-intern path
-    that upir.run_protocol uses, drawn a block at a time, each distinct
-    route's bodies interned once per stream; protocol 2 on a system with
-    users beyond distance 2 is a NotDiameterBoundedError there.  sees() is
-    asked once per distinct route of a block, and the tracker is fed, query
-    by query, only the queries it admits; without a log, any other query
-    is skipped before it is interned, and drawing stops at most one block
-    past the query at which the topic converges.  on_step, when given, is
-    called after each query that changed the topic's candidate set, as
-    on_step(topic, queries_so_far, candidates); the set it receives is live
-    tracker state, to be read and not kept.  log, when given, is a
-    upir.Transcript that receives every event of every topic, topic after
-    topic, each stream numbered from seq 0: each stream then runs to the
-    cap, while the tracker still stops reading it at convergence.  Returns
-    {topic: CandidateState}.  The whole run, on_step included, has the
-    cyclic garbage collector paused (see upir._gc_paused).
+    inside it is a ValueError).  Each topic gets its own deterministic
+    substream of the seed, so results do not depend on which other topics
+    are present.  Queries come a block at a time from the draw-and-intern
+    path of upir.run_protocol (NotDiameterBoundedError for protocol 2
+    beyond distance 2).  The tracker is fed only the queries sees() admits;
+    without a log any other query is skipped before it is interned, and
+    drawing stops at most one block past convergence.  on_step, when given,
+    is called after each query that changed the topic's candidate set, as
+    on_step(topic, queries_so_far, candidates), with live tracker state to
+    be read and not kept.  log, when given, is called as log(stream) once
+    per topic, in sorted topic order, with a upir.Transcript of the topic's
+    stream alone, numbered from seq 0 and query 0, run to the cap, and not
+    referenced after the call.  Returns {topic: CandidateState}.  The whole
+    run, on_step and log included, has the cyclic garbage collector paused
+    (see upir._gc_paused).
     """
     inside = sorted(set(topic_sources.values()) & set(coalition))
     if inside:
         raise ValueError(f"source {inside[0]} is inside the coalition")
     out = {}
-    parts = []  # per topic, the (body, sizes) of each block logged
-    store = Transcript(system, protocol, seed, (), {}) if log is None else log
     topics = sorted(topic_sources)
     children = np.random.SeedSequence(seed).spawn(len(topics))
     for topic, child in zip(topics, children):
@@ -455,6 +450,7 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                                    relay_metadata=relay_metadata)
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
         done, rounds, converged = 0, queries_cap, False
+        store = Transcript(system, protocol, seed, (), {topic: source})
         ids_of, logged = _body_ids(store, workload), []
         for pairs, inv in _draw_queries(system, workload, rng):
             if log is not None:
@@ -477,11 +473,11 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
             done += len(inv)
             if converged and log is None:
                 break
-        parts.append(logged)
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
                                     converged, source)
-    if log is not None:
-        log.extend(parts)
+        if log is not None:
+            store.extend(logged)
+            log(store)
     return out
 
 

@@ -9,6 +9,7 @@ files byte for byte.
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -27,10 +28,11 @@ from .geometry import build_pg2, build_q4, build_w3
 from .upir import (
     Transcript,
     UPIRSystem,
+    _stream_writer,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
     read_transcript,
     write_ground_truth,
-    write_transcript,
+    write_transcript,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
 
 FAMILIES = ("pg2", "w3", "q4")
@@ -125,6 +127,8 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
     tracker over-deduced."""
     if n_topics < 1:
         raise ValueError("need at least one topic")
+    if queries < 1:
+        raise ValueError("need at least one query per topic")
     if relay_metadata and n_topics != 1:
         raise ValueError("metadata linking assumes a single topic")
     system = UPIRSystem(geom.base)
@@ -138,11 +142,11 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
     sources = {
         f"t{i:0{pad}d}": int(rng.choice(eligible)) for i in range(n_topics)
     }
-    log = None if transcript_prefix is None else Transcript(
-        system, protocol, seed, (), dict(sources))
-    states = converge_topics(system, coalition, protocol, sources, queries,
-                             seed, analytic=analytic,
-                             relay_metadata=relay_metadata, log=log)
+    with (nullcontext() if transcript_prefix is None
+          else _stream_writer(transcript_prefix + ".jsonl")) as log:
+        states = converge_topics(system, coalition, protocol, sources,
+                                 queries, seed, analytic=analytic,
+                                 relay_metadata=relay_metadata, log=log)
     ordered = [states[t] for t in sorted(states)]
     sound = all(st.source in st.candidates for st in ordered)
     conv = [st for st in ordered if st.converged]
@@ -163,8 +167,10 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
         "per_topic": [_topic_row(st, st.source) for st in ordered],
     })
     if transcript_prefix is not None:
-        report["transcript"], report["ground_truth"] = _write_logs(
-            log, transcript_prefix)
+        report["transcript"] = transcript_prefix + ".jsonl"
+        report["ground_truth"] = transcript_prefix + ".truth.json"
+        write_ground_truth(Transcript(system, protocol, seed, (), sources),
+                           report["ground_truth"])
     return report, sound
 
 
@@ -178,15 +184,6 @@ def _topic_row(st, source):
         "n_candidates": len(st.candidates),
         "candidates": sorted(st.candidates),
     }
-
-
-def _write_logs(log, prefix):
-    """Write every topic's full event stream, renumbered to one sequence
-    across the file, and the ground truth beside it."""
-    log.seq = np.arange(len(log.seq), dtype=np.int64)
-    write_transcript(log, prefix + ".jsonl")
-    write_ground_truth(log, prefix + ".truth.json")
-    return prefix + ".jsonl", prefix + ".truth.json"
 
 
 def run_infer(geom, family, q, coalition, log_path, truth_path):

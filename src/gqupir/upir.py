@@ -25,14 +25,12 @@ and the chain restarts after it.  Blocks grow from 1024 values to 4096, and
 the last is drawn again up to its last used value, so the values and the
 Generator state are those of one scalar rng.integers call per draw.  Each
 distinct (proxy, route) of a block has its bodies interned once per stream,
-and the block's columns are gathered from them in numpy.
+and the block's columns are gathered from them in numpy.  Each stream is a
+Transcript of its own, and _stream_writer appends streams to one log.
 
-read_transcript reads a log back a block of lines at a time, numpy finding
-the lines and their seqs.  A block whose lines all start as write_transcript
-writes them, and whose new texts after the seq each split into a frame and
-a tail that check, is mapped to body ids at C level; any other block is
-read line by line.  A sidecar must agree with its log on the topics and the
-protocol.
+read_transcript reads a log back a block of lines at a time: a block as
+write_transcript writes it is mapped to body ids at C level, any other line
+by line.  A sidecar must agree with its log on the topics and protocol.
 
 One rule, access(), decides what a user sees of an event and whether it
 reads the payload.  The ground-truth map (topic -> source) and the writer
@@ -42,21 +40,18 @@ payload is unreadable, topic None, and the on-disk format keeps ground
 truth in a separate sidecar file.
 
 run_protocol, adversary.converge_topics, read_transcript,
-Transcript.events and _view (behind observer_view and external_view) run
-with the cyclic garbage collector paused by _gc_paused.  They build
-hundreds of thousands of objects and no reference cycle, so the
-collections their allocations would start find nothing: on the
-plaintext-transcript benchmark's inputs, 264/25/2, 252/22/2 and 434/40/4
-young/middle/full collections inside run_simulate, read_transcript and
-Transcript.events, against none inside the paused functions and one
-catch-up young collection after each.  The pause is process-wide, on_step
-callbacks included, and not for code that toggles gc from other threads.
+Transcript.events, _view (behind observer_view and external_view) and
+path_choice_counts run with the cyclic garbage collector paused by
+_gc_paused: they build many objects and no reference cycle, so collections
+their allocations would start find nothing.  The pause is process-wide.
 """
 
+import contextlib
 import functools
 import gc
 import json
 import operator
+import os
 from dataclasses import dataclass
 from itertools import chain
 
@@ -76,15 +71,10 @@ _CHUNK = 4096  # rows per write call, and per list of events built
 def _gc_paused(fn):
     """fn, run with the cyclic garbage collector disabled, and the caller's
     setting restored when it returns or raises: a caller that disabled it
-    keeps it disabled, so paused calls nest.
-
-    The functions paused build hundreds of thousands of objects and none of
-    them makes a reference cycle, so every collection the allocations would
-    trigger scans them in vain.  Any cycle that does appear is collected as
-    usual once the collector is on again.  The pause is process-wide: it
-    holds for other threads too, and for callbacks run inside, such as
-    adversary.converge_topics' on_step; a thread that turns gc on or off
-    meanwhile would undo the pause, or have its own setting undone."""
+    keeps it disabled, so paused calls nest.  A cycle made inside is
+    collected once the collector is on again.  The pause is process-wide:
+    it holds for other threads and for callbacks run inside, and a thread
+    that turns gc on or off meanwhile would undo it."""
 
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -240,6 +230,11 @@ class TranscriptEvent:
     query: int
 
 
+# a body's fields, as Transcript.intern takes them
+_FIELDS = operator.attrgetter("kind", "space", "path", "proxy", "topic",
+                              "visibility", "writer")
+
+
 class Transcript:
     """A run's events as columns: seq (int64), body (int32) and query
     (int32), one entry per event.  body indexes bodies, the distinct events
@@ -256,40 +251,37 @@ class Transcript:
         self._ids = {}  # body fields -> body id
         events = list(events)  # each column below walks it
         self.seq = np.array([ev.seq for ev in events], np.int64)
-        self.body = np.array([self.intern((
-            ev.kind, ev.space, ev.path, ev.proxy, ev.topic, ev.visibility,
-            ev.writer)) for ev in events], np.int32)
+        self.body = np.array([self.intern(_FIELDS(ev)) for ev in events],
+                             np.int32)
         self.query = np.array([ev.query for ev in events], np.int32)
 
     def intern(self, fields):
         """The id of the body with these fields, added if new."""
+        if self._ids is None:  # dropped by read_transcript; rebuilt here
+            self._ids = {_FIELDS(b): i for i, b in enumerate(self.bodies)}
         i = self._ids.get(fields)
         if i is None:
             i = self._ids[fields] = len(self.bodies)
             self.bodies.append(TranscriptEvent(-1, *fields, -1))
         return i
 
-    def extend(self, streams):
-        """Append streams, each a list of its blocks' (body, sizes): the
+    def extend(self, blocks):
+        """Append one stream, a list of its blocks' (body, sizes): the
         block's events' body ids, and its queries' event counts, in order.
-        A stream's seq and query count from 0."""
-        parts = [tuple(map(np.concatenate, zip(*s))) for s in streams]
-        self.seq = np.concatenate([self.seq, *(
-            np.arange(len(b)) for b, _ in parts)], dtype=np.int64)
-        self.body = np.concatenate([self.body, *(b for b, _ in parts)],
-                                   dtype=np.int32)
-        self.query = np.concatenate([self.query, *(
-            np.repeat(np.arange(len(n)), n) for _, n in parts)],
-            dtype=np.int32)
+        The stream's seq and query count from 0."""
+        body, sizes = map(np.concatenate, zip(*blocks))
+        self.seq = np.concatenate([self.seq, np.arange(len(body))],
+                                  dtype=np.int64)
+        self.body = np.concatenate([self.body, body], dtype=np.int32)
+        self.query = np.concatenate([self.query, np.repeat(
+            np.arange(len(sizes)), sizes)], dtype=np.int32)
 
     @property
     @_gc_paused
     def events(self):
         """The events, in order, as a new list of TranscriptEvent, built
-        _CHUNK rows of the columns at a time.  The cyclic collector is
-        paused meanwhile, process-wide: the events hold no cycle, and 335k
-        of them started 478 collections, none of which found anything."""
-        fields = list(self._ids)
+        _CHUNK rows of the columns at a time with the collector paused."""
+        fields = list(map(_FIELDS, self.bodies))
         return [TranscriptEvent(s, *fields[b], q)
                 for seqs, bodies, queries in _chunks(self.seq, self.body,
                                                      self.query)
@@ -488,9 +480,8 @@ def run_protocol(system, workload, seed_or_rng):
     transcript = Transcript(system, workload.protocol, seed, (),
                             {workload.topic: workload.source})
     ids_of = _body_ids(transcript, workload)
-    transcript.extend([[_block_columns([ids_of(*p) for p in pairs], inv)
-                        for pairs, inv in _draw_queries(system, workload,
-                                                        rng)]])
+    transcript.extend([_block_columns([ids_of(*p) for p in pairs], inv)
+                       for pairs, inv in _draw_queries(system, workload, rng)])
     return transcript
 
 
@@ -575,20 +566,43 @@ def write_transcript(transcript, path):
 
         {"seq": 0, "kind": "db_request", "space": null, "path": [], ...}
 
-    Ground truth is deliberately absent; see write_ground_truth.  The text
-    after the seq is formatted once per body, and lines are written in
-    chunks of _CHUNK."""
-    quoted = functools.cache(json.dumps)
-    texts = [
-        f'"kind": {quoted(b.kind)}, '
-        f'"space": {"null" if b.space is None else b.space}, '
-        f'"path": [{", ".join(map(str, b.path))}], "proxy": {b.proxy}, '
-        f'"topic": {quoted(b.topic)}, "visibility": {quoted(b.visibility)}}}\n'
-        for b in transcript.bodies]
-    with open(path, "w") as fh:
-        for seqs, bodies in _chunks(transcript.seq, transcript.body):
+    Ground truth is deliberately absent; see write_ground_truth."""
+    with _stream_writer(path) as append:
+        append(transcript)
+
+
+@contextlib.contextmanager
+def _stream_writer(path):
+    """A function that appends a transcript's lines to a new log at path,
+    each seq raised by the lines before it.  Lines go to path.part, which
+    replaces path on leaving and is removed on an error.  Each body's text
+    is formatted once, and lines written _CHUNK at a time."""
+    part = f"{os.fspath(path)}.part"
+    written = 0
+
+    def append(stream):
+        nonlocal written
+        quoted = functools.cache(json.dumps)
+        texts = [
+            f'"kind": {quoted(b.kind)}, '
+            f'"space": {"null" if b.space is None else b.space}, '
+            f'"path": [{", ".join(map(str, b.path))}], '
+            f'"proxy": {b.proxy}, "topic": {quoted(b.topic)}, '
+            f'"visibility": {quoted(b.visibility)}}}\n'
+            for b in stream.bodies]
+        for seqs, bodies in _chunks(stream.seq + written, stream.body):
             fh.write("".join([f'{{"seq": {seq}, {texts[body]}'
                               for seq, body in zip(seqs, bodies)]))
+        written += len(stream.seq)
+
+    try:
+        with open(part, "w") as fh:
+            yield append
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def write_ground_truth(transcript, path):
@@ -607,29 +621,19 @@ def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log, and optionally its sidecar, into a Transcript
     whose bodies have writer None and whose events have query -1.
 
-    The file is read in blocks of whole lines of about _READ_BLOCK bytes,
-    never whole.  In each block numpy finds the lines, checks which start
-    as write_transcript writes them and reads their seqs (_split_lines).
-    ids maps each rest after such a seq met so far to its body id.  When
-    every line of a block has such a seq and every new rest splits at
-    , "topic":  into a frame (kind, space, path, proxy) and a tail (topic,
-    visibility) that each decode to exactly their own keys and check, the
-    new rests are interned in order of first use and the block's body
-    column is mapped from ids in C; each distinct frame and tail is
-    decoded and checked once.  Any other block is read line by line: a
-    rest in ids takes its id, any other line is parsed on its own by
-    _line_event and interned, in file order, and a blank line is skipped.
-    So any log reads back as a line-by-line reader would read it.  A
-    malformed line raises ValueError naming the file and line: invalid
-    JSON, a missing, extra or ill-typed field, a seq outside 0..2**63-1,
-    an unknown kind or visibility, a space that is not null exactly for
-    database events, a database event with a route, a user or space id out
-    of range for the system, or a write whose route does not fit the
-    geometry (see _check_route).  The sidecar is checked against the log
-    (see _read_sidecar).
+    The file is read in blocks of whole lines of about _READ_BLOCK bytes;
+    _split_lines finds a block's lines and the seqs of those that start as
+    write_transcript writes them.  ids maps each rest after such a seq in
+    the block to its body id, kept from the block before if it was there.
+    A block whose lines all have such a seq and whose new rests each split
+    at , "topic":  into a frame and a tail that check (each decoded once)
+    is interned and mapped in C; any other block is read line by line
+    through _line_event, as a line-by-line reader would read it.  A
+    malformed line raises ValueError naming the file and line; the sidecar
+    is checked (_read_sidecar).  The intern map is dropped on return.
     """
     transcript = Transcript(system, 0, None, (), {})
-    ids = {}  # the rest of a canonical line -> its body id
+    ids = {}  # the block's rests -> body ids, None where not yet known
     frame_of = functools.cache(lambda text: _checked_part(
         b"{" + text + b"}", _FRAME_KEYS, _ANY_TAIL, system)[:4])
     tail_of = functools.cache(lambda text: _checked_part(
@@ -647,9 +651,10 @@ def read_transcript(path, system, ground_truth_path=None):
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
             start, end, seq, rest = _split_lines(block)
-            # a line with no seq has the empty rest, which is never in ids
+            # a line with no seq has the empty rest, whose id stays None
             keys = [block[a:b] for a, b in zip(rest.tolist(), end.tolist())]
-            new = [k for k in dict.fromkeys(keys) if k not in ids]
+            ids = {k: ids.get(k) for k in dict.fromkeys(keys)}
+            new = [k for k, i in ids.items() if i is None]
             if (seq >= 0).all() and all(fields := list(map(fields_of, new))):
                 ids.update(zip(new, map(transcript.intern, fields)))
                 seqs.append(seq)
@@ -680,6 +685,7 @@ def read_transcript(path, system, ground_truth_path=None):
     transcript.seq = np.concatenate(seqs)
     transcript.body = np.concatenate(bodies)
     transcript.query = np.full(len(transcript.seq), -1, np.int32)
+    transcript._ids = None  # 10 MiB on the plaintext-transcript log
     if ground_truth_path is not None:
         (transcript.ground_truth, transcript.protocol,
          transcript.seed) = _read_sidecar(ground_truth_path, system,
@@ -895,6 +901,7 @@ def proxy_uniformity(transcript):
     return chi2, float(chdtrc(len(counts) - 1, chi2))
 
 
+@_gc_paused
 def path_choice_counts(transcript):
     """Per proxy, how often each concrete space-route was taken.
 

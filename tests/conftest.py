@@ -3,6 +3,7 @@ Every test must leave the cyclic garbage collector enabled."""
 
 import gc
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gqupir.fields import GF
 from gqupir.geometry import build_pg2, build_q4, build_w3
+from gqupir.upir import Transcript
 
 _GQ_CACHE = {}
 _PLANE_CACHE = {}
@@ -28,6 +30,14 @@ def get_plane(q):
     if q not in _PLANE_CACHE:
         _PLANE_CACHE[q] = build_pg2(GF(q))
     return _PLANE_CACHE[q]
+
+
+def joined(streams, seed=None, truth=None):
+    """One Transcript of the streams converge_topics handed to its log,
+    topic after topic, each still numbered from seq 0."""
+    return Transcript(streams[0].system, streams[0].protocol, seed,
+                      chain.from_iterable(s.events for s in streams),
+                      {} if truth is None else truth)
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,7 @@
 """Inference: analytic partitions, margins, trackers, placement, sweeps."""
 
 import math
+import weakref
 from collections import Counter
 from itertools import combinations, groupby
 from operator import attrgetter
@@ -30,7 +31,6 @@ from gqupir.geometry import Geometry, IncidenceStructure
 from gqupir.upir import (
     DB_REQUEST,
     QueryWorkload,
-    Transcript,
     TranscriptEvent,
     UPIRSystem,
     _draw_queries,
@@ -42,7 +42,7 @@ from gqupir.upir import (
     write_transcript,
 )
 
-from conftest import get_gq, get_plane
+from conftest import get_gq, get_plane, joined
 
 
 def w33():
@@ -359,9 +359,9 @@ def test_converge_topics_log_holds_every_stream_to_the_cap(protocol):
     sources = {"a": 5, "b": 22, "c": 31}
     plain = converge_topics(sys_, coalition, protocol, sources, 300, seed=4,
                             analytic=part)
-    log = Transcript(sys_, protocol, None, [], {})
+    streams = []
     logged = converge_topics(sys_, coalition, protocol, sources, 300, seed=4,
-                             analytic=part, log=log)
+                             analytic=part, log=streams.append)
     assert logged == plain
     if protocol == 1:  # some topic stops early, yet its stream is logged whole
         assert any(st.converged and st.rounds_observed < 300
@@ -374,7 +374,31 @@ def test_converge_topics_log_holds_every_stream_to_the_cap(protocol):
             sys_, QueryWorkload(sources[topic], topic, 300, protocol=protocol),
             np.random.default_rng(child)).events
     ]
-    assert log.events == expected
+    assert joined(streams).events == expected
+
+
+def test_converge_topics_hands_each_stream_to_log_and_drops_it():
+    """log is called once per topic, in sorted topic order, with a stream
+    numbered from seq 0, and the stream before it is gone by then."""
+    sys_ = w33_system()
+    sources = {"c": 31, "a": 5, "b": 22}
+    calls = []
+
+    def log(stream):
+        calls.append({
+            "topics": {b.topic for b in stream.bodies},
+            "truth": stream.ground_truth,
+            "seq": stream.seq.tolist(),
+            "ref": weakref.ref(stream),
+            "before_dead": not calls or calls[-1]["ref"]() is None,
+        })
+
+    converge_topics(sys_, (0, 13), 1, sources, 200, seed=4, log=log)
+    assert [c["topics"] for c in calls] == [{"a"}, {"b"}, {"c"}]
+    assert [c["truth"] for c in calls] == [{t: sources[t]} for t in "abc"]
+    for c in calls:
+        assert c["seq"] == list(range(len(c["seq"])))
+        assert c["before_dead"]
 
 
 def reference_converge(system, coalition, protocol, topic_sources, cap, seed,
@@ -459,25 +483,25 @@ def test_converge_topics_matches_feeding_every_event(run):
         system, run["coalition"], protocol, run["sources"], run["cap"],
         run["seed"], analytic=analytic, relay_metadata=run["relay_metadata"])
     steps = {topic: [] for topic in run["sources"]}
-    log = Transcript(system, protocol, None, [], {}) if run["log"] else None
+    streams = [] if run["log"] else None
     got = converge_topics(
         system, run["coalition"], protocol, run["sources"], run["cap"],
         run["seed"], analytic=analytic, relay_metadata=run["relay_metadata"],
         on_step=lambda topic, rounds, cand: steps[topic].append(
             (rounds, len(cand))),
-        log=log)
+        log=None if streams is None else streams.append)
     assert got == expected
     # on_step fires after exactly the queries that changed the set
     assert steps == changes
-    if log is not None:
-        assert log.events == everything
+    if streams is not None:
+        assert joined(streams).events == everything
 
 
 @pytest.mark.parametrize("log", [None, []])
 @pytest.mark.parametrize("cap", [0, -3])
 def test_converge_topics_rejects_empty_workload(log, cap):
     if log is not None:
-        log = Transcript(w33_system(), 2, None, log, {})
+        log = log.append
     with pytest.raises(ValueError, match="count"):
         converge_topics(w33_system(), (0,), 2, {"t": 5}, cap, seed=1, log=log)
 
@@ -486,7 +510,7 @@ def test_converge_topics_rejects_empty_workload(log, cap):
 @pytest.mark.parametrize("source", [-1, 40])
 def test_converge_topics_rejects_source_out_of_range(log, source):
     if log is not None:
-        log = Transcript(w33_system(), 2, None, log, {})
+        log = log.append
     with pytest.raises(ValueError, match="out of range"):
         converge_topics(w33_system(), (0,), 2, {"t": source}, 10, seed=1,
                         log=log)
@@ -502,7 +526,7 @@ def test_converge_topics_rejects_source_out_of_range(log, source):
 ])
 def test_converge_topics_rejects_bad_coalition(log, coalition, match):
     if log is not None:
-        log = Transcript(w33_system(), 2, None, log, {})
+        log = log.append
     with pytest.raises(ValueError, match=match):
         converge_topics(w33_system(), coalition, 2, {"t": 5}, 10, seed=1,
                         log=log)
@@ -682,9 +706,10 @@ def test_empirical_infer_matches_feeding_every_event(
     kwargs = {"relay_metadata": relay_metadata, "analytic":
               analytic_coalition(geom, coalition, protocol)
               if run["floor"] else None}
-    log = Transcript(system, protocol, None, [], dict(run["sources"]))
+    streams = []
     converge_topics(system, coalition, protocol, run["sources"], run["cap"],
-                    run["seed"], log=log)
+                    run["seed"], log=streams.append)
+    log = joined(streams, truth=dict(run["sources"]))
     path = tmp_path_factory.mktemp("infer") / "log.jsonl"
     write_transcript(log, path)
     back = read_transcript(path, system)

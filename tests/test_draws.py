@@ -25,7 +25,6 @@ from gqupir.upir import (
     WRITE_REQUEST,
     WRITE_RESPONSE,
     QueryWorkload,
-    Transcript,
     TranscriptEvent,
     UPIRSystem,
     _draws,
@@ -34,7 +33,7 @@ from gqupir.upir import (
     run_protocol,
 )
 
-from conftest import get_gq, get_plane
+from conftest import get_gq, get_plane, joined
 
 SYSTEMS = {
     "w3-3": lambda: UPIRSystem(get_gq("w3", 3).base),
@@ -244,8 +243,9 @@ def converged():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(upir, "_FIRST", 500)
         mp.setattr(upir, "_BLOCK", 500)
-        log = Transcript(SYSTEMS["w3-3"](), 1, None, [], {})
-        return converge_with_steps(None), converge_with_steps(log), log.events
+        streams = []
+        return (converge_with_steps(None), converge_with_steps(streams.append),
+                joined(streams).events)
 
 
 def test_block_size_does_not_change_convergence(converged, block):
@@ -253,9 +253,9 @@ def test_block_size_does_not_change_convergence(converged, block):
     assert all(st.converged and st.rounds_observed < 50
                for st in plain[0].values())
     assert converge_with_steps(None) == plain
-    log = Transcript(SYSTEMS["w3-3"](), 1, None, [], {})
-    assert converge_with_steps(log) == logged == plain
-    assert log.events == events
+    streams = []
+    assert converge_with_steps(streams.append) == logged == plain
+    assert joined(streams).events == events
 
 
 @pytest.mark.parametrize("bit_generator", [

@@ -446,6 +446,26 @@ def test_simulate_generates_each_topic_once(tmp_path, monkeypatch):
     assert requests == 4 * 300  # converged topics still log to the cap
 
 
+@pytest.mark.parametrize("argv", [
+    ("--queries", "0"),
+    ("--queries", "-3"),
+    ("--topics", "0"),
+], ids=["no-queries", "negative-queries", "no-topics"])
+def test_rejected_simulate_leaves_earlier_files(tmp_path, capsys, argv):
+    """A simulate that fails its checks writes nothing: an earlier log,
+    sidecar and report at its paths stay byte for byte as they were."""
+    files = {name: f"earlier {name}\n".encode()
+             for name in ("run.jsonl", "run.truth.json", "sim.json")}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_cli("simulate", "--family", "w3", "--q", "3", "--protocol",
+                   "1", "--coalition", "0", "--seed", "1", *argv,
+                   "--transcript", str(tmp_path / "run"),
+                   "--out", str(tmp_path / "sim.json")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 def test_simulate_relay_metadata_needs_one_topic(capsys):
     assert run_cli("simulate", "--family", "w3", "--q", "3", "--protocol", "2",
                    "--coalition", "0", "--topics", "2", "--seed", "1",

@@ -31,6 +31,7 @@ from gqupir.upir import (
     access,
     external_view,
     observer_view,
+    path_choice_counts,
     proxy_counts,
     read_transcript,
     run_protocol,
@@ -38,7 +39,7 @@ from gqupir.upir import (
     write_transcript,
 )
 
-from conftest import get_gq
+from conftest import get_gq, joined
 
 FIELDS = ("seq", "kind", "space", "path", "proxy", "topic", "visibility")
 
@@ -176,10 +177,12 @@ def test_columns_build_one_event_per_distinct_body(tmp_path, monkeypatch):
     back = read_transcript(log, sys_)
     assert counting.built == len(back.bodies)
     counting.built = 0
-    logged = Transcript(sys_, 1, None, [], {})
-    converge_topics(sys_, (0, 13), 1, sources, 3000, seed=2, log=logged)
-    assert counting.built == len(logged.bodies)
+    streams = []
+    converge_topics(sys_, (0, 13), 1, sources, 3000, seed=2,
+                    log=streams.append)
+    assert counting.built == sum(len(s.bodies) for s in streams)
     monkeypatch.undo()
+    logged = joined(streams)
     for tr in back, logged:
         events = tr.events
         assert len(events) > 5 * len(tr.bodies)
@@ -464,8 +467,10 @@ def test_written_log_never_reads_line_by_line(tmp_path, monkeypatch,
     """Every block of a log write_transcript wrote takes the reader's C
     level path, whatever the block size."""
     sources = {"a": 5, "b": 22}
-    log = Transcript(W33, protocol, 3, (), sources)
-    converge_topics(W33, (0, 13), protocol, sources, 400, seed=3, log=log)
+    streams = []
+    converge_topics(W33, (0, 13), protocol, sources, 400, seed=3,
+                    log=streams.append)
+    log = joined(streams, 3, sources)
     path = tmp_path / "run.jsonl"
     write_transcript(log, path)
     monkeypatch.setattr(upir, "_line_event", _read_by_line)
@@ -476,6 +481,77 @@ def test_written_log_never_reads_line_by_line(tmp_path, monkeypatch,
     logged = [body(log.bodies[i])[:-1] for i in log.body.tolist()]
     assert [body(b)[:-1] for b in back.bodies] == list(dict.fromkeys(logged))
     assert [body(back.bodies[i])[:-1] for i in back.body.tolist()] == logged
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["written", "reversed"])
+@pytest.mark.parametrize("block", [64, 4096])
+def test_rest_map_of_one_block_reads_the_same(tmp_path, monkeypatch, odd,
+                                              block):
+    """The reader's rest map holds one block's rests: a log as
+    write_transcript wrote it (each block at C level) and a copy with every
+    fifth line's keys reversed (each block line by line), read in small
+    blocks, give the same columns and bodies as read in one block; a rest
+    not in the block before is interned again, to the same id."""
+    sources = {"a": 5, "b": 22}
+    streams = []
+    converge_topics(W33, (0, 13), 1, sources, 200, seed=3,
+                    log=streams.append)
+    path = tmp_path / "run.jsonl"
+    write_transcript(joined(streams), path)
+    if odd:
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+            if i % 5 == 0 else line for i, line in enumerate(lines)))
+    interned = []
+    intern = Transcript.intern
+    monkeypatch.setattr(Transcript, "intern", lambda self, fields: (
+        interned.append(fields), intern(self, fields))[1])
+    reads = []
+    for size in (path.stat().st_size, block):
+        monkeypatch.setattr(upir, "_READ_BLOCK", size)
+        interned.clear()
+        tr = read_transcript(path, W33)
+        reads.append((tr.seq.tolist(), tr.body.tolist(), tr.bodies,
+                      len(interned)))
+    whole, blocks = reads
+    assert blocks[:3] == whole[:3]
+    assert blocks[3] > whole[3]
+
+
+def test_read_back_transcript_drops_and_rebuilds_its_intern_map(tmp_path,
+                                                                w33_log):
+    """read_transcript returns without the intern map; events need none,
+    and intern rebuilds it, keeping every body's id."""
+    write_transcript(w33_log, tmp_path / "run.jsonl")
+    tr = read_transcript(tmp_path / "run.jsonl", W33)
+    assert tr._ids is None
+    assert [ev.seq for ev in tr.events] == w33_log.seq.tolist()
+    assert tr._ids is None
+    n = len(tr.bodies)
+    assert all(tr.intern(upir._FIELDS(b)) == i
+               for i, b in enumerate(tr.bodies))
+    new = (DB_REQUEST, None, (), 0, "new", ALL_READERS, None)
+    assert tr.intern(new) == n and tr.intern(new) == n
+    assert len(tr.bodies) == n + 1
+
+
+def test_failed_write_leaves_the_earlier_log(tmp_path, w33_log):
+    """A write that fails partway leaves the file it would replace as it
+    was, and no partial file beside it; a write that ends replaces it."""
+    path = tmp_path / "run.jsonl"
+    path.write_text("earlier\n")
+    with pytest.raises(RuntimeError):
+        with upir._stream_writer(path) as append:
+            append(w33_log)
+            raise RuntimeError
+    assert path.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]
+    write_transcript(w33_log, path)
+    reference_write(w33_log, tmp_path / "reference.jsonl")
+    assert path.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "reference.jsonl", "run.jsonl"]
 
 
 @pytest.mark.parametrize("line,message", [
@@ -605,7 +681,7 @@ def paused_calls(log, path):
                          (W33, QueryWorkload(0, "t", 10_000), 1), {}),
         "converge_topics": (converge_topics, (W33, (1,), 1, {"t": 0},
                                               10_000, 1),
-                            {"log": Transcript(W33, 1, 1, (), {})}),
+                            {"log": [].append}),
         "events": (Transcript.events.fget, (log,), {}),
         "observer_view": (observer_view, (log, 5), {}),
     }
@@ -672,6 +748,27 @@ def test_collector_stays_paused_through_converge_topics_in_simulate(
                                       transcript_prefix=str(tmp_path / "run"))
     assert ok and report["converged"] == 2
     assert len(enabled) > 2 and not any(enabled)
+    assert gc.isenabled()
+
+
+class _RecordingBodies(list):
+    """A body table that records whether the collector is on at each read."""
+
+    def __init__(self, bodies):
+        super().__init__(bodies)
+        self.enabled = []
+
+    def __getitem__(self, i):
+        self.enabled.append(gc.isenabled())
+        return super().__getitem__(i)
+
+
+def test_path_choice_counts_walks_with_the_collector_paused(w33_log):
+    t = Transcript(W33, 1, None, (), {})
+    t.seq, t.body, t.query = w33_log.seq, w33_log.body, w33_log.query
+    t.bodies = _RecordingBodies(w33_log.bodies)
+    assert path_choice_counts(t) == path_choice_counts(w33_log)
+    assert len(t.bodies.enabled) == len(t.body) and not any(t.bodies.enabled)
     assert gc.isenabled()
 
 

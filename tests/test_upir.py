@@ -36,7 +36,7 @@ from gqupir.upir import (
     write_transcript,
 )
 
-from conftest import get_gq, get_plane
+from conftest import get_gq, get_plane, joined
 
 
 def w33_system():
@@ -360,7 +360,7 @@ def test_protocol2_diameter_guard():
         with pytest.raises(NotDiameterBoundedError):
             run_protocol(sys_, QueryWorkload(3, "t", 200, protocol=2), 0)
         # converge_topics shares run_protocol's stream and its guard
-        for log in (None, Transcript(sys_, 2, 1, (), {})):
+        for log in (None, [].append):
             with pytest.raises(NotDiameterBoundedError):
                 converge_topics(sys_, (1,), 2, {"t": 3}, 200, seed=1,
                                 log=log)
@@ -485,9 +485,10 @@ def test_views_match_event_walking_references(tmp_path, source, protocol,
     if source == "run":
         tr = run_protocol(sys_, QueryWorkload(7, "t", 500, protocol=protocol), 4)
     else:  # three streams one after another, each numbered from seq 0
-        tr = Transcript(sys_, protocol, 4, (), {})
+        streams = []
         converge_topics(sys_, (0, 13), protocol, {"a": 5, "b": 22, "c": 31},
-                        300, seed=4, log=tr)
+                        300, seed=4, log=streams.append)
+        tr = joined(streams, seed=4)
     if read_back:
         write_transcript(tr, tmp_path / "run.jsonl")
         tr = read_transcript(tmp_path / "run.jsonl", sys_)
