@@ -43,7 +43,7 @@ for family, builder, q in (("W", build_w3, 3), ("W", build_w3, 5),
                            ("Q", build_q4, 3), ("Q", build_q4, 4)):
     gq = builder(field(q))
     x = 0
-    y = next(u for u in range(gq.n_points) if u != x and u not in gq.coll[x])
+    y = next(u for u in range(gq.n_points) if u != x and u not in gq.ball(x, 1))
     sp = gq.span((x, y))
     print(f"{family}(·,{q}): span of a non-collinear pair has "
           f"{len(sp.members)} members, perp has {len(sp.perp)}")

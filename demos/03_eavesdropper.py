@@ -51,7 +51,7 @@ print("== plaintext protocol on W(3,3): spans are a floor ==")
 system = UPIRSystem(gq.base)
 part1 = analytic_single(gq, observer, 1)
 far = next(u for u in range(gq.n_points)
-           if u != observer and u not in gq.coll[observer])
+           if u != observer and u not in gq.ball(observer, 1))
 span = gq.span((observer, far))
 print(f"source {far} is at distance 2; its span class is "
       f"{sorted(span.members - {observer})}")
@@ -61,7 +61,7 @@ st = states["far"]
 print(f"  tracker landed on {sorted(st.candidates)} after "
       f"{st.rounds_observed} queries and can go no lower")
 
-near = min(gq.coll[observer])
+near = min(gq.ball(observer, 1))
 states = converge_topics(system, [observer], 1, {"near": near}, 5000, seed=42,
                          analytic=part1)
 st = states["near"]

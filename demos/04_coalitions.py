@@ -26,7 +26,7 @@ gq3 = build_w3(field(3))
 print("== two observers, encrypted protocol, W(3,3) ==")
 solo = analytic_single(gq3, 0, 2)
 print(f"observer 0 alone: giant class {max(solo.sizes())}")
-other = next(u for u in range(gq3.n_points) if u and u not in gq3.coll[0])
+other = next(u for u in range(gq3.n_points) if u and u not in gq3.ball(0, 1))
 pair = analytic_coalition(gq3, (0, other), 2)
 print(f"observers (0, {other}) pooled: giant class {max(pair.sizes())}, "
       f"class sizes {pair.sizes()}")
@@ -40,7 +40,7 @@ print("== placements ==")
 for placement in ("random", "spread", "line"):
     coal = place_coalition(gq3, 4, placement, seed=9)
     dists = sorted(
-        min(2 if v not in gq3.coll[u] else 1 for v in coal if v != u)
+        min(2 if v not in gq3.ball(u, 1) else 1 for v in coal if v != u)
         for u in coal)
     print(f"{placement:6s}: members {coal}, nearest-member distances {dists}")
 

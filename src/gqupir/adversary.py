@@ -397,17 +397,14 @@ class CoalitionTracker:
                     cand.intersection_update(
                         [missing, *np.flatnonzero(self._coll[missing]).tolist()])
 
-    def _far_set(self, m):
-        """The users at distance 2 or more from m."""
-        return frozenset(np.flatnonzero(self.system.distances[m] >= 2).tolist())
-
     def _arrival_rules(self, st, m, space):
         arr = st.arrivals.setdefault(m, {})
         arr[space] = count = arr.get(space, 0) + 1
         if len(arr) == 2 and count == 1:
             # a shared-space source always arrives through that space, so a
             # second space is proof of distance two
-            st.cand &= self._far_set(m)
+            st.cand &= set(np.flatnonzero(
+                self.system.distance_row(m) >= 2).tolist())
         elif len(arr) == 1 and count == self.D1_MIN_ARRIVALS:
             # every arrival so far came through this one space
             st.cand &= self._members[space] - {m}

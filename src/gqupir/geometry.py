@@ -65,7 +65,6 @@ in their docstrings):
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -250,20 +249,14 @@ class Geometry:
     """A verified projective plane or generalised quadrangle.
 
     ``base`` is the IncidenceStructure and ``(s, t)`` its order (a plane of
-    order q has s = q and t = None).  ``coll`` gives, per point, the
-    frozenset of points collinear with it: rows of base.collinearity(),
-    made on first access.
+    order q has s = q and t = None).  Balls, perps and spans read rows of
+    base.collinearity().
     """
 
     def __init__(self, base, s, t):
         self.base = base
         self.s = s
         self.t = t
-
-    @cached_property
-    def coll(self):
-        return tuple(frozenset(np.flatnonzero(row).tolist())
-                     for row in self.base.collinearity())
 
     @classmethod
     def from_structure(cls, inc, family):
@@ -280,11 +273,10 @@ class Geometry:
 
     def ball(self, x, r):
         """Points at collinearity distance exactly r from x (r = 1 or 2)."""
-        if r == 1:
-            return set(self.coll[x])
-        if r == 2:
-            return set(range(self.n_points)) - self.coll[x] - {x}
-        raise ValueError("r must be 1 or 2")
+        if r not in (1, 2):
+            raise ValueError("r must be 1 or 2")
+        row = self.base.collinearity()[x]
+        return set(np.flatnonzero(row if r == 1 else ~row).tolist()) - {x}
 
     def common_perp(self, gens):
         """Points collinear with every generator.
@@ -298,23 +290,19 @@ class Geometry:
             raise ValueError("need at least one generator")
         if len(set(gens)) != len(gens):
             raise CollinearGeneratorsError(f"repeated generator in {gens}")
+        coll = self.base.collinearity()
         for a, b in combinations(gens, 2):
-            if b in self.coll[a]:
+            if coll[a, b]:
                 raise CollinearGeneratorsError(f"generators {a},{b} are collinear")
-        perp = set(self.coll[gens[0]])
-        for g in gens[1:]:
-            perp &= self.coll[g]
-        return perp
+        return set(np.flatnonzero(coll[list(gens)].all(0)).tolist())
 
     def span(self, gens):
         """The span of the generators: the perp of their common perp."""
         gens = tuple(gens)
         perp = self.common_perp(gens)
-        members = None
-        for w in perp:
-            members = set(self.coll[w]) if members is None else members & self.coll[w]
+        members = self.base.collinearity()[sorted(perp)].all(0) if perp else ()
         return SpanSet(generators=frozenset(gens), perp=frozenset(perp),
-                       members=frozenset(members if members is not None else ()))
+                       members=frozenset(np.flatnonzero(members).tolist()))
 
 
 @dataclass(frozen=True)

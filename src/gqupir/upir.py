@@ -18,8 +18,8 @@ Two request disciplines are simulated:
 Transcripts record one event per write or database call, in order, and
 run_protocol and adversary.converge_topics make them by one block stream.
 Its raw uint32 values form a chain: a proxy draw, then a route draw exactly
-when that proxy has more than one shortest route, with route counts taken
-from the distance table.  _draws finds the roles of a whole block in numpy
+when that proxy has more than one shortest route, with route counts from
+the source's distance row.  _draws finds the roles of a whole block in numpy
 and applies numpy's 32-bit Lemire rule to it; a rejected value is dropped
 and the chain restarts after it.  Blocks grow from 1024 values to 4096, and
 the last is drawn again up to its last used value, so the values and the
@@ -108,59 +108,72 @@ class NotDiameterBoundedError(Exception):
     """Protocol 2 needs every user pair within distance 2."""
 
 
-def _distance_table(coll):
-    """User distances, n x n, -1 where a pair cannot reach each other: a
-    breadth-first search from every user at once, 256 sources at a time.
-    The first frontier is the identity; each step multiplies it by the
-    boolean collinearity matrix ``coll`` as float32 (exact for n < 2**24)
-    and keeps the users not reached before.  The dtype holds -n, and
-    distances stay below n."""
-    n = len(coll)
-    adj = coll.astype(np.float32)
-    dist = np.full((n, n), -1, np.min_scalar_type(-n))
-    for lo in range(0, n, 256):
-        block = dist[lo:lo + 256]  # a view: rows lo.. of the table
-        reach = np.eye(len(block), n, lo, bool)
-        block[reach] = d = 0
-        while reach.any() and (block < 0).any():
-            d += 1
-            reach = (reach.astype(np.float32) @ adj > 0) & (block < 0)
-            block[reach] = d
-    return dist
-
-
-def _first_pair(mask):
-    """The first (u, v) in row-major order where the n x n mask holds, as
-    Python ints, or None."""
-    i = int(mask.argmax())
-    return divmod(i, len(mask)) if mask.flat[i] else None
+_COLS = 16  # packed bytes of columns (128 users) per pass of the search
 
 
 class UPIRSystem:
-    """A connected incidence structure viewed as a messaging system.  The
-    constructor builds the n x n table ``distances`` once (O(n^2) memory)
-    and takes its diameter; distances and routes are read from the table."""
+    """A connected incidence structure viewed as a messaging system.
+
+    The constructor runs one breadth-first search from every user at once.
+    Level k is the n x n relation "within distance k", packed along rows;
+    level 1 is collinearity() and the diagonal.  Each step ORs, per block,
+    the rows of its points, then, per point, the rows of its blocks, _COLS
+    packed bytes of columns at a time.  The search stops at the first full
+    level, whose number is the diameter; a level that stops growing is a
+    DisconnectedError naming user 0 and the least user row 0 lacks.  Only
+    levels 2 .. diameter - 1 are kept, none for a plane or a quadrangle,
+    and distance_row reads a user's distances from them."""
 
     def __init__(self, structure):
         self.structure = structure
-        self.n_users = structure.n_points
+        self.n_users = n = structure.n_points
         self.n_spaces = structure.n_blocks
         self._spaces_of = structure.point_to_blocks
-        self.distances = _distance_table(structure.collinearity())
-        if self.distances.min() < 0:
-            apart = _first_pair(self.distances < 0)
-            raise DisconnectedError(
-                f"users {apart[0]} and {apart[1]} cannot reach each other", apart
-            )
-        self._diameter = int(self.distances.max())
+        self._coll = structure.collinearity()
+        self._levels = []
+        members = np.fromiter(chain.from_iterable(structure.blocks), np.intp)
+        spaces = np.fromiter(chain.from_iterable(self._spaces_of), np.intp)
+        block_at = np.cumsum([0, *map(len, structure.blocks[:-1])])
+        point_at = np.cumsum([0, *map(len, self._spaces_of[:-1])])
+        users = np.arange(n)
+        reach = np.packbits(self._coll, axis=1)
+        reach[users, users >> 3] |= (0x80 >> users % 8).astype(np.uint8)
+        full = np.packbits(np.ones(n, bool))
+        level = 1
+        while not (reach == full).all():
+            grown = np.empty_like(reach)
+            for lo in range(0, reach.shape[1], _COLS):
+                through = np.bitwise_or.reduceat(
+                    reach[members, lo:lo + _COLS], block_at)
+                grown[:, lo:lo + _COLS] = np.bitwise_or.reduceat(
+                    through[spaces], point_at)
+            if (grown == reach).all():
+                missing = int(np.unpackbits(reach[0], count=n).argmin())
+                raise DisconnectedError(
+                    f"users 0 and {missing} cannot reach each other",
+                    (0, missing))
+            if level >= 2:
+                self._levels.append(reach)
+            reach, level = grown, level + 1
+        self._diameter = min(level, n - 1)  # 0 for a single user
 
     def spaces_of(self, user):
         return self._spaces_of[user]
 
+    def distance_row(self, v):
+        """The distances from v to every user, as a new int64 array: 0 at v,
+        1 where collinear with v, 2 beyond, plus 1 for each kept level of
+        the search that lacks the user."""
+        row = 2 - self._coll[v].astype(np.int64)
+        row[v] = 0
+        for reach in self._levels:
+            row += 1 - np.unpackbits(reach[v], count=self.n_users)
+        return row
+
     def user_distance(self, u, v):
-        """0 iff u == v, 1 iff they share a space, 2 beyond that (planes and
-        generalised quadrangles never exceed 2)."""
-        return int(self.distances[u, v])
+        """The number of spaces on a shortest path from u to v: 0 iff
+        u == v, 1 iff they share a space (read from u's distance row)."""
+        return int(self.distance_row(u)[v])
 
     def diameter(self):
         return self._diameter
@@ -168,7 +181,7 @@ class UPIRSystem:
     def shortest_user_paths(self, u, v):
         """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted,
         built per call; grown a hop at a time through each space of the last
-        user to its members one closer to v, by the table's row for v.
+        user to its members one closer to v, by the distance row of v.
 
         Between distance-1 users in a plane or GQ there is exactly one;
         between distance-2 users of a GQ of order (s,t) there are t+1, one
@@ -176,7 +189,7 @@ class UPIRSystem:
         """
         if u == v:
             raise ValueError("no path from a user to itself")
-        to_v = self.distances[v]
+        to_v = self.distance_row(v)
         paths = [(u,)]
         for d in reversed(range(to_v[u])):
             ring = frozenset(np.flatnonzero(to_v == d).tolist())
@@ -365,13 +378,13 @@ def _draws(rng, count, n, bounds):
 
 def _route_counts(system, source):
     """Per user v, len(system.shortest_user_paths(source, v)), 1 at the
-    source, as uint64: a ring of the distance table at a time, each space
-    sums the counts of its members one ring in, and each user of the ring
-    the sums of its spaces."""
+    source, as uint64: a ring of the source's distance row at a time, each
+    space sums the counts of its members one ring in, and each user of the
+    ring the sums of its spaces."""
     blocks = system.structure.blocks
     member = np.fromiter(chain.from_iterable(blocks), np.intp)
     space = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
-    dist = system.distances[source]
+    dist = system.distance_row(source)
     ring_of = dist[member]
     counts = np.zeros(system.n_users)
     counts[source] = 1
@@ -394,10 +407,12 @@ def _draw_queries(system, workload, rng):
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
     if workload.protocol == 2 and system.diameter() > 2:
-        far = _first_pair(system.distances > 2)
-        raise NotDiameterBoundedError(
-            f"user pair {far} at distance {system.user_distance(*far)} > 2"
-        )
+        for u in range(n):  # the first row with a user beyond 2, and its first
+            row = system.distance_row(u)
+            if (row > 2).any():
+                v = int((row > 2).argmax())
+                raise NotDiameterBoundedError(
+                    f"user pair {(u, v)} at distance {row[v]} > 2")
     bounds = _route_counts(system, source)
     width = int(bounds.max())
     routes_to = functools.cache(

@@ -63,7 +63,7 @@ def test_geometry_exactness():
         assert n == (s + 1) * (s * t + 1)
         assert s <= t * t and t <= s * s
         for x in range(n):
-            near = len(gq.coll[x])
+            near = len(gq.ball(x, 1))
             assert near == s * (t + 1)
             assert n - 1 - near == s * s * t
     return f"{len(cases)} geometries"
@@ -81,7 +81,7 @@ def test_span_sizes_exhaustive():
         gq = get_gq(family, q)
         for x in range(gq.n_points):
             for y in range(x + 1, gq.n_points):
-                if y not in gq.coll[x]:
+                if y not in gq.ball(x, 1):
                     assert len(gq.span((x, y)).members) == size, (family, q, x, y)
                     pairs += 1
     return f"{pairs} non-collinear pairs"
@@ -94,7 +94,7 @@ def test_span_laws_exhaustive():
         spans = set()
         for x in range(gq.n_points):
             for y in range(x + 1, gq.n_points):
-                if y in gq.coll[x]:
+                if y in gq.ball(x, 1):
                     continue
                 members = gq.span((x, y)).members
                 spans.add(members)
@@ -117,7 +117,7 @@ def test_uniform_routing():
     chi2, p = proxy_uniformity(tr)
     assert p >= 0.01, f"proxy chi-square p={p}"
     by_proxy = path_choice_counts(tr)
-    far = [v for v in range(40) if v != src and v not in gq.coll[src]]
+    far = [v for v in range(40) if v != src and v not in gq.ball(src, 1)]
     for v in far:
         routes = by_proxy[v]
         assert len(routes) == gq.t + 1
@@ -155,7 +155,7 @@ def test_plaintext_span_floor():
     c = 0
     part = analytic_single(gq, c, 1)
     rng = np.random.default_rng(np.random.SeedSequence([60, 1]))
-    far = [u for u in range(40) if u != c and u not in gq.coll[c]]
+    far = [u for u in range(40) if u != c and u not in gq.ball(c, 1)]
     sources = {f"d2_{i:03d}": int(rng.choice(far)) for i in range(100)}
     floors = {t: part.class_of(u) for t, u in sources.items()}
     last_len = {}
@@ -173,7 +173,7 @@ def test_plaintext_span_floor():
         assert st.candidates == floors[topic]
         assert len(st.candidates) == 3
     near_states = converge_topics(
-        sys_, (c,), 1, {f"d1_{u}": u for u in sorted(gq.coll[c])}, 4000,
+        sys_, (c,), 1, {f"d1_{u}": u for u in sorted(gq.ball(c, 1))}, 4000,
         seed=61, analytic=part)
     for st in near_states.values():
         assert st.converged and st.candidates == frozenset({st.source})
@@ -187,7 +187,7 @@ def test_encrypted_floor():
     sys_ = UPIRSystem(gq.base)
     c = 0
     part = analytic_single(gq, c, 2)
-    far = [u for u in range(40) if u != c and u not in gq.coll[c]]
+    far = [u for u in range(40) if u != c and u not in gq.ball(c, 1)]
     floor = part.class_of(far[0])
     assert len(floor) == 27
     rng = np.random.default_rng(np.random.SeedSequence([70, 1]))
@@ -227,7 +227,7 @@ def test_coalition_sweep():
         meet = analytic_coalition(gq, members, 2)
         near = set()
         for m in members:
-            near |= gq.coll[m]
+            near |= gq.ball(m, 1)
         near -= set(members)
         resolved = [u for u in near if meet.class_of(u) == frozenset({u})]
         assert resolved, f"line coalition resolved nobody at q={q}"

@@ -62,7 +62,7 @@ def test_w33_plaintext_single_sizes():
     assert part.n_users == 40
     assert part.sizes() == (3,) * 9 + (1,) * 13
     assert part.class_of(0) == frozenset({0})
-    for u in gq.coll[0]:
+    for u in gq.ball(0, 1):
         assert part.class_of(u) == frozenset({u})
 
 
@@ -134,12 +134,12 @@ def test_plane_encrypted_line_classes():
 def test_meet_two_far_observers_encrypted():
     gq = w33()
     c1 = 0
-    c2 = next(u for u in range(1, 40) if u not in gq.coll[0])
+    c2 = next(u for u in range(1, 40) if u not in gq.ball(0, 1))
     meet = analytic_coalition(gq, (c1, c2), 2)
     assert meet.observers == (c1, c2)
     giant = max(len(c) for c in meet.classes)
     assert giant == 18
-    far_both = (set(range(40)) - gq.coll[c1] - gq.coll[c2]) - {c1, c2}
+    far_both = (set(range(40)) - gq.ball(c1, 1) - gq.ball(c2, 1)) - {c1, c2}
     assert frozenset(far_both) in set(meet.classes)
 
 
@@ -171,7 +171,7 @@ def test_whole_line_coalition_resolves_nobody_extra():
 
 def test_line_dominating_coalition_resolves_covered_points():
     gq = w33()
-    coll = gq.coll
+    coll = [gq.ball(x, 1) for x in range(gq.n_points)]
     block = gq.base.blocks[0]
     anchor = block[0]
     members = [anchor]
@@ -211,7 +211,7 @@ def reference_analytic_single(geom, observer, protocol):
             by_key.setdefault(shared, set()).add(u)
         return reference_make_partition(
             n, [{c}] + list(by_key.values()), (c,), 2)
-    near = geom.coll[c]
+    near = geom.ball(c, 1)
     groups = [{c}] + [{u} for u in near]
     assigned = set()
     for u in range(n):
@@ -313,7 +313,7 @@ def test_tracker_plaintext_far_source_converges_to_span():
     sys_ = w33_system()
     c = 0
     part = analytic_single(gq, c, 1)
-    u = next(x for x in range(40) if x != c and x not in gq.coll[c])
+    u = next(x for x in range(40) if x != c and x not in gq.ball(c, 1))
     floor = part.class_of(u)
     seen_sizes = []
 
@@ -336,7 +336,7 @@ def test_tracker_plaintext_near_source_resolved():
     sys_ = w33_system()
     c = 0
     part = analytic_single(gq, c, 1)
-    u = sorted(gq.coll[c])[1]
+    u = sorted(gq.ball(c, 1))[1]
     states = converge_topics(sys_, (c,), 1, {"t": u}, 4000, seed=5, analytic=part)
     assert states["t"].converged
     assert states["t"].candidates == frozenset({u})
@@ -568,8 +568,8 @@ def test_tracker_encrypted_near_and_far():
     sys_ = w33_system()
     c = 0
     part = analytic_single(gq, c, 2)
-    near = sorted(gq.coll[c])[0]
-    far = next(x for x in range(40) if x != c and x not in gq.coll[c])
+    near = sorted(gq.ball(c, 1))[0]
+    far = next(x for x in range(40) if x != c and x not in gq.ball(c, 1))
     states = converge_topics(sys_, (c,), 2, {"near": near, "far": far}, 8000,
                              seed=23, analytic=part)
     assert states["far"].converged
@@ -601,9 +601,9 @@ def test_tracker_coalition_meets():
     gq = w33()
     sys_ = w33_system()
     c1 = 0
-    c2 = next(x for x in range(1, 40) if x not in gq.coll[0])
+    c2 = next(x for x in range(1, 40) if x not in gq.ball(0, 1))
     meet = analytic_coalition(gq, (c1, c2), 2)
-    u = min(set(range(40)) - gq.coll[c1] - gq.coll[c2] - {c1, c2})
+    u = min(set(range(40)) - gq.ball(c1, 1) - gq.ball(c2, 1) - {c1, c2})
     states = converge_topics(sys_, (c1, c2), 2, {"t": u}, 8000, seed=9,
                              analytic=meet)
     assert states["t"].converged
@@ -615,7 +615,7 @@ def test_relay_metadata_breaks_encrypted_line_class():
     gq = w33()
     sys_ = w33_system()
     c = 0
-    u = sorted(gq.coll[c])[0]
+    u = sorted(gq.ball(c, 1))[0]
     plain = converge_topics(sys_, (c,), 2, {"t": u}, 6000, seed=31,
                             analytic=analytic_single(gq, c, 2))
     assert len(plain["t"].candidates) == 3
@@ -635,7 +635,7 @@ def test_relay_metadata_rejects_second_topic():
 def test_empirical_infer_transcript():
     gq = w33()
     sys_ = w33_system()
-    u = sorted(gq.coll[5])[2]
+    u = sorted(gq.ball(5, 1))[2]
     tr = run_protocol(sys_, QueryWorkload(u, "topic", 4000, protocol=2), 77)
     part = analytic_single(gq, 5, 2)
     states = empirical_infer(tr, (5,), analytic=part)
@@ -754,7 +754,7 @@ def test_place_random_deterministic():
 
 def test_place_spread_pairwise_far():
     gq = w33()
-    coll = gq.coll
+    coll = [gq.ball(x, 1) for x in range(gq.n_points)]
     members = place_coalition(gq, 3, "spread", seed=4)
     assert len(set(members)) == 3
     for i, x in enumerate(members):
@@ -764,7 +764,6 @@ def test_place_spread_pairwise_far():
 
 def test_place_line_shape():
     gq = w33()
-    coll = gq.coll
     members = place_coalition(gq, 4, "line", seed=0)
     assert len(set(members)) == 4
     with pytest.raises(ValueError):
@@ -777,7 +776,8 @@ def reference_place(geom, size, placement, seed):
     """place_coalition's spread and line rules as the set loops they
     replaced: spread maximises (distance to the nearest member, -id), and
     line takes the least neighbour off the block and not yet taken."""
-    coll, n = geom.coll, geom.n_points
+    n = geom.n_points
+    coll = [geom.ball(x, 1) for x in range(n)]
     if placement == "spread":
         chosen = [int(np.random.default_rng(seed).integers(n))]
         while len(chosen) < size:

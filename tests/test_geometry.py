@@ -24,6 +24,7 @@ from gqupir.geometry import (
     verify_gq,
     verify_plane,
 )
+from gqupir.upir import UPIRSystem
 from conftest import get_gq, get_plane
 
 
@@ -201,6 +202,20 @@ def test_w3_16_memory_peak():
     assert peak <= 2.6 * n * n
 
 
+def test_w3_16_system_memory_peak():
+    # the distance search holds a few packed levels of n^2 / 8 bytes; the
+    # all-pairs distance table it replaced peaked at 6.5 n^2 bytes
+    base = build_w3(field(16)).base
+    base.collinearity()  # built outside the traced region
+    n = base.n_points
+    tracemalloc.start()
+    system = UPIRSystem(base)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert system.diameter() == 2
+    assert peak <= 1.5 * n * n
+
+
 def test_quadrangle_rejects_nonisotropic_points():
     # under the dot form B(x, x) = 1 at (0, 0, 0, 1), point 0; unchecked, a
     # line uv would lack v and line assembly would never end
@@ -251,14 +266,14 @@ def test_common_perp_sizes(family, q):
 def test_common_perp_errors():
     gq = get_gq("w3", 2)
     x = 0
-    y = next(iter(gq.coll[x]))
+    y = next(iter(gq.ball(x, 1)))
     with pytest.raises(CollinearGeneratorsError):
         gq.common_perp([x, y])
     with pytest.raises(CollinearGeneratorsError):
         gq.common_perp([x, x])
     with pytest.raises(ValueError):
         gq.common_perp([])
-    assert gq.common_perp([x]) == set(gq.coll[x])
+    assert gq.common_perp([x]) == set(gq.ball(x, 1))
 
 
 @pytest.mark.parametrize(
@@ -279,7 +294,7 @@ def test_span_members_pairwise_noncollinear():
     gq = get_gq("w3", 3)
     sp = gq.span([0, sorted(gq.ball(0, 2))[0]])
     for a, b in combinations(sorted(sp.members), 2):
-        assert b not in gq.coll[a]
+        assert b not in gq.ball(a, 1)
 
 
 def test_span_exchange_small():

@@ -55,7 +55,7 @@ def test_plane_distances_all_one():
     sys_ = UPIRSystem(get_plane(3).base)
     assert sys_.diameter() == 1
     for u in range(sys_.n_users):
-        row = sys_.distances[u].tolist()
+        row = sys_.distance_row(u).tolist()
         assert row[u] == 0
         assert all(d == 1 for v, d in enumerate(row) if v != u)
 
@@ -65,11 +65,11 @@ def test_gq_distance_matches_collinearity():
     sys_ = UPIRSystem(gq.base)
     assert sys_.diameter() == 2
     for u in range(sys_.n_users):
-        row = sys_.distances[u].tolist()
+        row = sys_.distance_row(u).tolist()
         for v in range(sys_.n_users):
             if v == u:
                 assert row[v] == 0
-            elif v in gq.coll[u]:
+            elif v in gq.ball(u, 1):
                 assert row[v] == 1
             else:
                 assert row[v] == 2
@@ -79,7 +79,7 @@ def test_shortest_paths_distance_one_unique():
     sys_ = w33_system()
     gq = get_gq("w3", 3)
     u = 0
-    v = sorted(gq.coll[u])[0]
+    v = sorted(gq.ball(u, 1))[0]
     paths = sys_.shortest_user_paths(u, v)
     assert len(paths) == 1
     (path,) = paths
@@ -92,13 +92,13 @@ def test_shortest_paths_distance_two_count():
     gq = get_gq("w3", 3)
     sys_ = UPIRSystem(gq.base)
     u = 0
-    v = next(x for x in range(sys_.n_users) if x != u and x not in gq.coll[u])
+    v = next(x for x in range(sys_.n_users) if x != u and x not in gq.ball(u, 1))
     paths = sys_.shortest_user_paths(u, v)
     assert len(paths) == gq.t + 1
     assert paths == tuple(sorted(paths))
     for p in paths:
         assert len(p) == 5 and p[0] == u and p[-1] == v
-        assert p[2] in gq.coll[u] and p[2] in gq.coll[v]
+        assert p[2] in gq.ball(u, 1) and p[2] in gq.ball(v, 1)
     middles = {p[2] for p in paths}
     assert len(middles) == gq.t + 1
 
@@ -111,7 +111,7 @@ def test_path_self_rejected():
 class ReferenceSystem:
     """User distances by a breadth-first search per user, and shortest
     routes by recursive enumeration, as UPIRSystem found them before its
-    all-pairs table; with the error messages it raised."""
+    search from all users at once; with the error messages it raised."""
 
     def __init__(self, inc):
         self.inc = inc
@@ -192,7 +192,7 @@ def assert_matches_reference(inc):
     n = inc.n_points
     assert sys_.diameter() == ref.diameter()
     for u in range(n):
-        assert sys_.distances[u].tolist() == ref.rows[u]
+        assert sys_.distance_row(u).tolist() == ref.rows[u]
         for v in range(n):
             assert sys_.user_distance(u, v) == ref.rows[u][v]
             if v != u:
@@ -232,6 +232,11 @@ def incidence_structures(draw):
 @example(inc=IncidenceStructure(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 @example(inc=IncidenceStructure(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)]))
 @example(inc=IncidenceStructure(3, [(0, 1), (0, 1), (1, 2)]))
+# chains across the 8-user packing boundary, of diameter 7 and 8
+@example(inc=IncidenceStructure(8, [(x, x + 1) for x in range(7)]))
+@example(inc=IncidenceStructure(9, [(x, x + 1) for x in range(8)]))
+# disconnected, with the search growing through level 2 and not after
+@example(inc=IncidenceStructure(5, [(0, 1), (1, 2), (3, 4)]))
 def test_distance_table_matches_reference(inc):
     assert_matches_reference(inc)
 
@@ -245,14 +250,14 @@ def test_distance_table_matches_reference_exhaustively(build):
     assert_matches_reference(build())
 
 
-def test_long_chain_distances_fit_the_table():
-    # 300 users in a chain of two-point blocks: distances up to 299 need
-    # more than int8, and the search takes 299 steps
+def test_long_chain_distance_rows_match_reference():
+    # 300 users in a chain of two-point blocks: distances reach 299, and
+    # the search keeps levels 2 to 298
     inc = IncidenceStructure(300, [(x, x + 1) for x in range(299)])
     sys_ = UPIRSystem(inc)
     ref = ReferenceSystem(inc)
     assert sys_.diameter() == 299
-    assert [sys_.distances[u].tolist() for u in range(300)] == ref.rows
+    assert [sys_.distance_row(u).tolist() for u in range(300)] == ref.rows
     assert sys_.shortest_user_paths(0, 299) == ref.paths(0, 299)
 
 
@@ -364,36 +369,6 @@ def test_protocol2_diameter_guard():
             with pytest.raises(NotDiameterBoundedError):
                 converge_topics(sys_, (1,), 2, {"t": 3}, 200, seed=1,
                                 log=log)
-
-
-class WholeTableWatch(np.ndarray):
-    """A distance table that fails any ufunc or copy over its n x n whole;
-    rows and entries read from it are plain arrays."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if any(isinstance(x, WholeTableWatch) and x.ndim == 2
-               for x in inputs):
-            raise AssertionError(f"{ufunc.__name__}.{method} over the table")
-        return getattr(ufunc, method)(*(
-            x.view(np.ndarray) if isinstance(x, WholeTableWatch) else x
-            for x in inputs), **kwargs)
-
-    def copy(self, *args, **kwargs):
-        raise AssertionError("the table was copied")
-
-
-def test_streams_and_trackers_do_not_rescan_the_distance_table():
-    """The constructor takes the diameter once: a protocol-2 stream and a
-    tracker per topic read rows of the table, never the whole."""
-    sys_ = w33_system()
-    sys_.distances = sys_.distances.view(WholeTableWatch)
-    assert sys_.diameter() == 2
-    tr = run_protocol(sys_, QueryWorkload(0, "t", 200, protocol=2), 0)
-    assert len(tr.seq) > 200
-    for protocol in (1, 2):
-        states = converge_topics(sys_, (1,), protocol, {"a": 0, "b": 5},
-                                 200, seed=1)
-        assert all(st.source in st.candidates for st in states.values())
 
 
 def test_protocol2_visibility_flags():
@@ -518,7 +493,7 @@ def test_path_choice_counts_reach_all_middles():
     gq = get_gq("w3", 3)
     tr = run_protocol(sys_, QueryWorkload(0, "t", 6000, protocol=1), 77)
     by_proxy = path_choice_counts(tr)
-    far = [v for v in range(40) if v != 0 and v not in gq.coll[0]]
+    far = [v for v in range(40) if v != 0 and v not in gq.ball(0, 1)]
     for v in far[:5]:
         routes = by_proxy[v]
         assert len(routes) == gq.t + 1
