@@ -18,10 +18,10 @@ Two request disciplines are simulated:
 Transcripts record one event per write or database call, in order, and
 run_protocol and adversary.converge_topics make them by one block stream.
 Its raw uint32 values form a chain: a proxy draw, then a route draw exactly
-when that proxy has more than one shortest route, with route counts from
-the source's distance row.  _draws finds the roles of a whole block in numpy
-and applies numpy's 32-bit Lemire rule to it; a rejected value is dropped
-and the chain restarts after it.  Blocks grow from 1024 values to 4096, and
+when that proxy has more than one shortest route, all built by _routes_from
+once per stream.  _draws finds the roles of a whole block in numpy and
+applies numpy's 32-bit Lemire rule to it; a rejected value is dropped and
+the chain restarts after it.  Blocks grow from 1024 values to 4096, and
 the last is drawn again up to its last used value, so the values and the
 Generator state are those of one scalar rng.integers call per draw.  Each
 distinct (proxy, route) of a block has its bodies interned once per stream,
@@ -160,11 +160,16 @@ class UPIRSystem:
     def spaces_of(self, user):
         return self._spaces_of[user]
 
+    def _user(self, v):
+        if not 0 <= v < self.n_users:
+            raise ValueError(f"user {v} out of range")
+        return v
+
     def distance_row(self, v):
-        """The distances from v to every user, as a new int64 array: 0 at v,
-        1 where collinear with v, 2 beyond, plus 1 for each kept level of
-        the search that lacks the user."""
-        row = 2 - self._coll[v].astype(np.int64)
+        """The distances from user v to every user, as a new int64 array: 0
+        at v, 1 where collinear with v, 2 beyond, plus 1 for each kept level
+        of the search that lacks the user."""
+        row = 2 - self._coll[self._user(v)].astype(np.int64)
         row[v] = 0
         for reach in self._levels:
             row += 1 - np.unpackbits(reach[v], count=self.n_users)
@@ -173,21 +178,22 @@ class UPIRSystem:
     def user_distance(self, u, v):
         """The number of spaces on a shortest path from u to v: 0 iff
         u == v, 1 iff they share a space (read from u's distance row)."""
-        return int(self.distance_row(u)[v])
+        return int(self.distance_row(u)[self._user(v)])
 
     def diameter(self):
         return self._diameter
 
     def shortest_user_paths(self, u, v):
-        """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted,
-        built per call; grown a hop at a time through each space of the last
-        user to its members one closer to v, by the distance row of v.
+        """All shortest alternating paths (u, M1, u1, ..., Mk, v), sorted:
+        the per-pair reference for the streams' _routes_from, built per call
+        a hop at a time through each space of the last user to its members
+        one closer to v, by the distance row of v.
 
         Between distance-1 users in a plane or GQ there is exactly one;
         between distance-2 users of a GQ of order (s,t) there are t+1, one
         per common neighbour.
         """
-        if u == v:
+        if self._user(u) == v:
             raise ValueError("no path from a user to itself")
         to_v = self.distance_row(v)
         paths = [(u,)]
@@ -214,6 +220,8 @@ class QueryWorkload:
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             object.__setattr__(self, name, operator.index(value))
+        if not isinstance(self.topic, str):
+            raise ValueError("topic must be a string")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.protocol not in (1, 2):
@@ -376,24 +384,24 @@ def _draws(rng, count, n, bounds):
                np.concatenate(picks).astype(np.int64))
 
 
-def _route_counts(system, source):
-    """Per user v, len(system.shortest_user_paths(source, v)), 1 at the
-    source, as uint64: a ring of the source's distance row at a time, each
-    space sums the counts of its members one ring in, and each user of the
-    ring the sums of its spaces."""
-    blocks = system.structure.blocks
-    member = np.fromiter(chain.from_iterable(blocks), np.intp)
-    space = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
-    dist = system.distance_row(source)
-    ring_of = dist[member]
-    counts = np.zeros(system.n_users)
-    counts[source] = 1
-    for d in range(1, int(dist.max()) + 1):
-        inner = np.bincount(space, np.where(ring_of == d - 1, counts[member],
-                                            0), len(blocks))
-        ring = dist == d
-        counts[ring] = np.bincount(member, inner[space], system.n_users)[ring]
-    return counts.astype(np.uint64)
+def _routes_from(system, source):
+    """Every shortest route from source as (routes, first, bounds): v's are
+    routes[first[v]:first[v] + bounds[v]] as shortest_user_paths(source, v)
+    orders them, the source's is None, and bounds is uint64.  Ring d of the
+    source's distance row extends ring d - 1's routes through the spaces of
+    their last users to members in ring d; spaces and members ascend, so
+    each ring comes out sorted and a stable sort by target keeps it so."""
+    dist = system.distance_row(source).tolist()
+    blocks, spaces = system.structure.blocks, system.structure.point_to_blocks
+    ring, routes = [(source,)], [None]
+    for d in range(1, max(dist) + 1):
+        ring = [r + (m, w) for r in ring for m in spaces[r[-1]]
+                for w in blocks[m] if dist[w] == d]
+        routes += ring
+    target = np.array([source] + [r[-1] for r in routes[1:]], np.intp)
+    bounds = np.bincount(target, minlength=system.n_users)
+    return ([routes[i] for i in np.argsort(target, kind="stable").tolist()],
+            np.cumsum(bounds) - bounds, bounds.astype(np.uint64))
 
 
 def _draw_queries(system, workload, rng):
@@ -401,8 +409,8 @@ def _draw_queries(system, workload, rng):
     the block's distinct (proxy, route), route a shortest path (source, M1,
     u1, ..., proxy) or None for the source itself, and each query's index
     into pairs.  A bad source is a ValueError, and protocol 2 with users
-    beyond distance 2 a NotDiameterBoundedError, before any draw.
-    """
+    beyond distance 2 a NotDiameterBoundedError, before any draw.  A
+    query's key into the _routes_from table is first[proxy] + route draw."""
     n, source = system.n_users, workload.source
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
@@ -413,22 +421,14 @@ def _draw_queries(system, workload, rng):
                 v = int((row > 2).argmax())
                 raise NotDiameterBoundedError(
                     f"user pair {(u, v)} at distance {row[v]} > 2")
-    bounds = _route_counts(system, source)
-    width = int(bounds.max())
-    routes_to = functools.cache(
-        lambda v: system.shortest_user_paths(source, v))
-
-    @functools.cache
-    def pair_of(key):
-        v, r = divmod(key, width)
-        return v, None if v == source else routes_to(v)[r]
-
+    routes, first, bounds = _routes_from(system, source)
     for proxy, pick in _draws(rng, workload.count, n, bounds):
         if len(proxy):
-            key = proxy * width + pick
-            hit = np.zeros(n * width, bool)
+            key = first[proxy] + pick
+            hit = np.zeros(len(routes), bool)
             hit[key] = True
-            yield (list(map(pair_of, np.flatnonzero(hit).tolist())),
+            drawn = map(routes.__getitem__, np.flatnonzero(hit).tolist())
+            yield ([(source, r) if r is None else (r[-1], r) for r in drawn],
                    (np.cumsum(hit) - 1)[key])
 
 

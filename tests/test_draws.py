@@ -28,7 +28,7 @@ from gqupir.upir import (
     TranscriptEvent,
     UPIRSystem,
     _draws,
-    _route_counts,
+    _routes_from,
     iter_protocol_events,
     run_protocol,
 )
@@ -216,7 +216,7 @@ def test_bounded_draws_mix_bounds_on_one_stream(block):
 def test_draws_at_block_edges(block):
     # from user 0 of the hexagon only user 3 has two routes; its route draw
     # waits at a block end whenever its proxy draw ends a block
-    assert_draws_match(5, 300, 6, _route_counts(hexagon(), 0))
+    assert_draws_match(5, 300, 6, _routes_from(hexagon(), 0)[2])
     # bound 40 rejects none of these values, so one query takes one value
     # and the stream fills its first, then its second block exactly
     first, full = block
@@ -279,12 +279,58 @@ def test_route_counts_match_the_routes(name):
     system = SYSTEMS[name]() if name in SYSTEMS else hexagon()
     n = system.n_users
     for u in range(n):
-        counts = _route_counts(system, u).tolist()
+        counts = _routes_from(system, u)[2].tolist()
         assert counts[u] == 1
         assert counts[:u] + counts[u + 1:] == [
             len(system.shortest_user_paths(u, v)) for v in range(n) if v != u]
     if name == "hexagon":
-        assert _route_counts(system, 0).tolist() == [1, 1, 1, 2, 1, 1]
+        assert _routes_from(system, 0)[2].tolist() == [1, 1, 1, 2, 1, 1]
+
+
+def route_table(system, u):
+    """_routes_from(system, u) as one list of routes per target."""
+    routes, first, counts = _routes_from(system, u)
+    assert counts.dtype == np.uint64 and counts[u] == 1
+    assert first.tolist() == [0, *np.cumsum(counts)[:-1].tolist()]
+    assert len(routes) == counts.sum()
+    return [routes[a:a + c] for a, c in zip(first.tolist(), counts.tolist())]
+
+
+def per_pair_routes(system, u, targets):
+    return [[None] if v == u else list(system.shortest_user_paths(u, v))
+            for v in targets]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UPIRSystem(get_gq("w3", 2).base),
+    SYSTEMS["w3-3"],
+    lambda: UPIRSystem(get_gq("q4", 2).base),
+    SYSTEMS["pg2-3"],
+    hexagon,
+], ids=["W(3,2)", "W(3,3)", "Q(4,2)", "PG(2,3)", "hexagon"])
+def test_route_table_matches_the_per_pair_routes(build):
+    system = build()
+    users = range(system.n_users)
+    for u in users:
+        assert route_table(system, u) == per_pair_routes(system, u, users)
+
+
+def test_route_table_on_a_long_chain():
+    # 300 users in a chain of two-point blocks, block x joining users x and
+    # x + 1: one route per pair, up to 299 hops, a slice of the walk
+    # 0, 0, 1, 1, ..., 298, 299 or its reverse.  The per-pair builder
+    # makes a numpy pass per ring, so it is checked from three sources.
+    system = UPIRSystem(
+        IncidenceStructure(300, [(x, x + 1) for x in range(299)]))
+    users = range(300)
+    walk = tuple(k // 2 for k in range(599))
+    for u in users:
+        assert route_table(system, u) == [
+            [None] if v == u else
+            [walk[2 * u:2 * v + 1] if u < v else walk[2 * v:2 * u + 1][::-1]]
+            for v in users]
+    for u in (0, 150, 299):
+        assert route_table(system, u) == per_pair_routes(system, u, users)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,7 @@ from gqupir.upir import (
     QueryWorkload,
     TranscriptEvent,
     UPIRSystem,
-    _route_counts,
+    _routes_from,
     access,
     external_view,
     observer_view,
@@ -106,6 +106,22 @@ def test_shortest_paths_distance_two_count():
 def test_path_self_rejected():
     with pytest.raises(ValueError):
         w33_system().shortest_user_paths(5, 5)
+
+
+@pytest.mark.parametrize("bad", [-1, 15])
+@pytest.mark.parametrize("call", [
+    lambda sys_, bad: sys_.distance_row(bad),
+    lambda sys_, bad: sys_.user_distance(0, bad),
+    lambda sys_, bad: sys_.user_distance(bad, 0),
+    lambda sys_, bad: sys_.shortest_user_paths(0, bad),
+    lambda sys_, bad: sys_.shortest_user_paths(bad, 0),
+], ids=["distance_row", "user_distance-v", "user_distance-u",
+        "shortest_user_paths-v", "shortest_user_paths-u"])
+def test_user_ids_out_of_range_rejected(call, bad):
+    # W(3,2) has users 0..14; -1 would index a row from its end
+    sys_ = UPIRSystem(get_gq("w3", 2).base)
+    with pytest.raises(ValueError, match=f"^user {bad} out of range$"):
+        call(sys_, bad)
 
 
 class ReferenceSystem:
@@ -197,8 +213,11 @@ def assert_matches_reference(inc):
             assert sys_.user_distance(u, v) == ref.rows[u][v]
             if v != u:
                 assert sys_.shortest_user_paths(u, v) == ref.paths(u, v)
-        assert _route_counts(sys_, u).tolist() == [
+        routes, _, counts = _routes_from(sys_, u)
+        assert counts.tolist() == [
             1 if v == u else len(ref.paths(u, v)) for v in range(n)]
+        assert routes == [r for v in range(n)
+                          for r in ((None,) if v == u else ref.paths(u, v))]
     message = ref.too_far()
     work = QueryWorkload(0, "t", 1, protocol=2)
     if message is None:
@@ -232,6 +251,9 @@ def incidence_structures(draw):
 @example(inc=IncidenceStructure(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 @example(inc=IncidenceStructure(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)]))
 @example(inc=IncidenceStructure(3, [(0, 1), (0, 1), (1, 2)]))
+# two routes from 0 to 3 through the same first space, ordered by their
+# middle users
+@example(inc=IncidenceStructure(4, [(0, 1, 2), (1, 3), (2, 3)]))
 # chains across the 8-user packing boundary, of diameter 7 and 8
 @example(inc=IncidenceStructure(8, [(x, x + 1) for x in range(7)]))
 @example(inc=IncidenceStructure(9, [(x, x + 1) for x in range(8)]))
@@ -276,6 +298,13 @@ def test_workload_rejects_non_integers(field, value):
     args = {"source": 0, "topic": "t", "count": 3, field: value}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         QueryWorkload(**args)
+
+
+@pytest.mark.parametrize("topic", [5, None, b"t"])
+def test_workload_rejects_a_topic_that_is_not_a_string(topic):
+    # a log would hold it, and read_transcript reject that log
+    with pytest.raises(ValueError, match="^topic must be a string$"):
+        QueryWorkload(0, topic, 3)
 
 
 def test_workload_takes_numpy_integers_as_ints():
