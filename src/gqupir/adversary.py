@@ -64,6 +64,7 @@ from .upir import (
     _body_ids,
     _draw_queries,
     _gc_paused,
+    _protocol,
     access,
     iter_protocol_events,  # noqa: F401  (kept for bench/tracing.py to wrap)
 )
@@ -156,8 +157,7 @@ def analytic_coalition(geom, coalition, protocol):
     for c in members:
         if not 0 <= c < n:
             raise ValueError(f"observer {c} out of range")
-    if protocol not in (1, 2):
-        raise ValueError("protocol must be 1 or 2")
+    _protocol(protocol)
     return _partition(n, [_keys(geom, c, protocol) for c in members], members,
                       protocol, geom.base)
 
@@ -272,8 +272,7 @@ class CoalitionTracker:
 
     def __init__(self, system, coalition, protocol, analytic=None,
                  relay_metadata=False):
-        if protocol not in (1, 2):
-            raise ValueError("protocol must be 1 or 2")
+        _protocol(protocol)
         self.system = system
         self.coalition = tuple(sorted(set(coalition)))
         if not self.coalition:
@@ -485,10 +484,8 @@ def empirical_infer(transcript, coalition, analytic=None, relay_metadata=False):
     never saw keeps every user outside the coalition, not converged.  Only
     the events in a space some member holds are fed to the tracker, as
     their bodies: observe() returns at once on any other."""
-    protocol = transcript.protocol
-    if protocol not in (1, 2):
-        raise ValueError("transcript does not carry a valid protocol")
-    tracker = CoalitionTracker(transcript.system, coalition, protocol,
+    tracker = CoalitionTracker(transcript.system, coalition,
+                               transcript.protocol,
                                analytic=analytic,
                                relay_metadata=relay_metadata)
     watched = transcript.body_mask(lambda b: b.space in tracker._watched)

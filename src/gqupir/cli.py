@@ -41,6 +41,18 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}")
 
 
+def _seed(text):
+    """A --seed value: a non-negative int, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer: {text!r}")
+    return seed
+
+
 def _str_list(text):
     return [x for x in text.split(",") if x != ""]
 
@@ -69,7 +81,7 @@ def build_parser():
     p.add_argument("--coalition", type=_int_list)
     p.add_argument("--coalition-size", type=int)
     p.add_argument("--placement", choices=("random", "spread", "line"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--out")
 
@@ -82,7 +94,7 @@ def build_parser():
     p.add_argument("--placement", choices=("random", "spread", "line"))
     p.add_argument("--topics", type=int, default=1)
     p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--relay-metadata", action="store_true")
     p.add_argument("--transcript", help="prefix for .jsonl and .truth.json logs")
     p.add_argument("--out")
@@ -104,7 +116,7 @@ def build_parser():
     p.add_argument("--protocol", required=True, type=int, choices=(1, 2))
     p.add_argument("--coalition-size", required=True, type=_int_list)
     p.add_argument("--placement", required=True, type=_str_list)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--out")
     return parser
 

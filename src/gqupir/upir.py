@@ -28,9 +28,10 @@ distinct (proxy, route) of a block has its bodies interned once per stream,
 and the block's columns are gathered from them in numpy.  Each stream is a
 Transcript of its own, and _stream_writer appends streams to one log.
 
-read_transcript reads a log back a block of lines at a time: a block as
-write_transcript writes it is mapped to body ids at C level, any other line
-by line.  A sidecar must agree with its log on the topics and protocol.
+read_transcript reads a log back a block of lines at a time, mapping each
+line's key (the rest after a seq as write_transcript writes it, else the
+whole line) to a body id; each distinct key is read once per block.  A
+sidecar must agree with its log on the topics and protocol.
 
 One rule, access(), decides what a user sees of an event and whether it
 reads the payload.  The ground-truth map (topic -> source) and the writer
@@ -224,8 +225,13 @@ class QueryWorkload:
             raise ValueError("topic must be a string")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.protocol not in (1, 2):
-            raise ValueError("protocol must be 1 or 2")
+        _protocol(self.protocol)
+
+
+def _protocol(value):
+    """The one protocol check: the int 1 or 2, not a bool or a numpy int."""
+    if type(value) is not int or value not in (1, 2):
+        raise ValueError(f"protocol must be 1 or 2, not {value!r}")
 
 
 @dataclass(slots=True)
@@ -636,66 +642,51 @@ def read_transcript(path, system, ground_truth_path=None):
     """Load a transcript log, and optionally its sidecar, into a Transcript
     whose bodies have writer None and whose events have query -1.
 
-    The file is read in blocks of whole lines of about _READ_BLOCK bytes;
-    _split_lines finds a block's lines and the seqs of those that start as
-    write_transcript writes them.  ids maps each rest after such a seq in
-    the block to its body id, kept from the block before if it was there.
-    A block whose lines all have such a seq and whose new rests each split
-    at , "topic":  into a frame and a tail that check (each decoded once)
-    is interned and mapped in C; any other block is read line by line
-    through _line_event, as a line-by-line reader would read it.  A
+    The file is read in blocks of whole lines of about _READ_BLOCK bytes,
+    and _split_lines gives each line its seq and key.  ids maps the block's
+    keys to body ids, and line_seq those decoded whole to the seq they give;
+    both keep what the block before had of the block's keys.  Each new key
+    is read once, in order of first use: a rest that splits at , "topic":
+    into a frame and a tail that check (each decoded once) from them, any
+    other key by _whole_event; a blank line maps to -1 and is dropped.  A
     malformed line raises ValueError naming the file and line; the sidecar
     is checked (_read_sidecar).  The intern map is dropped on return.
     """
     transcript = Transcript(system, 0, None, (), {})
-    ids = {}  # the block's rests -> body ids, None where not yet known
+    ids, line_seq = {}, {}
     frame_of = functools.cache(lambda text: _checked_part(
         b"{" + text + b"}", _FRAME_KEYS, _ANY_TAIL, system)[:4])
     tail_of = functools.cache(lambda text: _checked_part(
         b'{"topic": ' + text, _TAIL_KEYS, _ANY_FRAME, system)[4:])
 
-    def fields_of(rest):
-        """A rest's checked frame and tail fields, or None."""
-        frame, split, tail = rest.partition(_TOPIC)
-        if split and (frame := frame_of(frame)) and (tail := tail_of(tail)):
-            return frame + tail
-        return None
+    def body_of(key):
+        """A new key's body id, or -1 for a blank line."""
+        if not key.endswith(b"\n"):
+            frame, split, tail = key.partition(_TOPIC)
+            if split and (frame := frame_of(frame)) and (tail := tail_of(tail)):
+                return transcript.intern(frame + tail)
+        try:
+            line_seq[key], fields = _whole_event(key, system)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno + keys.index(key) + 1}: {exc}") from None
+        return -1 if fields is None else transcript.intern(fields)
 
     seqs, bodies = [np.empty(0, np.int64)], [np.empty(0, np.int32)]
     lineno = 0  # lines before the block
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
-            start, end, seq, rest = _split_lines(block)
-            # a line with no seq has the empty rest, whose id stays None
-            keys = [block[a:b] for a, b in zip(rest.tolist(), end.tolist())]
+            seq, first, last = _split_lines(block)
+            keys = [block[a:b] for a, b in zip(first.tolist(), last.tolist())]
             ids = {k: ids.get(k) for k in dict.fromkeys(keys)}
+            line_seq = {k: line_seq[k] for k in line_seq.keys() & ids.keys()}
             new = [k for k, i in ids.items() if i is None]
-            if (seq >= 0).all() and all(fields := list(map(fields_of, new))):
-                ids.update(zip(new, map(transcript.intern, fields)))
-                seqs.append(seq)
-                bodies.append(np.fromiter(map(ids.__getitem__, keys),
-                                          np.int32, len(keys)))
-            else:
-                line_seqs, line_bodies = [], []
-                for i, (s, key) in enumerate(zip(seq.tolist(), keys)):
-                    body = ids.get(key)
-                    if body is None:
-                        try:
-                            event = _line_event(block[start[i]:end[i] + 1],
-                                                s, key, system)
-                        except ValueError as exc:
-                            raise ValueError(
-                                f"{path}:{lineno + i + 1}: {exc}") from None
-                        if event is None:  # a blank line
-                            continue
-                        body = transcript.intern(event[1])
-                        if s >= 0:
-                            ids[key] = body
-                        s = event[0]
-                    line_seqs.append(s)
-                    line_bodies.append(body)
-                seqs.append(np.array(line_seqs, np.int64))
-                bodies.append(np.array(line_bodies, np.int32))
+            ids.update(zip(new, map(body_of, new)))
+            body = np.fromiter(map(ids.__getitem__, keys), np.int32, len(keys))
+            whole = np.flatnonzero(seq < 0)
+            seq[whole] = [line_seq[keys[i]] for i in whole.tolist()]
+            seqs.append(seq[body >= 0])
+            bodies.append(body[body >= 0])
             lineno += len(keys)
     transcript.seq = np.concatenate(seqs)
     transcript.body = np.concatenate(bodies)
@@ -709,8 +700,8 @@ def read_transcript(path, system, ground_truth_path=None):
 
 
 def _line_blocks(fh):
-    """fh's bytes in blocks of whole lines, read _READ_BLOCK bytes at a
-    time; only the last block may end without a newline."""
+    """fh's bytes in blocks of whole lines, each ending in a newline, read
+    _READ_BLOCK bytes at a time; a last line without one is given one."""
     held = []  # the start of a line no read has ended yet
     while chunk := fh.read(_READ_BLOCK):
         cut = chunk.rfind(b"\n") + 1
@@ -719,20 +710,18 @@ def _line_blocks(fh):
             held = []
         held.append(chunk[cut:])
     if any(held):
-        yield b"".join(held)
+        yield b"".join([*held, b"\n"])
 
 
 def _split_lines(block):
-    """Per line of a block: its start, its end (its newline, or the end of
-    the block), its seq and the start of its rest.  A line has a seq when it
-    starts as write_transcript writes one: _SEQ, 1 to 18 ASCII digits
-    without a leading zero, then ", ".  A line without one has seq -1 and
-    an empty rest.  No byte tested is a newline, so a test that runs past
-    a line's end fails at its newline."""
+    """Per line of a block ending in a newline: its seq and the bounds of
+    its key.  A line that starts as write_transcript writes one (_SEQ, 1 to
+    18 ASCII digits without a leading zero, then ", ") has that seq and the
+    rest after it, newline excluded, as key; any other line has seq -1 and
+    is its own key, newline included, so no key is of both kinds.  No byte
+    tested is a newline, so a test that runs past a line's end fails there."""
     buf = np.frombuffer(block + bytes(len(_SEQ) + _LOOK), np.uint8)
     end = np.flatnonzero(buf[:len(block)] == ord("\n"))
-    if not block.endswith(b"\n"):
-        end = np.append(end, len(block))
     start = np.concatenate(([0], end[:-1] + 1))
     # the 8 bytes at each offset as one word, so that a line's _SEQ and
     # the _LOOK bytes after it are gathered as a few words
@@ -747,19 +736,19 @@ def _split_lines(block):
     seq = np.zeros(len(end), np.int64)
     for j in range(k[ok].max(initial=0)):
         seq = np.where(j < k, seq * 10 + digit[:, j], seq)
-    return start, end, np.where(ok, seq, -1), np.where(ok, after + 2, end)
+    return (np.where(ok, seq, -1), np.where(ok, after + 2, start),
+            np.where(ok, end, end + 1))
 
 
-def _line_event(line, seq, rest, system):
-    """(seq, fields) of one line parsed on its own, as the reader's
-    line-by-line path does: after a seq that _split_lines read, the rest
-    alone, so that a second seq is an unexpected key; else the whole line;
-    None for a blank line."""
-    if seq >= 0:
-        return seq, _event_fields(_load_object(b"{" + rest), system)
-    if not line.strip():
-        return None
-    d = _load_object(line)
+def _whole_event(key, system):
+    """(seq, fields) of a key decoded whole, as a line-by-line reader
+    decodes it: a rest alone, with seq -1, so that a second seq is an
+    unexpected key; a whole line with its own seq; (-1, None) if blank."""
+    if not key.endswith(b"\n"):
+        return -1, _event_fields(_load_object(b"{" + key), system)
+    if not key.strip():
+        return -1, None
+    d = _load_object(key)
     if "seq" not in d:
         raise ValueError("missing 'seq'")
     seq = d.pop("seq")
@@ -814,7 +803,8 @@ def _read_sidecar(path, system, bodies):
 
 
 def _load_object(text):
-    text = text.decode()
+    """text as a JSON object; no message depends on trailing whitespace."""
+    text = text.rstrip(b" \t\r\n").decode()
     try:
         try:  # a text as written, with no space around it, decodes faster
             d, end = _JSON.raw_decode(text)

@@ -31,6 +31,7 @@ from gqupir.geometry import Geometry, IncidenceStructure
 from gqupir.upir import (
     DB_REQUEST,
     QueryWorkload,
+    Transcript,
     TranscriptEvent,
     UPIRSystem,
     _draw_queries,
@@ -641,6 +642,26 @@ def test_empirical_infer_transcript():
     states = empirical_infer(tr, (5,), analytic=part)
     assert states["topic"].rounds_observed == 4000
     assert states["topic"].candidates == part.class_of(u)
+
+
+_PROTOCOL_ENTRY_POINTS = {
+    "QueryWorkload": lambda p: QueryWorkload(0, "t", 5, protocol=p),
+    "CoalitionTracker": lambda p: CoalitionTracker(w33_system(), (0,), p),
+    "analytic_coalition": lambda p: analytic_coalition(w33(), (0,), p),
+    "empirical_infer": lambda p: empirical_infer(
+        Transcript(w33_system(), p, None, (), {}), (0,)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_PROTOCOL_ENTRY_POINTS))
+@pytest.mark.parametrize("protocol", [True, 1.0, 2.0, "1", 0, 3,
+                                      np.int64(2)])
+def test_every_entry_point_takes_only_protocol_1_or_2(entry, protocol):
+    """One check, for the int 1 or 2 alone: 1.0 used to fail inside
+    run_protocol, and True and np.int64(2) to reach the sidecar, which
+    read_transcript refuses with true and json.dump cannot write."""
+    with pytest.raises(ValueError, match="^protocol must be 1 or 2, not "):
+        _PROTOCOL_ENTRY_POINTS[entry](protocol)
 
 
 def _w33_floors():

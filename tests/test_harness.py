@@ -212,6 +212,25 @@ def test_analyze_config_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "w3", "--q", "3", "--protocol", "1",
+     "--coalition-size", "3"],
+    ["simulate", "--family", "w3", "--q", "3", "--protocol", "1",
+     "--coalition-size", "3", "--queries", "10"],
+    ["sweep", "--family", "w3", "--q", "3", "--protocol", "1",
+     "--coalition-size", "1", "--placement", "random"],
+], ids=["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_names_the_flag(capsys, argv, seed):
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--seed", seed])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument --seed: expected a non-negative integer: {seed!r}")
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "--in", "{dir}"),
     ("analyze", "--in", "{dir}", "--protocol", "2", "--coalition", "0"),
     ("simulate", "--family", "w3", "--q", "3", "--protocol", "2",

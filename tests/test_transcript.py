@@ -324,6 +324,18 @@ def test_last_line_needs_no_newline(tmp_path):
         read_transcript(bad, sys_)
 
 
+@pytest.mark.parametrize("last", [b'{"kind": "x", "seq": 1',
+                                  b'{"kind": "x", "seq": 1\xc3'])
+def test_last_line_cut_short_fails_as_the_reference(tmp_path, last):
+    """The reader ends a last line without a newline with one; a whole line
+    cut short still fails with the message it has without it."""
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(_with().encode() + b"\n" + last)
+    got = outcome(block_read, log)
+    assert got == outcome(reference_read, log)
+    assert got.startswith(f"{log}:2: ")
+
+
 def test_good_line_reads(tmp_path):
     log = tmp_path / "good.jsonl"
     log.write_text(_with() + "\n")
@@ -456,16 +468,28 @@ def test_reader_matches_line_by_line_reference(tmp_path_factory, text,
         assert outcome(block_read, log) == outcome(reference_read, log)
 
 
-def _read_by_line(*args):
-    raise AssertionError("a block was read line by line")
+def reversed_keys(line):
+    """A log line with its keys in reverse order: seq last, so that the
+    reader decodes it whole."""
+    return json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+
+
+def decoded_whole(monkeypatch):
+    """A list to which each key upir._whole_event decodes is appended."""
+    decoded = []
+    whole_event = upir._whole_event
+    monkeypatch.setattr(upir, "_whole_event", lambda key, system: (
+        decoded.append(key), whole_event(key, system))[1])
+    return decoded
 
 
 @pytest.mark.parametrize("protocol", [1, 2])
 @pytest.mark.parametrize("block", [1, 64, upir._READ_BLOCK])
-def test_written_log_never_reads_line_by_line(tmp_path, monkeypatch,
-                                              protocol, block):
-    """Every block of a log write_transcript wrote takes the reader's C
-    level path, whatever the block size."""
+def test_written_log_decodes_no_key_whole(tmp_path, monkeypatch, protocol,
+                                          block):
+    """A log as write_transcript wrote it is read from its frames and tails
+    alone, whatever the block size; in a copy with every fifth line's keys
+    reversed, exactly those lines are decoded whole, once each."""
     sources = {"a": 5, "b": 22}
     streams = []
     converge_topics(W33, (0, 13), protocol, sources, 400, seed=3,
@@ -473,24 +497,79 @@ def test_written_log_never_reads_line_by_line(tmp_path, monkeypatch,
     log = joined(streams, 3, sources)
     path = tmp_path / "run.jsonl"
     write_transcript(log, path)
-    monkeypatch.setattr(upir, "_line_event", _read_by_line)
+    lines = path.read_text().splitlines(keepends=True)
+    odd = [reversed_keys(line) for line in lines[::5]]
+    rekeyed = tmp_path / "rekeyed.jsonl"
+    rekeyed.write_text("".join(odd[i // 5] if i % 5 == 0 else line
+                               for i, line in enumerate(lines)))
+    decoded = decoded_whole(monkeypatch)
     monkeypatch.setattr(upir, "_READ_BLOCK", block)
-    back = read_transcript(path, W33)
-    assert back.seq.tolist() == log.seq.tolist()
     # a body as logged, without its writer
     logged = [body(log.bodies[i])[:-1] for i in log.body.tolist()]
+    for file, whole in (path, []), (rekeyed, odd):
+        decoded.clear()
+        back = read_transcript(file, W33)
+        assert [key.decode() for key in decoded] == whole
+        assert back.seq.tolist() == log.seq.tolist()
+        assert [body(back.bodies[i])[:-1]
+                for i in back.body.tolist()] == logged
     assert [body(b)[:-1] for b in back.bodies] == list(dict.fromkeys(logged))
-    assert [body(back.bodies[i])[:-1] for i in back.body.tolist()] == logged
+
+
+def test_a_rest_alone_is_not_the_rest_of_a_line(tmp_path):
+    """A line holding only the rest of the line before is its own key, a
+    whole line, and not valid JSON; it does not take that line's body."""
+    line = _with()
+    rest = line.split(", ", 1)[1]
+    log = tmp_path / "log.jsonl"
+    log.write_text(f"{line}\n{rest}\n")
+    with pytest.raises(ValueError,
+                       match="^" + re.escape(f"{log}:2: invalid JSON")):
+        read_transcript(log, W33)
+    assert outcome(reference_read, log) == outcome(block_read, log)
+
+
+def test_whole_line_carried_into_the_next_block_keeps_its_seq(tmp_path,
+                                                              monkeypatch):
+    """The same line in another key order, last in one block and first in
+    the next: the second block takes its body and seq from the first, and
+    each copy reads back with the seq it holds."""
+    line = reversed_keys(_with(seq=7))
+    log = tmp_path / "log.jsonl"
+    log.write_text(line * 2)
+    decoded = decoded_whole(monkeypatch)
+    monkeypatch.setattr(upir, "_READ_BLOCK", len(line) + 1)
+    with open(log, "rb") as fh:
+        assert list(upir._line_blocks(fh)) == [line.encode()] * 2
+    seqs, bodies, _ = block_read(log)
+    assert (seqs, bodies) == ([7, 7], [0, 0])
+    assert decoded == [line.encode()]
+    assert outcome(reference_read, log) == outcome(block_read, log)
+
+
+def test_crlf_log_reads_back_the_same_events(tmp_path, monkeypatch, w33_log):
+    """A written log with \\r\\n line endings reads back the same events,
+    still from its frames and tails."""
+    path = tmp_path / "run.jsonl"
+    write_transcript(w33_log, path)
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    decoded = decoded_whole(monkeypatch)
+    a, b = read_transcript(path, W33), read_transcript(crlf, W33)
+    assert decoded == []
+    assert [observable(ev) for ev in a.events] == [
+        observable(ev) for ev in b.events] == [
+        observable(ev) for ev in w33_log.events]
 
 
 @pytest.mark.parametrize("odd", [False, True], ids=["written", "reversed"])
 @pytest.mark.parametrize("block", [64, 4096])
 def test_rest_map_of_one_block_reads_the_same(tmp_path, monkeypatch, odd,
                                               block):
-    """The reader's rest map holds one block's rests: a log as
-    write_transcript wrote it (each block at C level) and a copy with every
-    fifth line's keys reversed (each block line by line), read in small
-    blocks, give the same columns and bodies as read in one block; a rest
+    """The reader's key map holds one block's keys: a log as
+    write_transcript wrote it (its keys all rests) and a copy with every
+    fifth line's keys reversed (those lines whole-line keys), read in small
+    blocks, give the same columns and bodies as read in one block; a key
     not in the block before is interned again, to the same id."""
     sources = {"a": 5, "b": 22}
     streams = []
@@ -500,9 +579,8 @@ def test_rest_map_of_one_block_reads_the_same(tmp_path, monkeypatch, odd,
     write_transcript(joined(streams), path)
     if odd:
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(
-            json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
-            if i % 5 == 0 else line for i, line in enumerate(lines)))
+        path.write_text("".join(reversed_keys(line) if i % 5 == 0 else line
+                                for i, line in enumerate(lines)))
     interned = []
     intern = Transcript.intern
     monkeypatch.setattr(Transcript, "intern", lambda self, fields: (
