@@ -23,12 +23,12 @@ from .harness import (
     FAMILIES,
     build_family,
     geometry_summary,
+    report_text,
     resolve_coalition,
     run_analyze,
     run_infer,
     run_simulate,
     run_sweep,
-    write_json,
     write_sweep_csv,
 )
 from .upir import DisconnectedError, NotDiameterBoundedError
@@ -122,11 +122,15 @@ def build_parser():
 
 
 def _emit(report, out):
+    """Write a report to out, or to stdout when out is None.  The text is
+    built before the file is opened, so a report that cannot be encoded
+    leaves an existing file as it was."""
+    text = report_text(report)
     if out is None:
-        write_json(report, sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
-            write_json(report, fh)
+            fh.write(text)
 
 
 def _emit_sound(report, ok, out):
@@ -174,7 +178,7 @@ def _cmd_construct(args):
     save_geometry(args.out, geom.base, args.family, q=args.q, s=geom.s, t=geom.t)
     summary["command"] = "construct"
     summary["out"] = args.out
-    write_json(summary, sys.stdout)
+    _emit(summary, None)
     return 0
 
 
@@ -183,7 +187,7 @@ def _cmd_verify(args):
     s, t = geom.s, geom.t
     report = {"command": "verify", "family": family, "valid": True}
     report.update({"q": s} if t is None else {"s": s, "t": t})
-    write_json(report, sys.stdout)
+    _emit(report, None)
     return 0
 
 

@@ -443,23 +443,67 @@ class GeometryFile:
 def save_geometry(path, inc, family, q=None, s=None, t=None):
     """Write the interchange JSON: family, q, s, t, points, blocks.
 
-    Blocks are sorted lexicographically; point ids are dense 0..n-1.
+    Blocks are sorted lexicographically; point ids are dense 0..n-1.  The
+    text is built whole before the file is opened, so a value JSON cannot
+    encode (a numpy integer q, say) raises TypeError and leaves an
+    existing file as it was.
     """
-    data = {
+    text = _dumps({
         "family": family,
         "q": q,
         "s": s,
         "t": t,
         "points": list(range(inc.n_points)),
-        "blocks": [list(b) for b in sorted(inc.blocks)],
-    }
+        "blocks": sorted(inc.blocks),
+    })
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _dumps(obj, sort_keys=False):
+    """json.dumps(obj, indent=1, sort_keys=sort_keys), character for
+    character.
+
+    CPython runs json.dumps with an indent in its pure-Python encoder, a
+    generator step per item.  Here a list or tuple whose items are all
+    plain ints (type int, so not bool, IntEnum or numpy ints) is joined in
+    one str.join; other containers are walked as json walks them, and
+    scalars and keys go through json.dumps, so every value json rejects
+    raises its TypeError.
+    """
+
+    def encode(o, pad):
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = pad + " "
+            if {*map(type, o)} <= {int}:
+                items = map(str, o)
+            else:
+                items = [encode(x, inner) for x in o]
+            return f"[{inner}{(',' + inner).join(items)}{pad}]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = pad + " "
+            pairs = sorted(o.items()) if sort_keys else o.items()
+            items = [f"{key(k)}: {encode(v, inner)}" for k, v in pairs]
+            return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+        return json.dumps(o)
+
+    def key(k):
+        if isinstance(k, str):
+            return json.dumps(k)
+        if isinstance(k, (int, float)) or k is None:
+            return f'"{json.dumps(k)}"'
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+
+    return encode(obj, "\n")
 
 
 def _is_int_list(value):
-    return isinstance(value, list) and all(type(x) is int for x in value)
+    return isinstance(value, list) and {*map(type, value)} <= {int}
 
 
 def load_geometry(path):
@@ -481,7 +525,7 @@ def load_geometry(path):
     if not _is_int_list(points):
         raise ValueError("geometry file needs 'points', a list of integers")
     blocks = data.get("blocks")
-    if not (isinstance(blocks, list) and all(_is_int_list(b) for b in blocks)):
+    if not (isinstance(blocks, list) and all(map(_is_int_list, blocks))):
         raise ValueError("geometry file needs 'blocks', a list of integer lists")
     if sorted(points) != list(range(len(points))):
         raise ValueError("points must be exactly 0..n-1")

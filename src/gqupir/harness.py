@@ -7,10 +7,9 @@ files byte for byte.
 """
 
 import csv
-import json
 import math
 from contextlib import nullcontext
-from dataclasses import astuple, fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .adversary import (
     secure_at,
 )
 from .fields import field
-from .geometry import build_pg2, build_q4, build_w3
+from .geometry import _dumps, build_pg2, build_q4, build_w3
 from .upir import (
     Transcript,
     UPIRSystem,
@@ -241,14 +240,22 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def write_sweep_csv(rows, fh):
+    """The sweep table as CSV: a header of SWEEP_COLUMNS, then one line per
+    SweepRow with its fields in that order, the coalition as space-separated
+    member ids and within_bound as 0 or 1."""
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(SWEEP_COLUMNS)
-    for r in rows:
-        w.writerow(astuple(replace(
-            r, coalition=" ".join(map(str, r.coalition)),
-            within_bound=int(r.within_bound))))
+    w.writerows([{**vars(r), "coalition": " ".join(map(str, r.coalition)),
+                  "within_bound": int(r.within_bound)}.values() for r in rows])
+
+
+def report_text(report):
+    """A report as written: JSON with sorted keys, indented one space, and a
+    newline.  A value JSON cannot encode raises TypeError."""
+    return _dumps(report, sort_keys=True) + "\n"
 
 
 def write_json(report, fh):
-    json.dump(report, fh, indent=1, sort_keys=True)
-    fh.write("\n")
+    """Write report_text(report) to fh in one call, so a report that cannot
+    be encoded writes nothing."""
+    fh.write(report_text(report))

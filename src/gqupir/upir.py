@@ -58,6 +58,8 @@ from itertools import chain
 
 import numpy as np
 
+from .geometry import _dumps
+
 WRITE_REQUEST = "write_request"
 WRITE_RESPONSE = "write_response"
 DB_REQUEST = "db_request"
@@ -627,14 +629,17 @@ def _stream_writer(path):
 
 
 def write_ground_truth(transcript, path):
-    """The sidecar: topic -> source, plus run parameters."""
+    """The sidecar: topic -> source, plus run parameters.  The text is built
+    whole before the file is opened, so a value JSON cannot encode (a numpy
+    integer source, say) raises TypeError and leaves an existing file as it
+    was."""
+    text = _dumps({
+        "protocol": transcript.protocol,
+        "seed": transcript.seed,
+        "topics": transcript.ground_truth,
+    })
     with open(path, "w") as fh:
-        json.dump({
-            "protocol": transcript.protocol,
-            "seed": transcript.seed,
-            "topics": transcript.ground_truth,
-        }, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @_gc_paused

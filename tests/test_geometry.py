@@ -1,3 +1,6 @@
+import json
+import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -14,6 +17,7 @@ from gqupir.geometry import (
     HigmanViolation,
     IncidenceStructure,
     VerificationFailed,
+    _dumps,
     _form,
     _quadrangle,
     build_pg2,
@@ -328,8 +332,6 @@ def test_geometry_file_roundtrip(tmp_path):
 
 
 def test_geometry_file_is_sorted(tmp_path):
-    import json
-
     inc = build_pg2(GF(2)).base
     path = tmp_path / "fano.json"
     save_geometry(path, inc, family="pg2", q=2, s=2, t=2)
@@ -339,8 +341,6 @@ def test_geometry_file_is_sorted(tmp_path):
 
 
 def test_geometry_file_accepts_custom_designs(tmp_path):
-    import json
-
     # a hand-built pairwise balanced design with mixed block sizes
     data = {
         "family": "custom",
@@ -355,12 +355,71 @@ def test_geometry_file_accepts_custom_designs(tmp_path):
 
 
 def test_geometry_file_rejects_bad_points(tmp_path):
-    import json
-
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"family": "x", "points": [0, 2], "blocks": [[0, 2]]}))
     with pytest.raises(ValueError):
         load_geometry(path)
+
+
+def test_failed_save_leaves_the_earlier_file(tmp_path):
+    """A value JSON cannot encode raises json's TypeError before the file
+    is opened, so a file already at the path keeps its bytes."""
+    inc = get_gq("w3", 2).base
+    path = tmp_path / "w3_2.json"
+    save_geometry(path, inc, "w3", q=2, s=2, t=2)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        save_geometry(path, inc, "w3", q=np.int64(2), s=2, t=2)
+    assert path.read_bytes() == before
+
+
+# JSON values as json.dumps takes them, with the cases its encoder treats
+# apart: ints past 64 bits, bools among ints, non-finite floats and -0.0,
+# escapes, non-ASCII text and lone surrogates, tuples, and empty containers
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"\\/\b\f\n\r\t\x00\x1f\x7f', "é✓😀", "\ud800", "a\udfffb"])
+_INTS = (st.integers() | st.integers(min_value=2**64)
+         | st.integers(max_value=-2**64))
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+_INT_LISTS = st.lists(_INTS) | st.lists(_INTS).map(tuple)
+_MIXED_LISTS = st.lists(_INTS | st.booleans(), min_size=1)
+
+
+def _json_values(keys):
+    return st.recursive(
+        _SCALARS | _INT_LISTS | _MIXED_LISTS,
+        lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                       | st.dictionaries(keys, inner)),
+        max_leaves=25)
+
+
+@pytest.mark.parametrize("sort_keys,keys", [
+    (True, _TEXT),
+    (False, _TEXT | _INTS | _FLOATS | st.booleans() | st.none()),
+], ids=["sorted", "unsorted"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dumps_matches_json_dumps(sort_keys, keys, data):
+    value = data.draw(_json_values(keys))
+    assert _dumps(value, sort_keys) == json.dumps(value, indent=1,
+                                                  sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("value,sort_keys", [
+    (np.int64(2), False),
+    ([1, 2, np.int64(3)], False),
+    ({"q": np.int64(2)}, True),
+    ({"a": [[0, 1], (np.int64(2),)]}, False),
+    ({(1, 2): 0}, False),
+    ({1: 0, "a": 1}, True),
+    ({1, 2}, False),
+])
+def test_dumps_raises_what_json_dumps_raises(value, sort_keys):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=1, sort_keys=sort_keys)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        _dumps(value, sort_keys)
 
 
 @settings(max_examples=25, deadline=None)

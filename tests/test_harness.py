@@ -60,6 +60,31 @@ def test_construct_file_matches_golden_digest(tmp_path, capsys, family, q):
     assert digest == GOLDEN_GEOMETRY[family, q]
 
 
+# SHA-256 of construct's and verify's stdout for a quadrangle and a plane,
+# which verify reports by order (s, t) and by q.  The digests were taken
+# before reports were written by geometry._dumps.
+GOLDEN_STDOUT = {
+    ("w3", 3): ("9dce9cc7b7ae4429ff4ca744fbe4fd2d7317efe7aac4626cc4cb07c54de99343",
+                "106e57d009518a1cd8203e9080e8dd0ba9c577a4cd48c3fc8fe711eb9ada31d7"),
+    ("pg2", 4): ("d978c20756700975a29080495a72867fe4a9de37c8c7ea4715662ad228fc4fc4",
+                 "477557a31e8f9fc5a430e9afe94b0e5883fc3d3369ead0a2609c0fe0cedcc6b8"),
+}
+
+
+@pytest.mark.parametrize("family,q", list(GOLDEN_STDOUT))
+def test_construct_and_verify_stdout_match_golden_digests(
+        tmp_path, monkeypatch, capsys, family, q):
+    monkeypatch.chdir(tmp_path)  # the summary names its file as given
+    out = f"{family}.json"
+    assert run_cli("construct", "--family", family, "--q", str(q),
+                   "--out", out) == 0
+    construct = capsys.readouterr().out
+    assert run_cli("verify", "--in", out) == 0
+    verify = capsys.readouterr().out
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (construct, verify)) == GOLDEN_STDOUT[family, q]
+
+
 def test_verify_rejects_tampered_file(tmp_path, capsys):
     out = tmp_path / "w32.json"
     assert run_cli("construct", "--family", "w3", "--q", "2", "--out", str(out)) == 0
@@ -301,6 +326,9 @@ def test_infer_scores_a_simulated_log(tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path / "b.json")) == 0
     assert (tmp_path / "a.json").read_bytes() == (
         tmp_path / "b.json").read_bytes()
+    # taken before reports were written by geometry._dumps
+    assert hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest() == (
+        "8137f9dfd880f943a051ea21a9a911306eaadafc08ffea45a97fb0219b56db2a")
     sim = json.loads((tmp_path / "sim.json").read_text())
     report = json.loads((tmp_path / "a.json").read_text())
     assert report["command"] == "infer" and report["sound"] is True

@@ -632,6 +632,17 @@ def test_failed_write_leaves_the_earlier_log(tmp_path, w33_log):
         "reference.jsonl", "run.jsonl"]
 
 
+def test_failed_sidecar_write_leaves_the_earlier_file(tmp_path):
+    """A source JSON cannot encode raises json's TypeError before the
+    sidecar is opened, so a file already at the path keeps its bytes."""
+    side = tmp_path / "run.truth.json"
+    side.write_text("earlier\n")
+    truth = Transcript(W33, 2, 5, (), {"t000": np.int64(6)})
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        write_ground_truth(truth, side)
+    assert side.read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize("line,message", [
     # not a key: a quote inside a string is escaped
     (_with(topic='a, "topic": "b"'), None),
