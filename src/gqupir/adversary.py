@@ -50,6 +50,7 @@ valid when a single linked sequence is being tracked, so it stays off by
 default.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -318,21 +319,15 @@ class CoalitionTracker:
 
     def observe(self, event):
         """Pass the event to _ingest for each member that sees it, with
-        whether it reads the payload, as upir.access decides.  Database
-        calls (space None) name their proxy, never their source: they go,
-        with writes in spaces no member holds, before the rule is asked."""
-        if event.space not in self._watched:
-            return
-        for m in self.coalition:
-            readable = access(self.system, m, event)
-            if readable is not None:
-                self._ingest(m, event, readable)
+        whether it reads the payload: the calls _calls() lists."""
+        for call in self._calls(event):
+            self._ingest(*call)
 
     def sees(self, proxy, route):
         """Whether observe() can act on any event of one query, given its
-        proxy and its route as a pair of upir._draw_queries (None when the
-        source proxied for itself).  A set-based shortcut derived from
-        upir.access, asked once per distinct route of a block: database
+        proxy and its route as an entry of upir._draw_queries' pairs (route
+        None when the source proxied for itself).  A set-based shortcut
+        derived from upir.access, asked once per route of a stream: database
         events never count, and a write counts for a member of its space
         when the member may read it or relay metadata is attributed.  So
         under protocol 1, or with relay_metadata, a query counts when some
@@ -347,6 +342,15 @@ class CoalitionTracker:
             self.observe(ev)
 
     # internals
+
+    def _calls(self, event):
+        """observe()'s (member, event, readable) calls of _ingest, as
+        upir.access decides them.  Database calls (space None) name their
+        proxy, never their source: they make none, before access is asked."""
+        if event.space not in self._watched:
+            return []
+        return [(m, event, readable) for m in self.coalition
+                if (readable := access(self.system, m, event)) is not None]
 
     def _live(self, topic):
         """The topic's candidate set itself, not a copy."""
@@ -409,6 +413,16 @@ class CoalitionTracker:
             st.cand &= self._members[space] - {m}
 
 
+def _route_tables(tracker, pairs, events_of):
+    """A stream's tables, by route index k into its pairs: seen, a bool
+    array of tracker.sees() per route, and calls_of(k), cached, the list of
+    _ingest calls that observe() makes for the events of k's query, which
+    events_of(k) gives in order."""
+    seen = np.fromiter((tracker.sees(*p) for p in pairs), bool, len(pairs))
+    return seen, functools.cache(lambda k: [
+        call for event in events_of(k) for call in tracker._calls(event)])
+
+
 @_gc_paused
 def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                     seed, analytic=None, relay_metadata=False, on_step=None,
@@ -418,11 +432,12 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     topic_sources maps topic -> source user, outside the coalition (a source
     inside it is a ValueError).  Each topic gets its own deterministic
     substream of the seed, so results do not depend on which other topics
-    are present.  Queries come a block at a time from the draw-and-intern
-    path of upir.run_protocol (NotDiameterBoundedError for protocol 2
-    beyond distance 2).  The tracker is fed only the queries sees() admits;
-    without a log any other query is skipped before it is interned, and
-    drawing stops at most one block past convergence.  on_step, when given,
+    are present.  Queries come a block at a time, as route indices, from
+    the draw-and-intern path of upir.run_protocol (NotDiameterBoundedError
+    for protocol 2 beyond distance 2).  A query that sees() admits is fed
+    by replaying its route's observe() calls (_route_tables); without a log
+    any other is skipped before it is interned, and drawing stops at most
+    one block past convergence.  on_step, when given,
     is called after each query that changed the topic's candidate set, as
     on_step(topic, queries_so_far, candidates), with live tracker state to
     be read and not kept.  log, when given, is called as log(stream) once
@@ -447,18 +462,19 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
         workload = QueryWorkload(source, topic, queries_cap, protocol=protocol)
         done, rounds, converged = 0, queries_cap, False
         store = Transcript(system, protocol, seed, (), {topic: source})
-        ids_of, logged = _body_ids(store, workload), []
-        for pairs, inv in _draw_queries(system, workload, rng):
+        pairs, blocks = _draw_queries(system, workload, rng)
+        ids_of, logged = _body_ids(store, workload, pairs), []
+        seen, calls_of = _route_tables(tracker, pairs, lambda k: map(
+            store.bodies.__getitem__, ids_of(k)))
+        for key in blocks:
             if log is not None:
-                logged.append(_block_columns([ids_of(*p) for p in pairs], inv))
+                logged.append(_block_columns(ids_of, key))
             if not converged:
-                seen = np.fromiter((tracker.sees(*p) for p in pairs), bool,
-                                   len(pairs))[inv]
-                at = np.flatnonzero(seen)
-                for qi, k in zip(at.tolist(), inv[at].tolist()):
+                at = np.flatnonzero(seen[key])
+                for qi, k in zip(at.tolist(), key[at].tolist()):
                     before = len(tracker._live(topic))
-                    tracker.feed(map(store.bodies.__getitem__,
-                                     ids_of(*pairs[k])))
+                    for call in calls_of(k):
+                        tracker._ingest(*call)
                     cand = tracker._live(topic)
                     if on_step is not None and len(cand) != before:
                         on_step(topic, done + qi + 1, cand)
@@ -466,7 +482,7 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
                         rounds = done + qi + 1
                         converged = True
                         break
-            done += len(inv)
+            done += len(key)
             if converged and log is None:
                 break
         out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,

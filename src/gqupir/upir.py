@@ -23,8 +23,9 @@ once per stream.  _draws finds the roles of a whole block in numpy and
 applies numpy's 32-bit Lemire rule to it; a rejected value is dropped and
 the chain restarts after it.  Blocks grow from 1024 values to 4096, and
 the last is drawn again up to its last used value, so the values and the
-Generator state are those of one scalar rng.integers call per draw.  Each
-distinct (proxy, route) of a block has its bodies interned once per stream,
+Generator state are those of one scalar rng.integers call per draw.  A
+query is keyed by its route index first[proxy] + route draw; each route has
+its bodies interned once per stream, a block's new ones in ascending order,
 and the block's columns are gathered from them in numpy.  Each stream is a
 Transcript of its own, and _stream_writer appends streams to one log.
 
@@ -342,9 +343,10 @@ def _draws(rng, count, n, bounds):
     bounds is a uint64 array of route counts per proxy, 1 where no route is
     drawn; a bound-1 call consumes no value, so n == 1 draws nothing.  A
     draw maps raw x to x * bound >> 32, rejecting x while x * bound mod
-    2**32 < (2**32 - bound) % bound.  In a run of values whose proxy reading
-    x * n >> 32 has several routes, roles alternate from a proxy draw; any
-    other value is followed by a proxy draw.  The last block is rewound.
+    2**32 < (2**32 - bound) % bound, a threshold taken only where the low
+    word is below bound.  In a run of values whose proxy reading x * n >> 32
+    has several routes, roles alternate from a proxy draw; any other value
+    is followed by a proxy draw.  The last block is rewound.
     """
     left = count  # queries not complete, one waiting for its route included
     pending = -1  # the proxy of a query waiting for its route draw
@@ -355,7 +357,7 @@ def _draws(rng, count, n, bounds):
         proxies, picks, used = [], [], 0
         while left and used < size:
             x = raw[used:]
-            reading = x * n >> 32
+            reading = (x * n >> 32).astype(np.intp)
             multi = bounds[reading] > 1
             if pending >= 0:
                 multi[0] = False  # x[0] is the waiting route draw
@@ -363,24 +365,27 @@ def _draws(rng, count, n, bounds):
             run = i - np.maximum.accumulate(np.where(multi, -1, i))
             route = np.empty(len(x), bool)
             route[0] = pending >= 0
-            route[1:] = multi[:-1] & (run[:-1] % 2 == 1)
+            route[1:] = multi[:-1] & (run[:-1] & 1 == 1)
             owner = np.empty_like(reading)  # a route draw's proxy
             owner[0] = max(pending, 0)
             owner[1:] = reading[:-1]
             bound = np.where(route, bounds[owner], np.uint64(n))
             m = x * bound
-            keep = m & 0xFFFFFFFF >= (_U32 - bound) % bound
-            cut = len(x) if keep.all() else int(keep.argmin())
+            low = m & 0xFFFFFFFF
+            near = np.flatnonzero(low < bound)  # the threshold is below bound
+            bad = near[low[near] < (_U32 - bound[near]) % bound[near]]
+            cut = int(bad[0]) if len(bad) else len(x)
             done = route | ~multi
-            # stop at the left-th completion
-            cut = min(cut, int(np.cumsum(done[:cut]).searchsorted(left)) + 1)
+            if np.count_nonzero(done[:cut]) >= left:  # stop at the left-th
+                cut = int(np.cumsum(done[:cut]).searchsorted(left)) + 1
             done[cut:] = False
-            draw = m >> 32
-            proxies.append(np.where(route, owner, draw)[done])
-            picks.append(np.where(route, draw, 0)[done])
+            draw = (m >> 32).astype(np.intp)
+            at = np.flatnonzero(done)
+            proxies.append(np.where(route, owner, draw)[at])
+            picks.append(np.where(route, draw, 0)[at])
             if cut:
                 pending = -1 if done[cut - 1] else int(draw[cut - 1])
-            left -= len(proxies[-1])
+            left -= len(at)
             used += cut + (left > 0 and cut < len(x))  # and the rejected one
         if n == 1:  # a bound-1 call draws no value
             used = 0
@@ -388,8 +393,7 @@ def _draws(rng, count, n, bounds):
             rng.bit_generator.state = state
             rng.integers(0, _U32, size=used, dtype=np.uint32)
         size = min(2 * size, _BLOCK)
-        yield (np.concatenate(proxies).astype(np.int64),
-               np.concatenate(picks).astype(np.int64))
+        yield np.concatenate(proxies), np.concatenate(picks)
 
 
 def _routes_from(system, source):
@@ -413,12 +417,12 @@ def _routes_from(system, source):
 
 
 def _draw_queries(system, workload, rng):
-    """Yield one workload's queries a block at a time, as (pairs, inv):
-    the block's distinct (proxy, route), route a shortest path (source, M1,
-    u1, ..., proxy) or None for the source itself, and each query's index
-    into pairs.  A bad source is a ValueError, and protocol 2 with users
-    beyond distance 2 a NotDiameterBoundedError, before any draw.  A
-    query's key into the _routes_from table is first[proxy] + route draw."""
+    """One workload's queries as (pairs, blocks): the stream's route table,
+    a (proxy, route) per route of _routes_from, route a shortest path
+    (source, M1, u1, ..., proxy) or None for the source itself; and per
+    block an int64 array of each query's index first[proxy] + route draw
+    into it.  A bad source is a ValueError, and protocol 2 with users beyond
+    distance 2 a NotDiameterBoundedError, before any draw."""
     n, source = system.n_users, workload.source
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
@@ -430,21 +434,16 @@ def _draw_queries(system, workload, rng):
                 raise NotDiameterBoundedError(
                     f"user pair {(u, v)} at distance {row[v]} > 2")
     routes, first, bounds = _routes_from(system, source)
-    for proxy, pick in _draws(rng, workload.count, n, bounds):
-        if len(proxy):
-            key = first[proxy] + pick
-            hit = np.zeros(len(routes), bool)
-            hit[key] = True
-            drawn = map(routes.__getitem__, np.flatnonzero(hit).tolist())
-            yield ([(source, r) if r is None else (r[-1], r) for r in drawn],
-                   (np.cumsum(hit) - 1)[key])
+    return ([(source, r) if r is None else (r[-1], r) for r in routes],
+            (first[proxy] + pick for proxy, pick in _draws(
+                rng, workload.count, n, bounds) if len(proxy)))
 
 
 def _query_bodies(workload, proxy, route):
     """The bodies of one query's events, in order, as Transcript.intern
     takes them: a write request per hop, the database request and response,
-    then a write response per hop back.  route is as _draw_queries gives
-    it."""
+    then a write response per hop back.  (proxy, route) is an entry of
+    _draw_queries' pairs."""
     topic = workload.topic
     vis = _VISIBILITIES[workload.protocol - 1]
     hops = 0 if route is None else len(route) // 2
@@ -457,17 +456,20 @@ def _query_bodies(workload, proxy, route):
             vis, route[2 * j + 2]) for j in reversed(range(hops))])
 
 
-def _body_ids(store, workload):
-    """One stream's function (proxy, route) -> the ids in store of that
-    query's bodies, in order, cached so that each distinct route (which
-    fixes its proxy) is interned once."""
-    return functools.cache(lambda proxy, route: tuple(
-        map(store.intern, _query_bodies(workload, proxy, route))))
+def _body_ids(store, workload, pairs):
+    """One stream's function k -> the ids in store of the bodies of the
+    query with route index k into pairs, in order, cached so that each
+    route is interned once."""
+    return functools.cache(lambda k: tuple(
+        map(store.intern, _query_bodies(workload, *pairs[k]))))
 
 
-def _block_columns(ids, inv):
-    """A block's (body, sizes) for Transcript.extend, from the body ids of
-    its distinct routes and inv, each query's index into them."""
+def _block_columns(ids_of, key):
+    """A block's (body, sizes) for Transcript.extend, from its queries'
+    route indices; the block's new routes are interned in ascending
+    order."""
+    routes, inv = np.unique(key, return_inverse=True)
+    ids = list(map(ids_of, routes.tolist()))
     lens = np.fromiter(map(len, ids), np.int64, len(ids))
     flat = np.fromiter(chain.from_iterable(ids), np.int32)
     sizes = lens[inv]
@@ -502,9 +504,9 @@ def run_protocol(system, workload, seed_or_rng):
     rng, seed = _as_rng(seed_or_rng)
     transcript = Transcript(system, workload.protocol, seed, (),
                             {workload.topic: workload.source})
-    ids_of = _body_ids(transcript, workload)
-    transcript.extend([_block_columns([ids_of(*p) for p in pairs], inv)
-                       for pairs, inv in _draw_queries(system, workload, rng)])
+    pairs, blocks = _draw_queries(system, workload, rng)
+    ids_of = _body_ids(transcript, workload, pairs)
+    transcript.extend([_block_columns(ids_of, key) for key in blocks])
     return transcript
 
 
@@ -548,9 +550,10 @@ def _view(transcript, rule):
 
 def observer_view(transcript, observer):
     """Everything one honest-but-curious user sees of a transcript, in
-    order, as access() decides it."""
+    order, as access() decides it; an observer outside 0..n-1 is a
+    ValueError."""
     return _view(transcript, functools.partial(
-        access, transcript.system, observer))
+        access, transcript.system, transcript.system._user(observer)))
 
 
 def external_view(transcript):

@@ -1,5 +1,6 @@
 """Inference: analytic partitions, margins, trackers, placement, sweeps."""
 
+import hashlib
 import math
 import weakref
 from collections import Counter
@@ -16,6 +17,7 @@ from gqupir.adversary import (
     CoalitionTracker,
     DegeneratePartition,
     PseudonymityPartition,
+    _route_tables,
     analytic_coalition,
     analytic_single,
     coalition_sweep,
@@ -36,6 +38,7 @@ from gqupir.upir import (
     UPIRSystem,
     _draw_queries,
     _query_bodies,
+    _stream_writer,
     iter_protocol_events,
     observer_view,
     read_transcript,
@@ -440,6 +443,7 @@ def reference_converge(system, coalition, protocol, topic_sources, cap, seed,
 
 
 GEOMETRIES = {
+    "w3-2": lambda: get_gq("w3", 2),
     "w3-3": lambda: get_gq("w3", 3),
     "q4-3": lambda: get_gq("q4", 3),
     "pg2-3": lambda: get_plane(3),
@@ -546,20 +550,34 @@ class _ActionProbe(CoalitionTracker):
 @pytest.mark.parametrize("protocol,relay_metadata",
                          [(1, False), (2, False), (2, True)])
 def test_tracker_sees_exactly_the_queries_it_acts_on(protocol, relay_metadata):
+    """For every route of a stream, drawn or not, the route table's seen
+    entry is sees(), which holds exactly when feeding the query's events
+    reaches an event the tracker acts on, and replaying the table's calls
+    acts just as feeding the events does."""
     sys_ = w33_system()
     coalition = (0, 13)
     tracker = CoalitionTracker(sys_, coalition, protocol,
                                relay_metadata=relay_metadata)
     workload = QueryWorkload(31, "t", 400, protocol=protocol)
+    pairs, _ = _draw_queries(sys_, workload, np.random.default_rng(12))
+
+    def events_of(k):
+        return [TranscriptEvent(-1, *body, -1)
+                for body in _query_bodies(workload, *pairs[k])]
+
+    seen, calls_of = _route_tables(tracker, pairs, events_of)
+    assert len(seen) == len(pairs) == 121
     acted = []
-    blocks = _draw_queries(sys_, workload, np.random.default_rng(12))
-    for proxy, route in (pairs[k] for pairs, inv in blocks
-                         for k in inv.tolist()):
+    for k, (proxy, route) in enumerate(pairs):
         probe = _ActionProbe(sys_, coalition, protocol,
                              relay_metadata=relay_metadata)
-        probe.feed(TranscriptEvent(-1, *body, -1)
-                   for body in _query_bodies(workload, proxy, route))
-        assert tracker.sees(proxy, route) == probe.acted
+        probe.feed(events_of(k))
+        assert seen[k] == tracker.sees(proxy, route) == probe.acted
+        replay = _ActionProbe(sys_, coalition, protocol,
+                              relay_metadata=relay_metadata)
+        for call in calls_of(k):
+            replay._ingest(*call)
+        assert replay.acted == probe.acted
         acted.append(probe.acted)
     assert any(acted) and not all(acted)
 
@@ -694,6 +712,97 @@ def test_converge_topics_stops_at_its_own_floor():
                              analytic=analytic_single(w33(), 0, 2))
     assert states["t"].converged and states["t"].rounds_observed == 83
     assert len(states["t"].candidates) == 27
+
+
+def event_by_event_converge(system, coalition, protocol, topic_sources,
+                            cap, seed, analytic=None, relay_metadata=False,
+                            on_step=None, log=None):
+    """converge_topics tracking event by event, without route tables: each
+    query of the stream has its events built, and those of a query sees()
+    admits are fed one by one through observe() until convergence, which is
+    checked after each.  log gets each topic's whole stream, interned event
+    by event."""
+    out = {}
+    topics = sorted(topic_sources)
+    children = np.random.SeedSequence(seed).spawn(len(topics))
+    for topic, child in zip(topics, children):
+        source = topic_sources[topic]
+        tracker = CoalitionTracker(system, coalition, protocol,
+                                   analytic=analytic,
+                                   relay_metadata=relay_metadata)
+        workload = QueryWorkload(source, topic, cap, protocol=protocol)
+        pairs, blocks = _draw_queries(system, workload,
+                                      np.random.default_rng(child))
+        events, rounds, converged = [], cap, False
+        for qi, k in enumerate(np.concatenate(list(blocks)).tolist()):
+            query = [TranscriptEvent(len(events) + j, *body, qi) for j, body
+                     in enumerate(_query_bodies(workload, *pairs[k]))]
+            events.extend(query)
+            if converged or not tracker.sees(*pairs[k]):
+                continue
+            before = len(tracker.candidates(topic))
+            tracker.feed(query)
+            cand = tracker.candidates(topic)
+            if on_step is not None and len(cand) != before:
+                on_step(topic, qi + 1, cand)
+            if tracker.converged(topic):
+                rounds, converged = qi + 1, True
+        out[topic] = CandidateState(topic, tracker.candidates(topic), rounds,
+                                    converged, source)
+        if log is not None:
+            log(Transcript(system, protocol, seed, events, {topic: source}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("protocol,relay_metadata",
+                         [(1, False), (1, True), (2, False), (2, True)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_converge_topics_matches_event_by_event_tracking(
+        tmp_path_factory, name, protocol, relay_metadata, data):
+    """The route-table replay gives the states, on_step calls and log bytes
+    of feeding every event of each seen query through observe()."""
+    run = data.draw(tracking_runs(name, protocol, relay_metadata))
+    cap = data.draw(st.sampled_from([run["cap"], 3000]))
+    geom = GEOMETRIES[name]()
+    system = UPIRSystem(geom.base)
+    coalition = run["coalition"]
+    analytic = (analytic_coalition(geom, coalition, protocol)
+                if run["floor"] else None)
+    out = tmp_path_factory.mktemp("tracking")
+    results = []
+    for converge in (converge_topics, event_by_event_converge):
+        steps = []
+        path = out / f"{converge.__name__}.jsonl"
+        with _stream_writer(path) as append:
+            states = converge(
+                system, coalition, protocol, run["sources"], cap, run["seed"],
+                analytic=analytic, relay_metadata=relay_metadata,
+                on_step=lambda topic, rounds, cand: steps.append(
+                    (topic, rounds, frozenset(cand))),
+                log=append if run["log"] else None)
+        results.append((states, steps, path.read_bytes()))
+    assert results[0] == results[1]
+
+
+def test_encrypted_floor_on_step_digest():
+    """At encrypted-floor's inputs (bench/workloads.py, seed 1) the arrival
+    rule fires once per topic; the digest pins the query at which it does,
+    which the benchmark's check of the final classes cannot see."""
+    gq = w33()
+    rng = np.random.default_rng(1)
+    far = sorted(gq.ball(0, 2))
+    sources = {f"t{i:03d}": int(rng.choice(far)) for i in range(10)}
+    steps = []
+    states = converge_topics(
+        w33_system(), (0,), 2, sources, 10_000, 1, analytic=None,
+        on_step=lambda topic, rounds, cand: steps.append(
+            (topic, rounds, len(cand))))
+    assert all(st.rounds_observed == 10_000 and len(st.candidates) == 27
+               for st in states.values())
+    assert hashlib.sha256(repr(steps).encode()).hexdigest() == (
+        "2b322f3322fa5d5a05ae918a411c90245603bcbf7be343c51ba14b77fa30e200")
 
 
 def reference_infer(transcript, coalition, analytic=None,

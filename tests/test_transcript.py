@@ -829,8 +829,8 @@ def test_collector_stays_paused_through_converge_topics_in_simulate(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(adversary.CoalitionTracker, "observe",
-                        recording(adversary.CoalitionTracker.observe))
+    monkeypatch.setattr(adversary.CoalitionTracker, "_ingest",
+                        recording(adversary.CoalitionTracker._ingest))
     monkeypatch.setattr(Transcript, "extend", recording(Transcript.extend))
     report, ok = harness.run_simulate(get_gq("w3", 3), "w3", 3, 1, (0, 13),
                                       2, 300, 1,

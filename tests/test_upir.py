@@ -435,6 +435,14 @@ def test_observer_view_membership_and_payload():
                         assert ve.topic is None
 
 
+@pytest.mark.parametrize("bad", [-1, 10**6])
+def test_observer_view_rejects_observer_out_of_range(bad):
+    # an observer outside 0..39 is an error, not an observer who saw nothing
+    tr = run_protocol(w33_system(), QueryWorkload(0, "t", 20), 3)
+    with pytest.raises(ValueError, match=f"^user {bad} out of range$"):
+        observer_view(tr, bad)
+
+
 def test_external_view_is_db_traffic():
     sys_ = w33_system()
     tr = run_protocol(sys_, QueryWorkload(3, "t", 80, protocol=2), 1)
