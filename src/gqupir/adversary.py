@@ -118,8 +118,8 @@ class PseudonymityPartition:
 
 def _keys(geom, c, protocol):
     """Per user, its key under observer c (see the module docstring); a far
-    user's common neighbours with c are its collinearity row restricted to
-    the users collinear with c, as bytes."""
+    user's common neighbours with c are its column of the collinearity rows
+    of the users collinear with c, as bytes."""
     n = geom.n_points
     if protocol == 2:
         keys = [-1] * n
@@ -127,9 +127,8 @@ def _keys(geom, c, protocol):
             for u in geom.base.blocks[m]:
                 keys[u] = m
     else:
-        coll = geom.base.collinearity()
-        near = coll[c]
-        perp = coll[:, near]
+        near = geom.base.collinear_rows(c)
+        perp = geom.base.collinear_rows(np.flatnonzero(near)).T.copy()
         keys = [u if near[u] else perp[u].tobytes() for u in range(n)]
     keys[c] = None
     return keys
@@ -296,7 +295,6 @@ class CoalitionTracker:
         self._class_set = None if analytic is None else set(analytic.classes)
         self._route_len = 2 * system.diameter() - 1
         self._members = system.structure.block_sets
-        self._coll = system.structure.collinearity()
         self._initial = frozenset(range(system.n_users)) - set(self.coalition)
         self._proxy_only = protocol == 2 and not relay_metadata
         self._watched = frozenset(
@@ -397,8 +395,8 @@ class CoalitionTracker:
                     (missing,) = members - seen
                     # the source is missing or collinear with it (when
                     # missing is m, m itself is no candidate)
-                    cand.intersection_update(
-                        [missing, *np.flatnonzero(self._coll[missing]).tolist()])
+                    row = self.system.structure.collinear_rows(missing)
+                    cand.intersection_update([missing, *np.flatnonzero(row).tolist()])
 
     def _arrival_rules(self, st, m, space):
         arr = st.arrivals.setdefault(m, {})
@@ -536,14 +534,13 @@ def place_coalition(geom, size, placement, seed=0):
     if placement == "random":
         rng = np.random.default_rng(seed)
         return tuple(sorted(int(x) for x in rng.choice(n, size, replace=False)))
-    coll = geom.base.collinearity()
     if placement == "spread":
         rng = np.random.default_rng(seed)
         chosen = [int(rng.integers(n))]
         while len(chosen) < size:
             free = np.ones(n, bool)
             free[chosen] = False
-            far = free & ~coll[chosen].any(0)
+            far = free & ~geom.base.collinear_rows(chosen).any(0)
             chosen.append(int((far if far.any() else free).argmax()))
         return tuple(sorted(chosen))
     if placement == "line":
@@ -557,7 +554,7 @@ def place_coalition(geom, size, placement, seed=0):
         free = np.ones(n, bool)
         free[list(block)] = False
         for w in block[1:size]:
-            y = int((coll[w] & free).argmax())
+            y = int((geom.base.collinear_rows(w) & free).argmax())
             free[y] = False
             chosen.append(y)
         return tuple(sorted(chosen))

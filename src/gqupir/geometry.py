@@ -29,8 +29,9 @@ u and v: every point of it lies in both, and a common point w off it would
 be collinear with u and with v, a triangle, which a quadrangle has none of.
 Each line is kept once, from its smallest point.
 
-Collinearity has one form, IncidenceStructure.collinearity(): an n x n
-boolean matrix filled once from the blocks, which every layer reads.
+Collinearity has one form, IncidenceStructure.collinearity(): n x n bits
+packed along rows, one _or_step from the identity.  UPIRSystem's search and
+the verifiers run that step too; other readers unpack collinear_rows().
 
 Every constructor returns a Geometry.  Point ids are assigned by
 lexicographic order of canonical coordinates and blocks are sorted
@@ -46,26 +47,14 @@ point of L is collinear with x.  Consequences used throughout: there are
 (s+1)(st+1) points and (t+1)(st+1) blocks, no triangles, |B1(x)| = s(t+1)
 and |B2(x)| = s^2*t, and s <= t^2, t <= s^2 whenever s,t > 1 (Higman).
 
-Each verifier checks its family's defining axiom once per block or point,
-after the counts, and gets every other axiom by counting (the proofs are
-in their docstrings):
-
-``verify_gq``     constant block size and point degree, s, t >= 1, the
-                  point count, Higman, and per block L that every point is
-                  on L or collinear with a point of L.  The s+1 points of L
-                  see at most (s+1)*t*s = v - (s+1) points off L, so each
-                  is seen exactly once; that equality gives the projection
-                  axiom, two points on at most one block and no triangle.
-``verify_plane``  constant block size q+1 with q >= 2, q^2+q+1 points and
-                  blocks, and every point collinear with the other n-1.
-                  b*C(q+1,2) = C(n,2), so no pair of points is on two
-                  blocks, and two blocks meet once; three blocks L, ac, bc
-                  cover 3q points, so a quadrilateral exists.
+After the counts, verify_gq checks that every point is on each block L or
+collinear with a point of L, verify_plane that every two points are
+collinear; the other axioms follow by counting, as their docstrings prove.
 """
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -102,29 +91,35 @@ class IncidenceStructure:
     def __init__(self, n_points, blocks, label=""):
         if n_points < 1:
             raise ValueError("need at least one point")
-        cleaned = []
-        for blk in blocks:
-            tup = tuple(sorted(blk))
-            if len(set(tup)) != len(tup):
-                raise ValueError(f"block {blk!r} repeats a point")
-            if not tup:
-                raise ValueError("empty block")
-            if tup[0] < 0 or tup[-1] >= n_points:
-                raise ValueError(f"block {blk!r} uses an id outside 0..{n_points - 1}")
-            cleaned.append(tup)
-        cleaned.sort()
+        given = list(blocks)
         self.n_points = n_points
-        self.blocks = tuple(cleaned)
+        self.blocks = tuple(sorted(tuple(sorted(blk)) for blk in given))
+        self.block_sets = tuple(map(frozenset, self.blocks))
         self.label = label
-        per_point = [[] for _ in range(n_points)]
-        for bi, blk in enumerate(self.blocks):
-            for x in blk:
-                per_point[x].append(bi)
-        uncovered = [x for x, bs in enumerate(per_point) if not bs]
+        # _or_step's int32 incidences: the blocks' points, each block's from
+        # _block_at, then the points' blocks, each point's from _point_at
+        ids = np.array([0, *chain.from_iterable(self.blocks)])[1:]  # int dtype if empty
+        sizes = np.fromiter(map(len, self.blocks), np.intp, len(given))
+        if (ids.dtype.kind not in "iu" or sum(map(len, self.block_sets)) != len(ids)
+                or not sizes.all() or ((ids < 0) | (ids >= n_points)).any()):
+            for blk in given:  # the first bad block, in the order given
+                tup = sorted(blk)
+                if len(set(tup)) != len(tup):
+                    raise ValueError(f"block {blk!r} repeats a point")
+                if not tup:
+                    raise ValueError("empty block")
+                if tup[0] < 0 or tup[-1] >= n_points:
+                    raise ValueError(f"block {blk!r} uses an id outside 0..{n_points - 1}")
+            raise TypeError("point ids must be integers")
+        degrees = np.bincount(ids, minlength=n_points)
+        uncovered = np.flatnonzero(degrees == 0)[:5].tolist()
         if uncovered:
-            raise ValueError(f"points {uncovered[:5]} lie on no block")
-        self.point_to_blocks = tuple(tuple(bs) for bs in per_point)
-        self.block_sets = tuple(frozenset(b) for b in self.blocks)
+            raise ValueError(f"points {uncovered} lie on no block")
+        key = np.sort(ids * len(given) + np.repeat(np.arange(len(given)), sizes))
+        self._members, self._spaces = ids.astype(np.int32), (key % len(given)).astype(np.int32)
+        self._block_at, self._point_at = np.cumsum(sizes) - sizes, np.cumsum(degrees) - degrees
+        flat, ends = self._spaces.tolist(), np.cumsum(degrees).tolist()
+        self.point_to_blocks = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
         self._coll = None
 
     @property
@@ -132,30 +127,63 @@ class IncidenceStructure:
         return len(self.blocks)
 
     def collinearity(self):
-        """The n x n boolean matrix whose row x is True at the other points
-        sharing a block with x.  Filled from the blocks on the first call,
-        one block size at a time; later calls return the same read-only
-        array."""
+        """The read-only n x ceil(n/8) uint8 array whose row x, packed eight
+        points to a byte (np.packbits order), is set at the other points on a
+        block with x: one _or_step from the identity, diagonal cleared, cached."""
         if self._coll is None:
-            coll = np.zeros((self.n_points, self.n_points), bool)
-            for k in {len(b) for b in self.blocks}:
-                same = np.array([b for b in self.blocks if len(b) == k], np.intp)
-                coll[same[:, :, None], same[:, None, :]] = True
-            np.fill_diagonal(coll, False)
+            n = self.n_points
+            coll = np.empty((n, -(-n // 8)), np.uint8)
+            _or_step(self, out=coll)
+            x = np.arange(n)
+            coll[x, x >> 3] ^= (0x80 >> (x & 7)).astype(np.uint8)
             coll.flags.writeable = False
             self._coll = coll
         return self._coll
 
+    def collinear_rows(self, points):
+        """collinearity()'s rows at ``points``, an id or ids, unpacked to n
+        bools each; an id outside 0..n-1 is a ValueError naming it."""
+        idx = np.asarray(points, np.intp)
+        bad = idx[(idx < 0) | (idx >= self.n_points)]
+        if bad.size:
+            raise ValueError(f"point {bad.flat[0]} out of range")
+        return np.unpackbits(self.collinearity()[idx], -1, self.n_points).view(bool)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, IncidenceStructure)
-            and self.n_points == other.n_points
-            and self.blocks == other.blocks
-        )
+        return (isinstance(other, IncidenceStructure)
+                and (self.n_points, self.blocks) == (other.n_points, other.blocks))
 
     def __repr__(self):
         lbl = f" {self.label}" if self.label else ""
         return f"<IncidenceStructure{lbl}: {self.n_points} points, {self.n_blocks} blocks>"
+
+
+def _or_step(inc, reach=None, points=True, out=None):
+    """One OR step of the packed relation ``reach`` (None: the identity), 64
+    columns at a time: per block the OR of its points' rows, then, when
+    ``points``, per point the OR of its blocks'.  Writes the rows to ``out``
+    if given; returns the least row lacking a point, or None.  The memory
+    beyond ``out`` is a uint64 per incidence."""
+    n = inc.n_points
+    full = np.packbits(np.arange(-(-n // 64) * 64) < n).view(np.uint64)
+    ok = True
+    for j, lo in enumerate(range(0, n, 64)):
+        cols, width = slice(lo // 8, lo // 8 + 8), min(8, -(-(n - lo) // 8))
+        word = np.zeros((n, 8), np.uint8)
+        if reach is None:
+            x = np.arange(lo, min(lo + 64, n))
+            word[x, x >> 3 & 7] = 0x80 >> (x & 7)
+        else:
+            word[:, :width] = reach[:, cols]
+        # astype and an intp gather beat numpy's own gather by int32 indices
+        part = np.bitwise_or.reduceat(word.view(np.uint64).ravel()[
+            inc._members.astype(np.intp)], inc._block_at)
+        if points:
+            part = np.bitwise_or.reduceat(part[inc._spaces.astype(np.intp)], inc._point_at)
+        ok &= part == full[j]
+        if out is not None:
+            out[:, cols] = part.view(np.uint8).reshape(n, 8)[:, :width]
+    return None if np.all(ok) else int(np.argmin(ok))
 
 
 def verify_gq(inc):
@@ -193,18 +221,12 @@ def verify_gq(inc):
             f"point count {n} != (s+1)(st+1) = {(s + 1) * (s * t + 1)}", n)
     if s > 1 and t > 1 and (s > t * t or t > s * s):
         raise HigmanViolation(f"order ({s},{t}) violates s <= t^2 and t <= s^2", (s, t))
-    coll = inc.collinearity()
-    blocks = np.array(inc.blocks, np.intp)
-    for lo in range(0, len(blocks), _ROWS):
-        rows = blocks[lo:lo + _ROWS]
-        seen = coll[rows[:, 0]]  # L itself too, as s >= 1
-        for j in range(1, s + 1):
-            seen |= coll[rows[:, j]]
-        if not seen.all():
-            missed = np.argwhere(~seen)
-            i, z = lo + int(missed[0, 0]), int(missed[0, 1])
-            raise AxiomViolation(
-                f"point {z} sees 0 points of block {i}, expected 1", (z, i, 0))
+    # the OR of L's rows holds L itself too, as s >= 1
+    i = _or_step(inc, inc.collinearity(), points=False)
+    if i is not None:
+        z = int(inc.collinear_rows(inc.blocks[i]).any(0).argmin())
+        raise AxiomViolation(
+            f"point {z} sees 0 points of block {i}, expected 1", (z, i, 0))
     return s, t
 
 
@@ -234,13 +256,11 @@ def verify_plane(inc):
         raise AxiomViolation(f"order {q} too small for a plane", q)
     n = q * q + q + 1
     if inc.n_points != n or inc.n_blocks != n:
-        raise AxiomViolation(
-            f"expected {n} points and blocks, got {inc.n_points}/{inc.n_blocks}",
-            (inc.n_points, inc.n_blocks),
-        )
-    missed = np.argwhere(~inc.collinearity() & ~np.eye(n, dtype=bool))
-    if len(missed):
-        x, y = map(int, missed[0])
+        raise AxiomViolation(f"expected {n} points and blocks, got {inc.n_points}/"
+                             f"{inc.n_blocks}", (inc.n_points, inc.n_blocks))
+    x = _or_step(inc)
+    if x is not None:  # every row before x is full, so holds x
+        y = x + 1 + int(inc.collinear_rows(x)[x + 1:].argmin())
         raise AxiomViolation(f"points {(x, y)} on no common block", (x, y))
     return q
 
@@ -250,7 +270,7 @@ class Geometry:
 
     ``base`` is the IncidenceStructure and ``(s, t)`` its order (a plane of
     order q has s = q and t = None).  Balls, perps and spans read rows of
-    base.collinearity().
+    base.collinear_rows(), which rejects a point id outside 0..n-1.
     """
 
     def __init__(self, base, s, t):
@@ -275,7 +295,7 @@ class Geometry:
         """Points at collinearity distance exactly r from x (r = 1 or 2)."""
         if r not in (1, 2):
             raise ValueError("r must be 1 or 2")
-        row = self.base.collinearity()[x]
+        row = self.base.collinear_rows(x)
         return set(np.flatnonzero(row if r == 1 else ~row).tolist()) - {x}
 
     def common_perp(self, gens):
@@ -290,17 +310,17 @@ class Geometry:
             raise ValueError("need at least one generator")
         if len(set(gens)) != len(gens):
             raise CollinearGeneratorsError(f"repeated generator in {gens}")
-        coll = self.base.collinearity()
-        for a, b in combinations(gens, 2):
-            if coll[a, b]:
+        rows = self.base.collinear_rows(gens)
+        for (i, a), (_, b) in combinations(enumerate(gens), 2):
+            if rows[i, b]:
                 raise CollinearGeneratorsError(f"generators {a},{b} are collinear")
-        return set(np.flatnonzero(coll[list(gens)].all(0)).tolist())
+        return set(np.flatnonzero(rows.all(0)).tolist())
 
     def span(self, gens):
         """The span of the generators: the perp of their common perp."""
         gens = tuple(gens)
         perp = self.common_perp(gens)
-        members = self.base.collinearity()[sorted(perp)].all(0) if perp else ()
+        members = self.base.collinear_rows(sorted(perp)).all(0) if perp else ()
         return SpanSet(generators=frozenset(gens), perp=frozenset(perp),
                        members=frozenset(np.flatnonzero(members).tolist()))
 
@@ -329,7 +349,7 @@ def _checked(inc, family):
 
 # A bilinear form as data: B(u, v) = the sum of c*u[i]*v[j] over its terms
 # (i, j, c), c a field element.
-_ROWS = 256  # rows at a time: points in _form and _quadrangle, blocks in verify_gq
+_ROWS = 256  # rows at a time: points in _form and _quadrangle
 
 
 def _form(f, terms, u, v=None):

@@ -59,7 +59,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import _dumps
+from .geometry import _dumps, _or_step
 
 WRITE_REQUEST = "write_request"
 WRITE_RESPONSE = "write_response"
@@ -112,51 +112,34 @@ class NotDiameterBoundedError(Exception):
     """Protocol 2 needs every user pair within distance 2."""
 
 
-_COLS = 16  # packed bytes of columns (128 users) per pass of the search
-
-
 class UPIRSystem:
     """A connected incidence structure viewed as a messaging system.
 
     The constructor runs one breadth-first search from every user at once.
     Level k is the n x n relation "within distance k", packed along rows;
-    level 1 is collinearity() and the diagonal.  Each step ORs, per block,
-    the rows of its points, then, per point, the rows of its blocks, _COLS
-    packed bytes of columns at a time.  The search stops at the first full
-    level, whose number is the diameter; a level that stops growing is a
-    DisconnectedError naming user 0 and the least user row 0 lacks.  Only
-    levels 2 .. diameter - 1 are kept, none for a plane or a quadrangle,
-    and distance_row reads a user's distances from them."""
+    level 1 is collinearity() and the diagonal, and level k + 1 is the
+    geometry._or_step of level k (of collinearity() for k = 1: the same but
+    at an isolated user).  The search stops at the first full level, whose
+    number is the diameter; a level that stops growing is a DisconnectedError
+    naming user 0 and the least other user row 0 lacks.  Only levels 2 ..
+    diameter - 1 are kept, none for a plane or a quadrangle."""
 
     def __init__(self, structure):
         self.structure = structure
         self.n_users = n = structure.n_points
         self.n_spaces = structure.n_blocks
         self._spaces_of = structure.point_to_blocks
-        self._coll = structure.collinearity()
         self._levels = []
-        members = np.fromiter(chain.from_iterable(structure.blocks), np.intp)
-        spaces = np.fromiter(chain.from_iterable(self._spaces_of), np.intp)
-        block_at = np.cumsum([0, *map(len, structure.blocks[:-1])])
-        point_at = np.cumsum([0, *map(len, self._spaces_of[:-1])])
-        users = np.arange(n)
-        reach = np.packbits(self._coll, axis=1)
-        reach[users, users >> 3] |= (0x80 >> users % 8).astype(np.uint8)
-        full = np.packbits(np.ones(n, bool))
-        level = 1
-        while not (reach == full).all():
+        reach, level, short = structure.collinearity(), 1, _or_step(structure)
+        while short is not None:
             grown = np.empty_like(reach)
-            for lo in range(0, reach.shape[1], _COLS):
-                through = np.bitwise_or.reduceat(
-                    reach[members, lo:lo + _COLS], block_at)
-                grown[:, lo:lo + _COLS] = np.bitwise_or.reduceat(
-                    through[spaces], point_at)
-            if (grown == reach).all():
-                missing = int(np.unpackbits(reach[0], count=n).argmin())
-                raise DisconnectedError(
-                    f"users 0 and {missing} cannot reach each other",
-                    (0, missing))
+            short = _or_step(structure, reach, out=grown)
             if level >= 2:
+                if (grown == reach).all():
+                    missing = 1 + int(np.unpackbits(reach[0], count=n)[1:].argmin())
+                    raise DisconnectedError(
+                        f"users 0 and {missing} cannot reach each other",
+                        (0, missing))
                 self._levels.append(reach)
             reach, level = grown, level + 1
         self._diameter = min(level, n - 1)  # 0 for a single user
@@ -173,7 +156,7 @@ class UPIRSystem:
         """The distances from user v to every user, as a new int64 array: 0
         at v, 1 where collinear with v, 2 beyond, plus 1 for each kept level
         of the search that lacks the user."""
-        row = 2 - self._coll[self._user(v)].astype(np.int64)
+        row = 2 - self.structure.collinear_rows(self._user(v)).astype(np.int64)
         row[v] = 0
         for reach in self._levels:
             row += 1 - np.unpackbits(reach[v], count=self.n_users)

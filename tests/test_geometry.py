@@ -41,6 +41,10 @@ def test_structure_validation():
         IncidenceStructure(4, [(0, 1, 2)])  # point 3 uncovered
     with pytest.raises(ValueError):
         IncidenceStructure(2, [(0, 1), ()])  # empty block
+    for bad in (1.5, 1.0, np.float64(1)):
+        with pytest.raises(TypeError, match="^point ids must be integers$"):
+            IncidenceStructure(3, [(0, bad), (1, 2)])
+    assert IncidenceStructure(3, [(0, np.int64(1)), (1, 2)]).blocks == ((0, 1), (1, 2))
 
 
 def reference_collinearity(inc):
@@ -56,14 +60,66 @@ def test_structure_blocks_sorted_and_indexed():
     assert inc.blocks == ((0, 1), (1, 2), (2, 3))
     assert inc.point_to_blocks[1] == (0, 1)
     coll = inc.collinearity()
-    assert coll[1].tolist() == [True, False, True, False]
+    assert coll.shape == (4, 1) and coll.dtype == np.uint8
+    assert inc.collinear_rows(1).tolist() == [True, False, True, False]
     assert inc.collinearity() is coll
     assert not coll.flags.writeable
     # repeated blocks and blocks of one, two and three points
     mixed = IncidenceStructure(6, [(4, 3, 5), (2, 1), (1, 2), (0,), (1, 3)])
     assert mixed.blocks == ((0,), (1, 2), (1, 2), (1, 3), (3, 4, 5))
     for one in inc, mixed:
-        assert one.collinearity().tolist() == reference_collinearity(one)
+        assert one.collinear_rows(range(one.n_points)).tolist() == \
+            reference_collinearity(one)
+
+
+def _ragged():
+    # blocks of one to four points, points on one to three blocks, and
+    # n = 11, not a multiple of 8
+    return IncidenceStructure(11, [(0, 1, 2, 3), (3, 4), (4, 5, 6), (9,),
+                                   (0, 6, 7, 8), (8, 9, 10), (2, 10), (1, 5, 9)])
+
+
+ORACLE_STRUCTURES = {
+    **{f"{family}-{q}": (lambda family=family, q=q: get_gq(family, q).base)
+       for family in ("w3", "q4") for q in (2, 3, 4, 5)},
+    "pg2-2": lambda: get_plane(2).base,
+    "ragged": _ragged,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_STRUCTURES))
+def test_packed_rows_match_shared_blocks(name):
+    # the structures of the brute-force builder oracle, W(3,2) with n = 15
+    # and PG(2,2) with n = 7, and mixed block sizes and point degrees
+    inc = ORACLE_STRUCTURES[name]()
+    n = inc.n_points
+    coll = inc.collinearity()
+    assert coll.shape == (n, -(-n // 8)) and coll.dtype == np.uint8
+    assert not np.unpackbits(coll, axis=1)[:, n:].any()  # pad bits clear
+    want = reference_collinearity(inc)
+    assert inc.collinear_rows(range(n)).tolist() == want
+    for x in (0, n - 1):
+        assert inc.collinear_rows(x).tolist() == want[x]
+    assert inc.collinear_rows([]).shape == (0, n)
+
+
+def test_collinear_rows_reject_bad_ids():
+    inc = _ragged()
+    for bad in (-1, 11):
+        with pytest.raises(ValueError, match=f"^point {bad} out of range$"):
+            inc.collinear_rows([0, bad])
+
+
+def test_geometry_rejects_point_ids_out_of_range():
+    # ids -1 and n once read row n - 1 and raised a bare IndexError
+    gq = get_gq("w3", 3)
+    for bad in (-1, gq.n_points):
+        for call in (lambda: gq.ball(bad, 1), lambda: gq.ball(bad, 2),
+                     lambda: gq.common_perp((bad, 0)),
+                     lambda: gq.common_perp((0, bad)),
+                     lambda: gq.span((bad, 0)), lambda: gq.span((0, bad))):
+            with pytest.raises(ValueError, match=f"^point {bad} out of range$"):
+                call()
 
 
 def test_fano_plane():
@@ -204,6 +260,21 @@ def test_w3_16_memory_peak():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 2.6 * n * n
+
+
+def test_w3_16_collinearity_and_verify_memory_peak():
+    # the packed rows are n^2 / 8 bytes, and no pass of the build or of the
+    # check holds a temporary of the full width beside them; the dense
+    # matrix they replaced peaked at 1.15 n^2 bytes here
+    base = get_gq("w3", 16).base
+    inc = IncidenceStructure(base.n_points, base.blocks)
+    n = inc.n_points
+    tracemalloc.start()
+    inc.collinearity()
+    assert verify_gq(inc) == (16, 16)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 0.2 * n * n
 
 
 def test_w3_16_system_memory_peak():
@@ -436,7 +507,7 @@ def test_file_roundtrip_random_structures(tmp_path_factory, data):
     if set().union(*blocks) != set(range(n)):
         blocks.append(set(range(n)))
     inc = IncidenceStructure(n, blocks)
-    assert inc.collinearity().tolist() == reference_collinearity(inc)
+    assert inc.collinear_rows(range(n)).tolist() == reference_collinearity(inc)
     path = tmp_path_factory.mktemp("geo") / "r.json"
     save_geometry(path, inc, family="custom")
     assert load_geometry(path).structure == inc

@@ -271,3 +271,71 @@ def mutants(draw):
 def test_mutants_agree(inc):
     assert_agrees(inc)
 
+
+def least_witness(verify, inc):
+    """The witness verify must name, from the blocks: for verify_gq the
+    least block i that some point sees none of, with the least such point
+    z, as (z, i, 0); for verify_plane the least pair (x, y) on no common
+    block."""
+    coll = collinear_sets(inc)
+    n = inc.n_points
+    if verify is verify_gq:
+        for i, blk in enumerate(inc.blocks):
+            seen = set(blk).union(*(coll[x] for x in blk))
+            missed = [z for z in range(n) if z not in seen]
+            if missed:
+                return missed[0], i, 0
+    else:
+        for x in range(n):
+            missed = [y for y in range(n) if y != x and y not in coll[x]]
+            if missed:
+                return x, missed[0]
+    return None
+
+
+def _ci_swapped(blocks, plane):
+    """The blocks of the swapped q = 16 files of the CI checks: point 1 of
+    block 0 exchanged with the first point of the first block disjoint from
+    it (a quadrangle), or with the last point of the first block without it
+    (a plane)."""
+    out = [list(blk) for blk in blocks]
+    if plane:
+        j = next(j for j, blk in enumerate(out) if out[0][1] not in blk)
+        out[0][1], out[j][-1] = out[j][-1], out[0][1]
+    else:
+        j = next(j for j, blk in enumerate(out) if not set(blk) & set(out[0]))
+        out[0][1], out[j][0] = out[j][0], out[0][1]
+    return out
+
+
+@pytest.mark.parametrize("family,message,witness", [
+    ("w3", "point 2 sees 0 points of block 0, expected 1", (2, 0, 0)),
+    ("pg2", "points (1, 2) on no common block", (1, 2)),
+])
+def test_q16_swapped_files_rejected(family, message, witness):
+    # the messages and witnesses that verify gave on these files when it
+    # read the dense n x n collinearity matrix
+    plane = family == "pg2"
+    base = get_plane(16).base if plane else get_gq(family, 16).base
+    inc = IncidenceStructure(base.n_points, _ci_swapped(base.blocks, plane))
+    with pytest.raises(AxiomViolation) as exc:
+        (verify_plane if plane else verify_gq)(inc)
+    assert str(exc.value) == message and exc.value.witness == witness
+
+
+@pytest.mark.parametrize("family,q", [("w3", 7), ("q4", 5), ("pg2", 16)])
+def test_witness_is_the_least_across_words(family, q):
+    # rows of 400, 156 and 273 points span 7, 3 and 5 words of the OR
+    # step; swaps at the first, a middle and the last block
+    plane = family == "pg2"
+    base = get_plane(q).base if plane else get_gq(family, q).base
+    verify = verify_plane if plane else verify_gq
+    blocks = base.blocks
+    for i in (0, len(blocks) // 2, len(blocks) - 1):
+        swapped = next(filter(None, (_swap(blocks, i, 1, j, b)
+                                     for j in reversed(range(len(blocks)))
+                                     for b in range(len(blocks[j])))))
+        inc = IncidenceStructure(base.n_points, swapped)
+        with pytest.raises(AxiomViolation) as exc:
+            verify(inc)
+        assert exc.value.witness == least_witness(verify, inc)
