@@ -239,6 +239,12 @@ class _TopicState:
         self.arrivals = {}      # member -> {space: request count}
 
 
+def _arrives(event):
+    """Whether event is an arrival, the one kind the arrival rules count: a
+    write request one hop from its proxy."""
+    return event.kind == WRITE_REQUEST and len(event.path) == 1
+
+
 class CoalitionTracker:
     """Per-topic candidate sets over a stream of transcript events.
 
@@ -262,10 +268,8 @@ class CoalitionTracker:
     indistinguishability class of the supplied analytic partition (or a
     singleton, when none is given); past that point no further shrinking is
     possible.  With relay_metadata the tracker holds one topic at most,
-    and the relay metadata reaches it only at the first event whose payload
-    a member reads, and then all at once: until then candidates() is every
-    user outside the coalition and converged() is False, though the
-    metadata state may already have shrunk.
+    whose state is the relay metadata's from the first event ingested on,
+    readable or not; a second topic read is a ValueError.
     """
 
     D1_MIN_ARRIVALS = 50
@@ -301,14 +305,15 @@ class CoalitionTracker:
             m for c in self.coalition for m in system.spaces_of(c))
         self._topics = {}
         # relay metadata names no topic: its rules update this state, which
-        # becomes the topic's state when the topic is first read
+        # is the one topic's from the first event ingested on
         self._meta = _TopicState(set(self._initial)) if relay_metadata else None
+        self._fed = False  # whether _meta has ingested an unread event
 
     def candidates(self, topic):
         return frozenset(self._live(topic))
 
     def converged(self, topic):
-        st = self._topics.get(topic)
+        st = self._state(topic)
         if st is None:
             return False
         if self._class_set is not None:
@@ -343,16 +348,32 @@ class CoalitionTracker:
 
     def _calls(self, event):
         """observe()'s (member, event, readable) calls of _ingest, as
-        upir.access decides them.  Database calls (space None) name their
-        proxy, never their source: they make none, before access is asked."""
+        upir.access decides them, for the events some rule reads.  Database
+        calls (space None) name their proxy, never their source: they make
+        none, before access is asked.  Under protocol 2 without relay
+        metadata only the arrival rules read anything, so only a write
+        request one hop from its proxy, read by that proxy, makes a call."""
         if event.space not in self._watched:
             return []
-        return [(m, event, readable) for m in self.coalition
+        members = self.coalition
+        if self._proxy_only:
+            if not _arrives(event):
+                return []
+            members = [event.proxy] if event.proxy in members else []
+        return [(m, event, readable) for m in members
                 if (readable := access(self.system, m, event)) is not None]
+
+    def _state(self, topic):
+        """The topic's state, or None while it has none: with relay_metadata
+        and no topic read yet, _meta once it has ingested an event."""
+        st = self._topics.get(topic)
+        if st is None and self._fed and not self._topics:
+            return self._meta
+        return st
 
     def _live(self, topic):
         """The topic's candidate set itself, not a copy."""
-        st = self._topics.get(topic)
+        st = self._state(topic)
         return self._initial if st is None else st.cand
 
     def _topic_state(self, topic):
@@ -369,6 +390,7 @@ class CoalitionTracker:
     def _ingest(self, m, event, readable):
         if not readable:
             if self.relay_metadata:
+                self._fed = True
                 self._route_rules(self._meta, m, event)
             return
         st = self._topic_state(event.topic)
@@ -376,7 +398,7 @@ class CoalitionTracker:
             self._route_rules(st, m, event)
         else:
             # readable under encryption means m proxied this query itself
-            if event.kind == WRITE_REQUEST and len(event.path) == 1:
+            if _arrives(event):
                 self._arrival_rules(st, m, event.space)
 
     def _route_rules(self, st, m, event):
@@ -434,9 +456,9 @@ def converge_topics(system, coalition, protocol, topic_sources, queries_cap,
     the draw-and-intern path of upir.run_protocol (NotDiameterBoundedError
     for protocol 2 beyond distance 2).  A query that sees() admits is fed
     by replaying its route's observe() calls (_route_tables); without a log
-    any other is skipped before it is interned, and drawing stops at most
-    one block past convergence.  on_step, when given,
-    is called after each query that changed the topic's candidate set, as
+    any other is skipped before it is interned, and drawing stops with the
+    block in which the topic converges.  on_step, when given, is called
+    after each query that changed the topic's candidate set, as
     on_step(topic, queries_so_far, candidates), with live tracker state to
     be read and not kept.  log, when given, is called as log(stream) once
     per topic, in sorted topic order, with a upir.Transcript of the topic's

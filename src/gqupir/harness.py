@@ -25,6 +25,7 @@ from .adversary import (
 from .fields import field
 from .geometry import _dumps, build_pg2, build_q4, build_w3
 from .upir import (
+    QUERY_STREAM,
     Transcript,
     UPIRSystem,
     _stream_writer,
@@ -154,6 +155,7 @@ def run_simulate(geom, family, q, protocol, coalition, n_topics, queries,
         "command": "simulate",
         "protocol": protocol,
         "seed": seed,
+        "query_stream": QUERY_STREAM,
         "coalition": list(coalition),
         "relay_metadata": relay_metadata,
         "topics": n_topics,

@@ -16,17 +16,17 @@ Two request disciplines are simulated:
   within distance 2.
 
 Transcripts record one event per write or database call, in order, and
-run_protocol and adversary.converge_topics make them by one block stream.
-Its raw uint32 values form a chain: a proxy draw, then a route draw exactly
-when that proxy has more than one shortest route, all built by _routes_from
-once per stream.  _draws finds the roles of a whole block in numpy and
-applies numpy's 32-bit Lemire rule to it; a rejected value is dropped and
-the chain restarts after it.  Blocks grow from 1024 values to 4096, and
-the last is drawn again up to its last used value, so the values and the
-Generator state are those of one scalar rng.integers call per draw.  A
-query is keyed by its route index first[proxy] + route draw; each route has
-its bodies interned once per stream, a block's new ones in ascending order,
-and the block's columns are gathered from them in numpy.  Each stream is a
+run_protocol and adversary.converge_topics make them by one query stream,
+version QUERY_STREAM.  It draws a stream's queries in blocks of _BLOCK:
+a block's k proxies by one rng.integers(n, size=k) call, then, for each
+distinct route count w > 1 among those proxies in ascending order, the
+route picks of the block's queries whose proxy has w shortest routes by one
+rng.integers(w, size=m) call, in query order; every other pick is 0.  So
+each query's proxy is uniform over the users and its route uniform over
+the shortest ones, which _routes_from builds once per stream.  A query is
+keyed by its route index first[proxy] + pick; each route has its bodies
+interned once per stream, a block's new ones in ascending order, and the
+block's columns are gathered from them in numpy.  Each stream is a
 Transcript of its own, and _stream_writer appends streams to one log.
 
 read_transcript reads a log back a block of lines at a time, mapping each
@@ -313,79 +313,34 @@ def _as_rng(seed_or_rng):
     return np.random.default_rng(seed_or_rng), seed
 
 
-_U32 = 1 << 32
-# raw values per block: _FIRST for a stream's first, doubling up to _BLOCK
-_FIRST, _BLOCK = 1024, 4096
+QUERY_STREAM = 2  # the version of the draws below, in simulate reports
+_BLOCK = 4096  # queries per block of a stream
 
 
 def _draws(rng, count, n, bounds):
-    """The block stream's core (see the module docstring): yield, a block
-    at a time, int64 arrays of the proxy and the route index of each of
-    count queries as the scalar calls proxy = rng.integers(n), pick =
-    rng.integers(bounds[proxy]) would draw them, leaving rng in their state.
-    bounds is a uint64 array of route counts per proxy, 1 where no route is
-    drawn; a bound-1 call consumes no value, so n == 1 draws nothing.  A
-    draw maps raw x to x * bound >> 32, rejecting x while x * bound mod
-    2**32 < (2**32 - bound) % bound, a threshold taken only where the low
-    word is below bound.  In a run of values whose proxy reading x * n >> 32
-    has several routes, roles alternate from a proxy draw; any other value
-    is followed by a proxy draw.  The last block is rewound.
-    """
-    left = count  # queries not complete, one waiting for its route included
-    pending = -1  # the proxy of a query waiting for its route draw
-    size = _FIRST
-    while left:
-        state = rng.bit_generator.state
-        raw = rng.integers(0, _U32, size, np.uint32).astype(np.uint64)
-        proxies, picks, used = [], [], 0
-        while left and used < size:
-            x = raw[used:]
-            reading = (x * n >> 32).astype(np.intp)
-            multi = bounds[reading] > 1
-            if pending >= 0:
-                multi[0] = False  # x[0] is the waiting route draw
-            i = np.arange(len(x))
-            run = i - np.maximum.accumulate(np.where(multi, -1, i))
-            route = np.empty(len(x), bool)
-            route[0] = pending >= 0
-            route[1:] = multi[:-1] & (run[:-1] & 1 == 1)
-            owner = np.empty_like(reading)  # a route draw's proxy
-            owner[0] = max(pending, 0)
-            owner[1:] = reading[:-1]
-            bound = np.where(route, bounds[owner], np.uint64(n))
-            m = x * bound
-            low = m & 0xFFFFFFFF
-            near = np.flatnonzero(low < bound)  # the threshold is below bound
-            bad = near[low[near] < (_U32 - bound[near]) % bound[near]]
-            cut = int(bad[0]) if len(bad) else len(x)
-            done = route | ~multi
-            if np.count_nonzero(done[:cut]) >= left:  # stop at the left-th
-                cut = int(np.cumsum(done[:cut]).searchsorted(left)) + 1
-            done[cut:] = False
-            draw = (m >> 32).astype(np.intp)
-            at = np.flatnonzero(done)
-            proxies.append(np.where(route, owner, draw)[at])
-            picks.append(np.where(route, draw, 0)[at])
-            if cut:
-                pending = -1 if done[cut - 1] else int(draw[cut - 1])
-            left -= len(at)
-            used += cut + (left > 0 and cut < len(x))  # and the rejected one
-        if n == 1:  # a bound-1 call draws no value
-            used = 0
-        if used < size:  # rewind to the values the stream used
-            rng.bit_generator.state = state
-            rng.integers(0, _U32, size=used, dtype=np.uint32)
-        size = min(2 * size, _BLOCK)
-        yield np.concatenate(proxies), np.concatenate(picks)
+    """The query stream's draws (see the module docstring): yield, a block
+    of up to _BLOCK queries at a time, int64 arrays of each query's proxy
+    and route pick.  bounds is an array of route counts per proxy; a pick
+    is drawn below its proxy's count where that is above 1, else it is 0."""
+    widths = sorted(set(bounds.tolist()) - {1})
+    for start in range(0, count, _BLOCK):
+        proxy = rng.integers(n, size=min(_BLOCK, count - start))
+        pick = np.zeros_like(proxy)
+        bound = bounds[proxy]
+        for w in widths:
+            at = np.flatnonzero(bound == w)
+            if len(at):
+                pick[at] = rng.integers(w, size=len(at))
+        yield proxy, pick
 
 
 def _routes_from(system, source):
     """Every shortest route from source as (routes, first, bounds): v's are
     routes[first[v]:first[v] + bounds[v]] as shortest_user_paths(source, v)
-    orders them, the source's is None, and bounds is uint64.  Ring d of the
-    source's distance row extends ring d - 1's routes through the spaces of
-    their last users to members in ring d; spaces and members ascend, so
-    each ring comes out sorted and a stable sort by target keeps it so."""
+    orders them, and the source's is None.  Ring d of the source's distance
+    row extends ring d - 1's routes through the spaces of their last users
+    to members in ring d; spaces and members ascend, so each ring comes out
+    sorted and a stable sort by target keeps it so."""
     dist = system.distance_row(source).tolist()
     blocks, spaces = system.structure.blocks, system.structure.point_to_blocks
     ring, routes = [(source,)], [None]
@@ -396,14 +351,14 @@ def _routes_from(system, source):
     target = np.array([source] + [r[-1] for r in routes[1:]], np.intp)
     bounds = np.bincount(target, minlength=system.n_users)
     return ([routes[i] for i in np.argsort(target, kind="stable").tolist()],
-            np.cumsum(bounds) - bounds, bounds.astype(np.uint64))
+            np.cumsum(bounds) - bounds, bounds)
 
 
 def _draw_queries(system, workload, rng):
     """One workload's queries as (pairs, blocks): the stream's route table,
     a (proxy, route) per route of _routes_from, route a shortest path
     (source, M1, u1, ..., proxy) or None for the source itself; and per
-    block an int64 array of each query's index first[proxy] + route draw
+    block an int64 array of each query's index first[proxy] + route pick
     into it.  A bad source is a ValueError, and protocol 2 with users beyond
     distance 2 a NotDiameterBoundedError, before any draw."""
     n, source = system.n_users, workload.source
@@ -419,7 +374,7 @@ def _draw_queries(system, workload, rng):
     routes, first, bounds = _routes_from(system, source)
     return ([(source, r) if r is None else (r[-1], r) for r in routes],
             (first[proxy] + pick for proxy, pick in _draws(
-                rng, workload.count, n, bounds) if len(proxy)))
+                rng, workload.count, n, bounds)))
 
 
 def _query_bodies(workload, proxy, route):

@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy.special import chdtrc, ndtri
 
 from gqupir.adversary import (
     DegeneratePartition,
@@ -118,14 +119,29 @@ def test_uniform_routing():
     assert p >= 0.01, f"proxy chi-square p={p}"
     by_proxy = path_choice_counts(tr)
     far = [v for v in range(40) if v != src and v not in gq.ball(src, 1)]
+    # each far proxy's t+1 route counts against uniform.  Every count lies
+    # within a family-wise 1 % bound on its z-score (Bonferroni over the
+    # 108 counts, |z| <= 3.91), so a bias on one route fails; a bound of 3
+    # sigma on each count fails about a quarter of uniform streams.  One
+    # chi-square test of all the counts at p >= 0.01, as for the proxies,
+    # catches a bias spread over many routes.
+    share = 1 / (gq.t + 1)
+    bound = ndtri(1 - 0.01 / (2 * len(far) * (gq.t + 1)))
+    route_chi2 = max_z = 0.0
     for v in far:
         routes = by_proxy[v]
         assert len(routes) == gq.t + 1
         total = sum(routes.values())
-        sigma = math.sqrt(total * 0.25 * 0.75)
+        mean, sigma = total * share, math.sqrt(total * share * (1 - share))
         for cnt in routes.values():
-            assert abs(cnt - total / 4) <= 3 * sigma, (v, routes)
-    return f"chi-square p={p:.3f}, {len(far)} proxy pairs within 3 sigma"
+            z = (cnt - mean) / sigma
+            assert abs(z) <= bound, (v, routes, z)
+            max_z = max(max_z, abs(z))
+            route_chi2 += (cnt - mean) ** 2 / mean
+    route_p = chdtrc(len(far) * gq.t, route_chi2)
+    assert route_p >= 0.01, f"route chi-square p={route_p}"
+    return (f"chi-square p={p:.3f}, routes of {len(far)} proxies "
+            f"p={route_p:.3f}, max |z|={max_z:.2f} <= {bound:.2f}")
 
 
 @criterion(5, "plane plaintext sources fully resolved")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqupir import adversary
 from gqupir.adversary import (
     CandidateState,
     CoalitionTracker,
@@ -32,6 +33,8 @@ from gqupir.adversary import (
 from gqupir.geometry import Geometry, IncidenceStructure
 from gqupir.upir import (
     DB_REQUEST,
+    PROXY_ONLY,
+    WRITE_REQUEST,
     QueryWorkload,
     Transcript,
     TranscriptEvent,
@@ -39,6 +42,7 @@ from gqupir.upir import (
     _draw_queries,
     _query_bodies,
     _stream_writer,
+    access,
     iter_protocol_events,
     observer_view,
     read_transcript,
@@ -651,6 +655,105 @@ def test_relay_metadata_rejects_second_topic():
         tracker._topic_state("b")
 
 
+def test_relay_metadata_reaches_the_topic_from_the_first_event():
+    """With relay_metadata the reported candidates are the metadata state's
+    after every query, read or not, and so are converge_topics' final ones.
+    Among 5-query runs from source 20 some never read the topic, though the
+    metadata has struck a user off: they report 38 users, not all 39."""
+    system = w33_system()
+    unread = 0
+    for seed in range(40):
+        (child,) = np.random.SeedSequence(seed).spawn(1)
+        stream = run_protocol(system, QueryWorkload(20, "t", 5, protocol=2),
+                              np.random.default_rng(child))
+        tracker = CoalitionTracker(system, (0,), 2, relay_metadata=True)
+        for _, query in groupby(stream.events, key=attrgetter("query")):
+            tracker.feed(query)
+            assert tracker.candidates("t") == tracker._meta.cand
+            assert tracker.converged("t") == (len(tracker._meta.cand) == 1)
+        states = converge_topics(system, (0,), 2, {"t": 20}, 5, seed,
+                                 relay_metadata=True)
+        assert states["t"].candidates == tracker._meta.cand
+        unread += not tracker._topics and len(tracker._meta.cand) == 38
+    assert unread
+
+
+def test_relay_metadata_census_of_unread_arrivals():
+    """Unread write requests one hop from their proxy, into a line of member
+    0, complete the census once every other point of the line has been
+    addressed: the source is then collinear with 0.  The topic is never
+    read, so candidates() is the metadata state's; the expected sets come
+    from the lines themselves."""
+    system = w33_system()
+    line = system.spaces_of(0)[0]
+    a, b, c = sorted(system.structure.block_sets[line] - {0})
+    collinear = set().union(*(system.structure.block_sets[m]
+                              for m in system.spaces_of(0))) - {0}
+    tracker = CoalitionTracker(system, (0,), 2, relay_metadata=True)
+    expected = [set(range(1, 40)) - {a}, set(range(1, 40)) - {a},
+                set(range(1, 40)) - {a, b}, collinear - {a, b, c}]
+    for seq, (proxy, want) in enumerate(zip((a, a, b, c), expected)):
+        writer = next(x for x in (a, b, c) if x != proxy)
+        tracker.observe(TranscriptEvent(seq, WRITE_REQUEST, line, (proxy,),
+                                        proxy, "t", PROXY_ONLY, writer, seq))
+        assert tracker.candidates("t") == want
+        assert not tracker.converged("t")
+    assert not tracker._topics
+    assert len(collinear - {a, b, c}) == 9
+
+
+class _EveryAccessTracker(CoalitionTracker):
+    """A tracker that calls _ingest for every member upir.access admits,
+    the calls no rule reads included."""
+
+    def _calls(self, event):
+        return [(m, event, readable) for m in self.coalition
+                if (readable := access(self.system, m, event)) is not None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=tracking_runs())
+def test_tracker_leaves_out_only_calls_no_rule_reads(run):
+    """converge_topics' replayed calls and observe() give the states and
+    on_step calls of a tracker called for every member access admits; under
+    protocol 2 without relay metadata the calls are the write requests one
+    hop from their proxy, read by it."""
+    geom = GEOMETRIES[run["name"]]()
+    system = UPIRSystem(geom.base)
+    protocol, coalition = run["protocol"], run["coalition"]
+    relay_metadata = run["relay_metadata"]
+    analytic = (analytic_coalition(geom, coalition, protocol)
+                if run["floor"] else None)
+    source = run["sources"]["t0"]
+    stream = run_protocol(system, QueryWorkload(source, "t0", run["cap"],
+                                                protocol=protocol),
+                          run["seed"])
+    results = []
+    for tracker in (CoalitionTracker, _EveryAccessTracker):
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adversary, "CoalitionTracker", tracker)
+            results.append((
+                converge_topics(
+                    system, coalition, protocol, run["sources"], run["cap"],
+                    run["seed"], analytic=analytic,
+                    relay_metadata=relay_metadata,
+                    on_step=lambda topic, rounds, cand: steps.append(
+                        (topic, rounds, frozenset(cand)))),
+                steps,
+                empirical_infer(stream, coalition, analytic=analytic,
+                                relay_metadata=relay_metadata)))
+    assert results[0] == results[1]
+    if protocol == 2 and not relay_metadata:
+        tracker = CoalitionTracker(system, coalition, protocol)
+        every = _EveryAccessTracker(system, coalition, protocol)
+        for event in stream.events:
+            assert tracker._calls(event) == [
+                (m, ev, readable) for m, ev, readable in every._calls(event)
+                if readable and ev.kind == WRITE_REQUEST
+                and len(ev.path) == 1]
+
+
 def test_empirical_infer_transcript():
     gq = w33()
     sys_ = w33_system()
@@ -710,7 +813,7 @@ def test_tracker_rejects_a_floor_of_another_run(case):
 def test_converge_topics_stops_at_its_own_floor():
     states = converge_topics(w33_system(), (0,), 2, {"t": 1}, 10_000, seed=1,
                              analytic=analytic_single(w33(), 0, 2))
-    assert states["t"].converged and states["t"].rounds_observed == 83
+    assert states["t"].converged and states["t"].rounds_observed == 143
     assert len(states["t"].candidates) == 27
 
 
@@ -802,7 +905,7 @@ def test_encrypted_floor_on_step_digest():
     assert all(st.rounds_observed == 10_000 and len(st.candidates) == 27
                for st in states.values())
     assert hashlib.sha256(repr(steps).encode()).hexdigest() == (
-        "2b322f3322fa5d5a05ae918a411c90245603bcbf7be343c51ba14b77fa30e200")
+        "c64bb17fa8b6d9d916901d45a5d6be0c41451b44b87c02b2d5a13000a64cd2db")
 
 
 def reference_infer(transcript, coalition, analytic=None,

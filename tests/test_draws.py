@@ -1,12 +1,16 @@
-"""Block-drawn queries against numpy's scalar draws.
+"""The query stream, version 2, against its documented calls.
 
-The query stream takes raw uint32 values in blocks and maps them to bounded
-draws itself, a block at a time in numpy.  These tests hold it to the scalar
-Generator.integers calls it replaces: the same values, the same events, and
-the same Generator state afterwards.  reference_events below is the
-scalar-draw event generator the stream replaced, kept as the reference, and
-scalar_draws the scalar form of the stream's core, _draws.  Neither the
-block size nor the caller's bit generator may change any of it.
+A stream draws its queries in blocks of BLOCK: a block's k proxies by one
+rng.integers(n, size=k) call, then, for each distinct route count w > 1
+among those proxies in ascending order, the route picks of the block's
+queries whose proxy has w routes by one rng.integers(w, size=m) call, in
+query order; every other pick is 0.  reference_draws below makes exactly
+those calls and places the picks in plain Python, and reference_events
+builds each query's events from its pick among shortest_user_paths.  The
+stream must give the same draws and events, and leave the caller's
+Generator in the same state, whatever its bit generator.  The block
+fixture also runs a test at smaller block sizes, against the reference at
+the same size, so that every stream end meets a block edge.
 """
 
 import numpy as np
@@ -15,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqupir import upir
-from gqupir.adversary import converge_topics
 from gqupir.geometry import IncidenceStructure
 from gqupir.upir import (
     ALL_READERS,
@@ -27,13 +30,17 @@ from gqupir.upir import (
     QueryWorkload,
     TranscriptEvent,
     UPIRSystem,
+    _draw_queries,
     _draws,
     _routes_from,
     iter_protocol_events,
     run_protocol,
 )
 
-from conftest import get_gq, get_plane, joined
+from conftest import get_gq, get_plane
+
+# queries per block: part of the stream, so not a tuning knob
+BLOCK = 4096
 
 SYSTEMS = {
     "w3-3": lambda: UPIRSystem(get_gq("w3", 3).base),
@@ -48,20 +55,39 @@ def hexagon():
         IncidenceStructure(6, [(i, (i + 1) % 6) for i in range(6)]))
 
 
-def reference_events(system, workload, rng):
-    """The events of one workload, drawing the proxy and the route with one
-    scalar rng.integers call each."""
+def reference_draws(rng, count, n, bounds, size=BLOCK):
+    """Each query's proxy and pick as lists, drawn by the documented calls
+    in blocks of size queries; bounds[v] is proxy v's route count."""
+    proxies, picks = [], []
+    for start in range(0, count, size):
+        block = rng.integers(n, size=min(size, count - start)).tolist()
+        pick = [0] * len(block)
+        for w in sorted({int(bounds[v]) for v in block} - {1}):
+            at = [i for i, v in enumerate(block) if bounds[v] == w]
+            for i, x in zip(at, rng.integers(w, size=len(at)).tolist()):
+                pick[i] = x
+        proxies += block
+        picks += pick
+    return proxies, picks
+
+
+def reference_events(system, workload, rng, size=BLOCK):
+    """The events of one workload, its queries drawn by reference_draws
+    in blocks of size over the routes shortest_user_paths gives, built one
+    by one."""
     u = workload.source
     if not 0 <= u < system.n_users:
         raise ValueError(f"source {u} out of range")
+    routes = [None if v == u else system.shortest_user_paths(u, v)
+              for v in range(system.n_users)]
+    bounds = [1 if r is None else len(r) for r in routes]
     vis = ALL_READERS if workload.protocol == 1 else PROXY_ONLY
     topic = workload.topic
     seq = 0
-    for qi in range(workload.count):
-        v = int(rng.integers(system.n_users))
+    for qi, (v, pick) in enumerate(zip(*reference_draws(
+            rng, workload.count, system.n_users, bounds, size))):
         if v != u:
-            paths = system.shortest_user_paths(u, v)
-            path = paths[int(rng.integers(len(paths)))]
+            path = routes[v][pick]
             nodes = path[0::2]
             spaces = path[1::2]
             for j, m in enumerate(spaces):
@@ -82,185 +108,109 @@ def reference_events(system, workload, rng):
                 seq += 1
 
 
-def raw_state_after(seed, k):
-    """The Generator state after exactly k raw uint32 values."""
-    rng = np.random.default_rng(seed)
-    rng.integers(0, 2**32, size=k, dtype=np.uint32)
-    return rng.bit_generator.state
+def assert_draws_match(seed, count, bounds, size=BLOCK):
+    """_draws and reference_draws, both in blocks of size, agree from one
+    seed over proxies 0..len(bounds)-1 and leave equal Generator states;
+    returns _draws' Generator."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = list(_draws(ours, count, len(bounds), np.asarray(bounds)))
+    assert [len(p) for p, _ in blocks] == [
+        min(size, count - a) for a in range(0, count, size)]
+    assert all(p.dtype == r.dtype == np.int64 for p, r in blocks)
+    assert (np.concatenate([p for p, _ in blocks]).tolist(),
+            np.concatenate([r for _, r in blocks]).tolist()) == (
+        reference_draws(theirs, count, len(bounds), bounds, size))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return ours
 
 
-def scalar_draws(rng, count, n, bounds):
-    """What _draws yields, drawn by scalar calls: per query the proxy
-    rng.integers(n), then the route index rng.integers(bounds[proxy])."""
-    proxies, picks = [], []
-    for _ in range(count):
-        v = int(rng.integers(n))
-        proxies.append(v)
-        picks.append(int(rng.integers(int(bounds[v]))))
-    return proxies, picks
+def test_block_size_is_the_documented_one():
+    assert upir._BLOCK == BLOCK and upir.QUERY_STREAM == 2
 
 
-def block_draws(rng, count, n, bounds):
-    """_draws' blocks joined into lists."""
-    blocks = list(_draws(rng, count, n, np.asarray(bounds, np.uint64)))
-    return (np.concatenate([p for p, _ in blocks]).tolist(),
-            np.concatenate([r for _, r in blocks]).tolist())
+# block sizes at which one query, two, three and a handful meet every block
+# edge, and the stream's own
+BLOCKS = [1, 2, 3, 16, BLOCK]
 
 
-def assert_draws_match(start, count, n, bounds):
-    """_draws and scalar_draws agree from start, a seed or a Generator
-    state, and leave equal Generator states; returns the scalar side."""
-    seed = start if isinstance(start, int) else 0
-    scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-    if not isinstance(start, int):
-        scalar.bit_generator.state = batched.bit_generator.state = start
-    want = scalar_draws(scalar, count, n, bounds)
-    assert block_draws(batched, count, n, bounds) == want
-    assert batched.bit_generator.state == scalar.bit_generator.state
-    return scalar
-
-
-# 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of the raw
-# values; 2**32 - 1 rejects only the value 0
-BOUNDS = (1, 2, 3, 40, 156, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1)
-
-
-def as_proxy(bound):
-    """(n, bounds) making every draw a proxy draw below bound; the bounds
-    array is a zero-stride view, so a bound near 2**32 costs no memory."""
-    return bound, np.broadcast_to(np.uint64(1), (bound,))
-
-
-def as_route(bound):
-    """(n, bounds) with three proxies, of which proxy 1 is followed by a
-    route draw below bound."""
-    return 3, (1, bound, 1)
-
-
-# (first, full) block sizes that put every role and every stream end at a
-# block edge, with and without doubling, and the default
-BLOCKS = [(1, 1), (1, 3), (3, 3), (2, 16), (upir._FIRST, upir._BLOCK)]
-
-
-@pytest.fixture(params=BLOCKS, ids=lambda b: f"first{b[0]}-full{b[1]}")
+@pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b}")
 def block(request, monkeypatch):
-    """Runs the test under each of BLOCKS: _draws' first and full block."""
-    monkeypatch.setattr(upir, "_FIRST", request.param[0])
-    monkeypatch.setattr(upir, "_BLOCK", request.param[1])
+    """Runs the test with _draws' block size set to each of BLOCKS."""
+    monkeypatch.setattr(upir, "_BLOCK", request.param)
     return request.param
+
+
+# route counts from one (no pick drawn) to just below 2**32
+BOUNDS = (1, 2, 3, 40, 156, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1)
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_bounded_draws_match_scalar_integers(bound, seed, block):
-    count = min(3000, 40 * block[1])
-    scalar = assert_draws_match(seed, count, *as_proxy(bound))
-    assert_draws_match(seed, count, *as_route(bound))
-    if bound == 1:
-        assert scalar.bit_generator.state == raw_state_after(seed, 0)
-    if bound in (2**31 + 1, 3 * 2**30 + 1):  # some values were rejected
-        assert scalar.bit_generator.state != raw_state_after(seed, count)
+def test_bounded_draws_match_reference(bound, seed, block):
+    count = min(3000, 40 * block)
+    # bound as the number of proxies, each with one route; _draws reads
+    # every proxy's count, so only the small bounds are drawn this way
+    if bound <= 156:
+        ours = assert_draws_match(seed, count, (1,) * bound, block)
+        if bound == 1:  # one proxy and no picks: nothing is drawn
+            assert (ours.bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
+    # bound as the route count of proxy 1 of 3
+    assert_draws_match(seed, count, (1, bound, 1), block)
 
 
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
+@pytest.mark.parametrize("seed", [0, 99])
+def test_bounded_draws_mix_bounds_on_one_stream(seed, block):
+    # one proxy per bound over three blocks and a part, then the bounds in
+    # another order with repeats over two whole blocks
+    assert_draws_match(seed, 3 * block + 5, BOUNDS, block)
+    assert_draws_match(seed, 2 * block, (40, 1, 3, 40, 2, 1, 3, 2**31 + 1),
+                       block)
+    # no proxy has more than one route: one call per block and no other
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    list(_draws(ours, block + 1, 7, np.ones(7, np.int64)))
+    theirs.integers(7, size=block)
+    theirs.integers(7, size=1)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def planted(values):
-    """A PCG64 state whose first raw uint32 values are the three given.  The
-    buffered half-word gives the first; the second and third are the low
-    and high halves of the next 64-bit output, which is the XSL-RR output
-    of the state after one step, so that state is built for it and stepped
-    back."""
-    first, low, high = values
-    out = high << 32 | low
-    rot = 5  # any rotation: it is the state's top six bits
-    hi = rot << 58 | 0x123456789AB
-    lo = hi ^ ((out << rot | out >> (64 - rot)) & _MASK64)
-    state = np.random.default_rng(5).bit_generator.state
-    inc = state["state"]["inc"]
-    after = hi << 64 | lo
-    before = (after - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
-    state["state"]["state"] = before
-    state.update(has_uint32=1, uinteger=first)
-    check = np.random.default_rng(0)
-    check.bit_generator.state = state
-    assert check.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == list(
-        values)
-    return state
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 1])
+@pytest.mark.parametrize("build,source", [(hexagon, 0), (SYSTEMS["w3-3"], 3)],
+                         ids=["hexagon", "W(3,3)"])
+def test_draws_at_block_edges(build, source, count):
+    # from user 0 of the hexagon only user 3 has two routes; on W(3,3) the
+    # 27 users beyond a line of the source have four
+    system = build()
+    workload = QueryWorkload(source, "t", count, protocol=1)
+    ours, theirs = np.random.default_rng(count), np.random.default_rng(count)
+    _, blocks = _draw_queries(system, workload, np.random.default_rng(count))
+    assert [len(k) for k in blocks] == [
+        min(BLOCK, count - a) for a in range(0, count, BLOCK)]
+    assert run_protocol(system, workload, ours).events == list(
+        reference_events(system, workload, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@pytest.mark.parametrize("bound", [b for b in BOUNDS if b % 2 == 1 and b > 1])
-@pytest.mark.parametrize("offset", [0, -1])
-def test_bounded_draws_at_the_rejection_threshold(bound, offset, block):
-    # a raw value whose low product word is exactly the threshold (kept) or
-    # one below it (rejected), planted as a proxy draw and as a route draw
-    threshold = (2**32 - bound) % bound
-    raw = (threshold + offset) * pow(bound, -1, 2**32) % 2**32
-    assert_draws_match(planted((raw, 1, 2)), 4, *as_proxy(bound))
-    # the first value, 2**31, draws proxy 1 of 3; the route draw follows
-    assert_draws_match(planted((2**31, raw, 7)), 4, *as_route(bound))
-
-
-def test_bounded_draws_mix_bounds_on_one_stream(block):
-    # one proxy per bound, each followed by a route draw below it; a route
-    # draw often waits at the end of a block
-    count = min(2000, 40 * block[1])
-    bounds = np.array(BOUNDS, np.uint64)
-    assert_draws_match(99, count, len(bounds), bounds)
-    # rejection-heavy proxy and route draws, one after the other
-    assert_draws_match(99, count, 2**31 + 1,
-                       np.broadcast_to(np.uint64(3 * 2**30 + 1), (2**31 + 1,)))
-
-
-def test_draws_at_block_edges(block):
-    # from user 0 of the hexagon only user 3 has two routes; its route draw
-    # waits at a block end whenever its proxy draw ends a block
-    assert_draws_match(5, 300, 6, _routes_from(hexagon(), 0)[2])
-    # bound 40 rejects none of these values, so one query takes one value
-    # and the stream fills its first, then its second block exactly
-    first, full = block
-    for count in (first, first + min(2 * first, full)):
-        scalar = assert_draws_match(11, count, *as_proxy(40))
-        assert scalar.bit_generator.state == raw_state_after(11, count)
-
-
-def converge_with_steps(log):
-    """converge_topics on W(3,3) under protocol 1, with the on_step calls
-    it made; every topic converges within 50 of its 200 queries."""
-    steps = []
-    states = converge_topics(
-        SYSTEMS["w3-3"](), (0, 13), 1, {"a": 5, "b": 22, "c": 31}, 200,
-        seed=4, log=log, on_step=lambda topic, rounds, cand: steps.append(
-            (topic, rounds, frozenset(cand))))
-    return states, steps
-
-
-@pytest.fixture(scope="module")
-def converged():
-    """converge_with_steps with and without a log, at a block size outside
-    BLOCKS."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(upir, "_FIRST", 500)
-        mp.setattr(upir, "_BLOCK", 500)
-        streams = []
-        return (converge_with_steps(None), converge_with_steps(streams.append),
-                joined(streams).events)
-
-
-def test_block_size_does_not_change_convergence(converged, block):
-    plain, logged, events = converged
-    assert all(st.converged and st.rounds_observed < 50
-               for st in plain[0].values())
-    assert converge_with_steps(None) == plain
-    streams = []
-    assert converge_with_steps(streams.append) == logged == plain
-    assert joined(streams).events == events
+@pytest.mark.parametrize("name,protocol", [
+    (name, protocol) for name in sorted(SYSTEMS) for protocol in (1, 2)]
+    + [("hexagon", 1)])
+def test_run_protocol_matches_reference_at_each_block_size(name, protocol,
+                                                           block):
+    # whole blocks and a part at the small sizes, a block and a part at the
+    # stream's own; the hexagon, 3 across, has no protocol 2
+    system = SYSTEMS[name]() if name in SYSTEMS else hexagon()
+    workload = QueryWorkload(0 if name == "hexagon" else 3, "t",
+                             min(3 * block + 2, 5000), protocol=protocol)
+    ours, theirs = np.random.default_rng(block), np.random.default_rng(block)
+    assert run_protocol(system, workload, ours).events == list(
+        reference_events(system, workload, theirs, block))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("bit_generator", [
     np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_other_bit_generators_end_in_the_scalar_state(bit_generator):
+def test_other_bit_generators_end_in_the_reference_state(bit_generator):
     system = SYSTEMS["w3-3"]()
     workload = QueryWorkload(3, "t", 5000, protocol=1)
     ours = np.random.Generator(bit_generator(8))
@@ -290,7 +240,7 @@ def test_route_counts_match_the_routes(name):
 def route_table(system, u):
     """_routes_from(system, u) as one list of routes per target."""
     routes, first, counts = _routes_from(system, u)
-    assert counts.dtype == np.uint64 and counts[u] == 1
+    assert counts.dtype == np.int64 and counts[u] == 1
     assert first.tolist() == [0, *np.cumsum(counts)[:-1].tolist()]
     assert len(routes) == counts.sum()
     return [routes[a:a + c] for a, c in zip(first.tolist(), counts.tolist())]
@@ -342,12 +292,12 @@ def test_route_table_on_a_long_chain():
     seed=st.integers(0, 2**32 - 1),
     before=st.integers(0, 5),
 )
-def test_run_protocol_matches_scalar_reference(name, protocol, source, count,
-                                               seed, before):
+def test_run_protocol_matches_reference(name, protocol, source, count,
+                                        seed, before):
     system = SYSTEMS[name]()
     workload = QueryWorkload(source, "t", count, protocol=protocol)
     # a caller's Generator, already part-way through its stream, ends in
-    # the same state as after the scalar draws
+    # the same state as after the reference draws
     ours = np.random.default_rng(seed)
     theirs = np.random.default_rng(seed)
     ours.integers(40, size=before)

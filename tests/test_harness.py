@@ -297,6 +297,7 @@ def test_simulate_report_and_transcript(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["topics"] == 3 and report["sound"] is True
+    assert report["query_stream"] == 2
     assert len(report["per_topic"]) == 3
     for entry in report["per_topic"]:
         assert entry["source"] in entry["candidates"]
@@ -326,9 +327,9 @@ def test_infer_scores_a_simulated_log(tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path / "b.json")) == 0
     assert (tmp_path / "a.json").read_bytes() == (
         tmp_path / "b.json").read_bytes()
-    # taken before reports were written by geometry._dumps
+    # the digest of the report of query stream 2's log
     assert hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest() == (
-        "8137f9dfd880f943a051ea21a9a911306eaadafc08ffea45a97fb0219b56db2a")
+        "97fa5af914f2d73dd9ffe4025fc4fce9a12b1f55ce9f09588ea2b5e87da3db90")
     sim = json.loads((tmp_path / "sim.json").read_text())
     report = json.loads((tmp_path / "a.json").read_text())
     assert report["command"] == "infer" and report["sound"] is True
@@ -379,21 +380,22 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 
 # SHA-256 of the three outputs of two fixed simulate --transcript runs.  A
 # change to per-seed output (random stream, report or log format) must show
-# up here and be recorded as such.
+# up here and be recorded as such.  The reports and logs are those of query
+# stream 2; the sidecars have not changed with it.
 GOLDEN = {
     ("w3", "3", "1", ("--coalition-size", "2", "--placement", "spread"), "23"): {
         "report.json":
-            "0c1a87b60d0ad9230e101357dfd0687767bdfc843fcdffc393f46465f1c1d4a6",
+            "c50962ee3e2d9e54f3ae089dbc13de5f23d6139146691212524f34e6b1b898b6",
         "run.jsonl":
-            "44250095df9de7c1e407e66d34764c126813921c0cc30cc02e6a4192c6c8bbd7",
+            "dedca103c2badd8d0ffc25994e550f4d402cafa60b59a9c76c985331778929e2",
         "run.truth.json":
             "ab0f23bd210ab6cf5f15a14ae8246e1db25b3ecce88a59ee19e031a127875b13",
     },
     ("q4", "3", "2", ("--coalition", "0,5"), "31"): {
         "report.json":
-            "e001079536f1ec753c5a5dc9ef0cf469f6ec5317148511b9ce3fe821df8b0254",
+            "fa419879000e0a87e1c9bf9316740894311d553c429c0ff57c2b69221bc2ec16",
         "run.jsonl":
-            "fc18715a1d4eb17522ee4e46bbfc16d8cde72a5d12f49d5d6d8b72b333d487f5",
+            "42270b6212a52afd62d0ffbb6b22063aecc83c2483e18226a24618df60a30c95",
         "run.truth.json":
             "5b7554527f3b40153a430607dc62fb03e9e4c0816ed7364b8b286752f2e1db37",
     },
@@ -416,19 +418,21 @@ def test_simulate_outputs_match_golden_digests(tmp_path, monkeypatch, run):
 # SHA-256 of simulate reports on W(3,3), without logs, each pinning tracker
 # rules: the encrypted protocol's single-space rule D1 (it fires 4 times;
 # 250 queries a topic, as above, are too few for its 50 arrivals) and
-# two-space rule D2 (7 times), the plaintext census (6 times), and a census
-# on attributed relay metadata (the topic converges at query 73).  The
-# digests were taken before the tracker dropped its per-rule fired sets.
+# two-space rule D2 (7 times), the plaintext census (7 times), and the
+# route rules on attributed relay metadata, bound to the topic from the
+# first event on (it converges at query 27, before any census completes;
+# test_adversary.py checks that census on hand-made events).
+# The digests are those of query stream 2.
 GOLDEN_REPORTS = {
     ("--protocol", "2", "--coalition", "0,13", "--topics", "6",
      "--queries", "3000", "--seed", "5"):
-        "d76b4c2d3de691962147d748104a47772038703707c9ad0449f9e333de7bdd3d",
+        "7f1d02b662d1549ef44201693e9465cac2ab3e2cf472fb94f54c752242d0fe3a",
     ("--protocol", "1", "--coalition", "0,13", "--topics", "6",
      "--queries", "600", "--seed", "5"):
-        "9e4420c0c46ddc23129f2824051072cc88b2be6b40253ae6746d37d4bb314e30",
+        "d2a7be745e32bd2151f9bff804d44aa6f7501cfdfc6506e02faa179486da6500",
     ("--protocol", "2", "--coalition", "0", "--topics", "1",
      "--queries", "4000", "--seed", "16", "--relay-metadata"):
-        "da090ef0ad54c526db46fe55d351e330ffd80cee4c65e498fef80ae459fee9ec",
+        "cc46064cebbef632c3c5b8f2c1dbd4694b9c76c37af01410388b5cdd1c35e30e",
 }
 
 

@@ -1,4 +1,5 @@
-"""An exact oracle for the analytic coalition partitions.
+"""Exact oracles: for the analytic coalition partitions, and for the
+rounds the encrypted protocol's tracker takes to reach them.
 
 Queries are i.i.d., so two sources are indistinguishable for any amount of
 traffic exactly when one query of each gives the coalition identically
@@ -6,8 +7,15 @@ distributed observations.  exact_partition enumerates every outcome of one
 query with its exact weight and maps it through upir.access, the rule the
 tracker and the observer views apply, so the oracle shares no code with
 analytic_coalition beyond the events themselves.
+
+protocol2_rounds gives the exact mean and variance of the rounds one
+observer's tracker takes to reach the floor under protocol 2; sampled runs
+of converge_topics must match them, which checks the query stream's law
+(uniform proxies and routes) as well as the arrival rules.
 """
 
+import math
+import statistics
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqupir.adversary import analytic_coalition, place_coalition
+from gqupir.adversary import (
+    CoalitionTracker,
+    analytic_coalition,
+    analytic_single,
+    converge_topics,
+    place_coalition,
+)
 from gqupir.upir import (
     QueryWorkload,
     TranscriptEvent,
@@ -125,3 +139,50 @@ def test_exact_oracle_separates_what_it_should():
     # the plaintext protocol on a plane resolves every user
     plane = get_plane(3)
     assert all(len(c) == 1 for c in exact_partition(plane, (0,), 1))
+
+
+def protocol2_rounds(n, t, collinear):
+    """The exact (mean, variance) of the rounds to the floor for one
+    observer c under protocol 2 on a quadrangle with n users and t + 1 lines
+    per point.  c learns the topic only from the queries it proxies, each
+    with probability 1/n, so the rounds are a sum of N independent waits,
+    each geometric with mean n and variance n(n - 1), where N is the
+    arrivals needed:
+
+    * a source not collinear with c reaches it through a space uniform
+      over its t + 1 lines, and a second distinct space proves distance 2
+      (D2): N = 1 + G, with G geometric of success t/(t + 1), so the mean
+      is n(1 + (t + 1)/t);
+    * a source collinear with c always arrives through their common line,
+      and D1 pins it at the D1_MIN_ARRIVALS-th arrival: N = 50, so the mean
+      is 50n.
+
+    The variance of such a sum is E[N] n(n - 1) + Var[N] n^2."""
+    if collinear:
+        arrivals, spread = Fraction(CoalitionTracker.D1_MIN_ARRIVALS), 0
+    else:
+        p = Fraction(t, t + 1)
+        arrivals, spread = 1 + 1 / p, (1 - p) / p ** 2
+    return arrivals * n, arrivals * n * (n - 1) + spread * n * n
+
+
+@pytest.mark.parametrize("collinear", [False, True], ids=["far", "collinear"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_protocol2_rounds_match_the_exact_law(q, collinear):
+    # 200 topics from one seed, their sources spread over the ring; each
+    # sampled mean must lie within 4 standard errors of the law
+    geom = get_gq("w3", q)
+    n, t, observer = geom.n_points, geom.t, 0
+    assert protocol2_rounds(n, t, collinear)[0] == (
+        50 * n if collinear else n * (1 + Fraction(t + 1, t)))
+    ring = sorted(geom.ball(observer, 1 if collinear else 2))
+    sources = {f"t{i:03d}": ring[i % len(ring)] for i in range(200)}
+    floor = analytic_single(geom, observer, 2)
+    states = converge_topics(UPIRSystem(geom.base), (observer,), 2, sources,
+                             100 * n, seed=q, analytic=floor)
+    assert all(st.converged and st.candidates == floor.class_of(st.source)
+               for st in states.values())
+    rounds = [st.rounds_observed for st in states.values()]
+    mean, var = protocol2_rounds(n, t, collinear)
+    z = (statistics.fmean(rounds) - mean) / math.sqrt(var / len(rounds))
+    assert abs(z) < 4, (float(mean), statistics.fmean(rounds), z)
